@@ -160,6 +160,9 @@ def load_solution(json_path) -> DbarSolution:
 
     with open(json_path, "r", encoding="ascii") as fh:
         record = _json.load(fh)
+    version = record.get("schema_version")
+    if version != util.SCHEMA_VERSION:
+        raise ValueError(f"solution schema_version is {version!r}, expected {util.SCHEMA_VERSION}")
     problem = DbarProblem.from_json_dict(record["problem"])
     field_path = os.path.join(os.path.dirname(str(json_path)), record["field"])
     f = load_complex_field(field_path)

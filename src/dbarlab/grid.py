@@ -16,6 +16,7 @@ pairs) plus a CSV debug export with columns x, y, re, im.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -57,8 +58,8 @@ class GridSpec:
             raise ValueError("resolution must be an integer")
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError("radius must be positive and finite")
         if self.resolution < MIN_RESOLUTION:
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         if self.resolution % 2 == 0:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from dbarlab.cauchy import CauchyTransform, adjust_value_at_zero, cauchy_transform
-from dbarlab.grid import ComplexField, make_grid, sup_norm, wirtinger_dzbar
+from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, adjust_value_at_zero, cauchy_transform
+from dbarlab.grid import ComplexField, RealField, make_grid, sup_norm, wirtinger_dzbar
 
 
 def _random_field(spec, seed):
@@ -63,6 +64,32 @@ def test_paths_agree(n):
     direct = cauchy_transform(f, method="direct")
     scale = np.abs(direct.values).max()
     assert np.abs(fast.values - direct.values).max() <= 1e-10 * scale
+
+
+def _real_field(spec, seed):
+    # the solver's right side |f|^(1/2) is real and non-negative
+    rng = np.random.default_rng(seed)
+    n = spec.resolution
+    return RealField(spec, np.abs(rng.standard_normal((n, n))), spec.default_margin())
+
+
+@pytest.mark.parametrize("n, m", [(17, 33), (37, 75), (33, 66), (65, 132)])
+def test_paths_agree_real_input(n, m):
+    # odd and even padded lengths exercise both rfft half-spectrum shapes
+    g = make_grid(1.0, n)
+    assert next_fast_len(2 * n - 1) == m
+    u = _real_field(g, 5)
+    fast = cauchy_transform(u, method="fft")
+    direct = cauchy_transform(u, method="direct")
+    scale = np.abs(direct.values).max()
+    assert np.abs(fast.values - direct.values).max() <= AGREEMENT_RTOL * scale
+
+
+def test_real_and_complex_input_identical():
+    g = make_grid(1.0, 65)
+    u = _real_field(g, 11)
+    t = CauchyTransform(g, u.mask)
+    assert np.array_equal(t.apply_values(u.values), t.apply_values(u.values + 0j))
 
 
 def test_unknown_method_rejected():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,18 @@ class TestPersistence:
         assert back.sup_f == sol.sup_f
         assert back.converged == sol.converged
         assert back.iterations == sol.iterations
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_schema_version_checked(self, tmp_path, version):
+        sol = picard_solve(DbarProblem(unit(33), b=0.05))
+        paths = sol.save(tmp_path)
+        with open(paths["json"]) as fh:
+            record = json.load(fh)
+        if version is None:
+            del record["schema_version"]
+        else:
+            record["schema_version"] = version
+        with open(paths["json"], "w") as fh:
+            json.dump(record, fh)
+        with pytest.raises(ValueError, match="schema_version"):
+            load_solution(paths["json"])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,19 @@ def test_make_grid_rejects_bad_resolution():
         make_grid(1.0, 15)
     with pytest.raises(ValueError):
         make_grid(-1.0, 65)
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+def test_make_grid_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError):
+        make_grid(radius, 33)
+
+
+def test_loader_rejects_non_finite_radius(tmp_path):
+    path = tmp_path / "inf.f64"
+    path.write_bytes(struct.pack("<dId", float("inf"), 17, 0.0) + bytes(17 * 17 * 16))
+    with pytest.raises(ValueError):
+        load_complex_field(path)
 
 
 def test_origin_is_a_node():
