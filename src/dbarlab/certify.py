@@ -35,6 +35,7 @@ from .grid import (
     ComplexField,
     MaskError,
     RealField,
+    basepoint_node,
     erode4,
     laplacian5,
     polar_decompose,
@@ -228,27 +229,15 @@ def sqrt_branch(
     absh = np.abs(h.values)
     region = h.mask & (absh > delta0)
 
-    hh = spec.spacing
-    c = spec.center
-    bp = complex(basepoint)
-    bi = int(round(bp.imag / hh)) + c
-    bj = int(round(bp.real / hh)) + c
-    n = spec.resolution
-    if not (0 <= bi < n and 0 <= bj < n) or not region[bi, bj]:
+    node = basepoint_node(spec, basepoint, region)
+    if node is None:
         raise MaskError("basepoint is not inside {|h| > delta0}")
 
-    # connected component of the basepoint, 4-neighbour flood
-    from collections import deque
+    # connected component of the basepoint; label's default structure is 4-connectivity
+    from scipy import ndimage
 
-    comp = np.zeros_like(region)
-    comp[bi, bj] = True
-    queue = deque([(bi, bj)])
-    while queue:
-        i, j = queue.popleft()
-        for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if 0 <= a < n and 0 <= b < n and region[a, b] and not comp[a, b]:
-                comp[a, b] = True
-                queue.append((a, b))
+    labels, _ = ndimage.label(region)
+    comp = labels == labels[node]
 
     polar = polar_decompose(h.restrict(comp), basepoint)
     vals = np.sqrt(polar.rho.values) * np.exp(0.5j * polar.phi.values)

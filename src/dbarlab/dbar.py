@@ -153,6 +153,11 @@ class DbarSolution:
 
 
 def load_solution(json_path) -> DbarSolution:
+    """Read a solution.json record and its field file.
+
+    Any malformed record raises ValueError (JSON syntax errors included),
+    KeyError for a missing key, or OSError for an unreadable file.
+    """
     import json as _json
     import os
 
@@ -160,22 +165,26 @@ def load_solution(json_path) -> DbarSolution:
 
     with open(json_path, "r", encoding="ascii") as fh:
         record = _json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"solution record is a JSON {type(record).__name__}, expected an object")
     version = record.get("schema_version")
-    if version != util.SCHEMA_VERSION:
+    if type(version) is not int or version != util.SCHEMA_VERSION:  # True == 1.0 == 1
         raise ValueError(f"solution schema_version is {version!r}, expected {util.SCHEMA_VERSION}")
-    problem = DbarProblem.from_json_dict(record["problem"])
-    field_path = os.path.join(os.path.dirname(str(json_path)), record["field"])
+    try:
+        problem = DbarProblem.from_json_dict(record["problem"])
+        field_path = os.path.join(os.path.dirname(str(json_path)), record["field"])
+        scalars = dict(
+            residual_sup=float(record["residual_sup"]),
+            sup_f=float(record["sup_f"]),
+            converged=bool(record["converged"]),
+            iterations=int(record["iterations"]),
+        )
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed solution record: {exc}") from exc
     f = load_complex_field(field_path)
     if f.spec != problem.grid:
         raise ValueError("field file does not match the recorded problem grid")
-    return DbarSolution(
-        problem=problem,
-        f=f,
-        residual_sup=float(record["residual_sup"]),
-        sup_f=float(record["sup_f"]),
-        converged=bool(record["converged"]),
-        iterations=int(record["iterations"]),
-    )
+    return DbarSolution(problem=problem, f=f, **scalars)
 
 
 def rhs_sqrt(f: ComplexField, eps: float) -> RealField:

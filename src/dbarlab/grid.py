@@ -334,15 +334,48 @@ def _principal(delta: np.ndarray) -> np.ndarray:
     return (delta + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def basepoint_node(spec: GridSpec, basepoint: complex, mask: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the node nearest basepoint, or None if it is off the grid or the mask."""
+    h = spec.spacing
+    c = spec.center
+    bp = complex(basepoint)
+    bi = int(round(bp.imag / h)) + c
+    bj = int(round(bp.real / h)) + c
+    n = spec.resolution
+    if not (0 <= bi < n and 0 <= bj < n) or not mask[bi, bj]:
+        return None
+    return bi, bj
+
+
+def _unwrap_outward(phi: np.ndarray, raw: np.ndarray, mask: np.ndarray) -> None:
+    """Extend phi from its row 0 down axis 0, in place, column by column.
+
+    Each column whose row-0 entry is set is walked by a running sum of
+    principal increments and stops before its first unmasked node.  The
+    arguments are same-oriented views (sliced, reversed or transposed) of the
+    full arrays; np.cumsum adds strictly in order, so every value is the one
+    a node-by-node walk would produce.
+    """
+    with np.errstate(invalid="ignore"):
+        steps = _principal(raw[1:] - raw[:-1])
+        walked = np.cumsum(np.concatenate([phi[:1], steps]), axis=0)[1:]
+    reached = np.logical_and.accumulate(mask[1:], axis=0) & ~np.isnan(phi[0])
+    phi[1:][reached] = walked[reached]
+
+
 def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
     """Split a nonvanishing field into modulus and a continuous argument branch.
 
-    The branch is fixed by the principal argument at the basepoint node, then
-    unwrapped along the basepoint's row, down each column, and by a
-    deterministic flood fill for any remaining masked nodes.  Afterwards every
-    masked edge is checked: the unwrapped increment must match the principal
-    increment to UNWRAP_TOL, otherwise no continuous branch exists (a zero of
-    g is enclosed) and PhaseUnwrapError is raised.
+    The branch is fixed by the principal argument at the basepoint node.  It
+    is unwrapped outwards along the basepoint's row, then from every seeded
+    row node up and down its column, all columns at once; each walk is a
+    cumulative sum of principal increments that stops before the first
+    unmasked node.  Masked nodes those passes miss (non-disc restrictions) are
+    reached by a breadth-first fill seeded, in row-major order, with the set
+    nodes that border them.  Afterwards every masked edge is checked: the
+    unwrapped increment must match the principal increment to UNWRAP_TOL,
+    otherwise no continuous branch exists (a zero of g is enclosed) and
+    PhaseUnwrapError is raised.
     """
     spec = g.spec
     mask = g.mask
@@ -351,56 +384,43 @@ def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
         raise VanishingFieldError("field vanishes on its mask")
 
     n = spec.resolution
-    h = spec.spacing
-    c = spec.center
-    bp = complex(basepoint)
-    bj = int(round(bp.real / h)) + c
-    bi = int(round(bp.imag / h)) + c
-    if not (0 <= bi < n and 0 <= bj < n) or not mask[bi, bj]:
+    node = basepoint_node(spec, basepoint, mask)
+    if node is None:
         raise ValueError("basepoint is not a masked grid node")
+    bi, bj = node
 
     raw = np.angle(g.values)
     phi = np.full((n, n), np.nan)
     phi[bi, bj] = raw[bi, bj]
 
     # basepoint row, outwards in both directions
-    for j in range(bj + 1, n):
-        if not mask[bi, j]:
-            break
-        phi[bi, j] = phi[bi, j - 1] + _principal(raw[bi, j] - raw[bi, j - 1])
-    for j in range(bj - 1, -1, -1):
-        if not mask[bi, j]:
-            break
-        phi[bi, j] = phi[bi, j + 1] + _principal(raw[bi, j] - raw[bi, j + 1])
+    row = slice(bi, bi + 1)
+    for cols in (slice(bj, None), slice(bj, None, -1)):
+        _unwrap_outward(phi[row, cols].T, raw[row, cols].T, mask[row, cols].T)
+    # columns, from the seeded row, downwards and upwards
+    for rows in (slice(bi, None), slice(bi, None, -1)):
+        _unwrap_outward(phi[rows], raw[rows], mask[rows])
 
-    # columns, from the seeded row
-    for j in range(n):
-        if np.isnan(phi[bi, j]):
-            continue
-        for i in range(bi + 1, n):
-            if not mask[i, j]:
-                break
-            phi[i, j] = phi[i - 1, j] + _principal(raw[i, j] - raw[i - 1, j])
-        for i in range(bi - 1, -1, -1):
-            if not mask[i, j]:
-                break
-            phi[i, j] = phi[i + 1, j] + _principal(raw[i, j] - raw[i + 1, j])
-
-    # flood fill for masks the row/column passes missed (non-disc restrictions)
+    # breadth-first fill for masks the row/column passes missed
     pending = mask & np.isnan(phi)
     if pending.any():
         from collections import deque
 
-        seeds = np.argwhere(mask & ~np.isnan(phi))
-        queue = deque(map(tuple, seeds))
+        borders = np.zeros_like(pending)
+        borders[1:] |= pending[:-1]
+        borders[:-1] |= pending[1:]
+        borders[:, 1:] |= pending[:, :-1]
+        borders[:, :-1] |= pending[:, 1:]
+        queue = deque(map(tuple, np.argwhere(borders & mask & ~pending)))
         while queue:
             i, j = queue.popleft()
             for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                 a, b = i + di, j + dj
-                if 0 <= a < n and 0 <= b < n and mask[a, b] and np.isnan(phi[a, b]):
+                if 0 <= a < n and 0 <= b < n and pending[a, b]:
                     phi[a, b] = phi[i, j] + _principal(raw[a, b] - raw[i, j])
+                    pending[a, b] = False
                     queue.append((a, b))
-        if (mask & np.isnan(phi)).any():
+        if pending.any():
             raise PhaseUnwrapError("mask is not connected to the basepoint")
 
     # every masked edge must agree with the principal increment

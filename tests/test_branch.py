@@ -1,0 +1,233 @@
+"""Branch extraction against a node-by-node oracle.
+
+polar_decompose and sqrt_branch unwrap with array passes and label
+components with scipy.ndimage.  The functions below are the loop versions
+they replaced, kept here only as the oracle: every output must match them bit
+for bit, including on masks where the breadth-first fallback fires.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from dbarlab.certify import sqrt_branch
+from dbarlab.dbar import profile_exact
+from dbarlab.grid import (
+    UNWRAP_TOL,
+    ComplexField,
+    MaskError,
+    PhaseUnwrapError,
+    PolarField,
+    RealField,
+    VanishingFieldError,
+    basepoint_node,
+    make_grid,
+    polar_decompose,
+)
+
+SIZES = (17, 33, 65)
+
+
+def _principal(delta):
+    return (delta + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def loop_polar(g, basepoint=0j):
+    """Oracle polar_decompose; also returns how many nodes the fallback filled."""
+    spec = g.spec
+    mask = g.mask
+    rho_vals = np.abs(g.values)
+    if np.min(rho_vals[mask]) <= 0.0:
+        raise VanishingFieldError("field vanishes on its mask")
+    n = spec.resolution
+    h = spec.spacing
+    c = spec.center
+    bp = complex(basepoint)
+    bj = int(round(bp.real / h)) + c
+    bi = int(round(bp.imag / h)) + c
+    if not (0 <= bi < n and 0 <= bj < n) or not mask[bi, bj]:
+        raise ValueError("basepoint is not a masked grid node")
+
+    raw = np.angle(g.values)
+    phi = np.full((n, n), np.nan)
+    phi[bi, bj] = raw[bi, bj]
+    for j in range(bj + 1, n):
+        if not mask[bi, j]:
+            break
+        phi[bi, j] = phi[bi, j - 1] + _principal(raw[bi, j] - raw[bi, j - 1])
+    for j in range(bj - 1, -1, -1):
+        if not mask[bi, j]:
+            break
+        phi[bi, j] = phi[bi, j + 1] + _principal(raw[bi, j] - raw[bi, j + 1])
+    for j in range(n):
+        if np.isnan(phi[bi, j]):
+            continue
+        for i in range(bi + 1, n):
+            if not mask[i, j]:
+                break
+            phi[i, j] = phi[i - 1, j] + _principal(raw[i, j] - raw[i - 1, j])
+        for i in range(bi - 1, -1, -1):
+            if not mask[i, j]:
+                break
+            phi[i, j] = phi[i + 1, j] + _principal(raw[i, j] - raw[i + 1, j])
+
+    filled = 0
+    if (mask & np.isnan(phi)).any():
+        queue = deque(map(tuple, np.argwhere(mask & ~np.isnan(phi))))
+        while queue:
+            i, j = queue.popleft()
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                a, b = i + di, j + dj
+                if 0 <= a < n and 0 <= b < n and mask[a, b] and np.isnan(phi[a, b]):
+                    phi[a, b] = phi[i, j] + _principal(raw[a, b] - raw[i, j])
+                    filled += 1
+                    queue.append((a, b))
+        if (mask & np.isnan(phi)).any():
+            raise PhaseUnwrapError("mask is not connected to the basepoint")
+
+    worst = 0.0
+    for a, r, m in ((phi, raw, mask), (phi.T, raw.T, mask.T)):
+        both = m[1:, :] & m[:-1, :]
+        if both.any():
+            d_unwrapped = (a[1:, :] - a[:-1, :])[both]
+            d_principal = _principal((r[1:, :] - r[:-1, :])[both])
+            worst = max(worst, float(np.max(np.abs(d_unwrapped - d_principal))))
+    if worst > UNWRAP_TOL:
+        raise PhaseUnwrapError("unwrap inconsistency")
+
+    phi = np.where(mask, phi, 0.0)
+    rho = RealField(spec, np.where(mask, rho_vals, 1.0), g.margin, mask)
+    return PolarField(rho, RealField(spec, phi, g.margin, mask)), filled
+
+
+def loop_sqrt_branch(h, delta0, basepoint):
+    """Oracle sqrt_branch: 4-neighbour flood fill, then the oracle unwrap."""
+    spec = h.spec
+    region = h.mask & (np.abs(h.values) > delta0)
+    hh = spec.spacing
+    c = spec.center
+    bp = complex(basepoint)
+    bi = int(round(bp.imag / hh)) + c
+    bj = int(round(bp.real / hh)) + c
+    n = spec.resolution
+    if not (0 <= bi < n and 0 <= bj < n) or not region[bi, bj]:
+        raise MaskError("basepoint is not inside {|h| > delta0}")
+    comp = np.zeros_like(region)
+    comp[bi, bj] = True
+    queue = deque([(bi, bj)])
+    while queue:
+        i, j = queue.popleft()
+        for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if 0 <= a < n and 0 <= b < n and region[a, b] and not comp[a, b]:
+                comp[a, b] = True
+                queue.append((a, b))
+    polar, filled = loop_polar(h.restrict(comp), basepoint)
+    vals = np.sqrt(polar.rho.values) * np.exp(0.5j * polar.phi.values)
+    return ComplexField(spec, vals, h.margin, comp), filled
+
+
+def assert_same_polar(got, want):
+    for part in ("rho", "phi"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(a.values, b.values)
+
+
+def assert_same_field(got, want):
+    assert np.array_equal(got.mask, want.mask)
+    assert np.array_equal(got.values, want.values)
+
+
+def winding_free(spec, a=1.7 + 2.3j, b=-0.9 + 4.1j):
+    """exp of a non-holomorphic exponent: never zero, its argument wraps several times."""
+    return ComplexField.from_function(spec, lambda z: np.exp(a * z + b * np.conj(z) + 3j * z.real * z.imag))
+
+
+def c_shape(spec):
+    """Annulus 0.35 <= |z| <= 0.9 with the wedge |arg z| < 0.6 removed."""
+    z = spec.nodes()
+    return (np.abs(z) >= 0.35) & (np.abs(z) <= 0.9) & (np.abs(np.angle(z)) >= 0.6)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("bp", [0j, 0.25 - 0.4j, -0.5 + 0.125j])
+def test_disc_mask_matches_loops(n, bp):
+    f = winding_free(make_grid(1.0, n))
+    want, _ = loop_polar(f, bp)
+    assert_same_polar(polar_decompose(f, bp), want)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kink", [-0.3, 0.2])
+def test_half_disc_profile_matches_loops(n, kink):
+    # off-axis basepoint: the row pass misses the right rim columns, so the fallback fires
+    spec = make_grid(1.0, n)
+    h = profile_exact(kink, spec)
+    h = h.like(h.values * np.exp(1j * (0.7 + 2.0 * spec.nodes().imag)))
+    bp = complex(kink + 0.3, 0.45)
+    want, filled = loop_sqrt_branch(h, 1e-3, bp)
+    assert filled > 0
+    assert_same_field(sqrt_branch(h, delta0=1e-3, basepoint=bp), want)
+    restricted = h.restrict(want.mask)
+    assert_same_polar(polar_decompose(restricted, bp), loop_polar(restricted, bp)[0])
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("bp", [-0.5 + 0.5j, 0.5 + 0.5j, -0.625 + 0j])
+def test_c_shaped_mask_matches_loops(n, bp):
+    spec = make_grid(1.0, n)
+    f = winding_free(spec).restrict(c_shape(spec))
+    want, filled = loop_polar(f, bp)
+    assert filled > 0
+    assert_same_polar(polar_decompose(f, bp), want)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("bp", [0j, 0.625 + 0.125j])
+def test_branch_keeps_only_the_basepoint_component(n, bp):
+    # |h| vanishes on x = +-0.4, splitting {|h| > delta0} into three strips
+    spec = make_grid(1.0, n)
+    X, _ = spec.mesh()
+    h = winding_free(spec)
+    h = h.like(h.values / np.abs(h.values) * (X * X - 0.16) ** 2)
+    delta0 = 2e-3
+    want, _ = loop_sqrt_branch(h, delta0, bp)
+    got = sqrt_branch(h, delta0=delta0, basepoint=bp)
+    assert_same_field(got, want)
+    region = h.mask & (np.abs(h.values) > delta0)
+    assert got.mask.sum() < region.sum()
+    assert not (got.mask & (X < -0.4)).any()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_branch_components_are_four_connected(n):
+    # two quadrants that meet only at a corner: 8-connectivity would join them
+    spec = make_grid(1.0, n)
+    X, Y = spec.mesh()
+    h = winding_free(spec).restrict(((X >= 0) & (Y >= 0)) | ((X < 0) & (Y < 0)))
+    bp = 0.25 + 0.25j
+    want, _ = loop_sqrt_branch(h, 1e-3, bp)
+    got = sqrt_branch(h, delta0=1e-3, basepoint=bp)
+    assert_same_field(got, want)
+    assert not (got.mask & (X < 0)).any()
+
+
+def test_disconnected_mask_raises():
+    spec = make_grid(1.0, 33)
+    X, _ = spec.mesh()
+    f = ComplexField.constant(spec, 1.0 + 1.0j).restrict(np.abs(X) > 0.3)
+    with pytest.raises(PhaseUnwrapError):
+        loop_polar(f, 0.5 + 0j)
+    with pytest.raises(PhaseUnwrapError):
+        polar_decompose(f, 0.5 + 0j)
+
+
+def test_basepoint_node():
+    spec = make_grid(1.0, 17)
+    full = np.ones((17, 17), dtype=bool)
+    assert basepoint_node(spec, 0j, full) == (8, 8)
+    assert basepoint_node(spec, 0.25 - 0.5j, full) == (4, 10)
+    assert basepoint_node(spec, 1.0 + 1.0j, full) == (16, 16)
+    assert basepoint_node(spec, 1.2 + 0j, full) is None
+    assert basepoint_node(spec, 0j, ~full) is None

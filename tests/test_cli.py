@@ -138,6 +138,15 @@ class TestCertifyCommand:
     def test_input_required(self, tmp_path):
         assert cli.main(["certify", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("payload", ["[1, 2]", "3", "null", '"solution"'])
+    def test_non_object_solution_is_bad_config(self, tmp_path, capsys, payload):
+        (tmp_path / "solution.json").write_text(payload, encoding="ascii")
+        cfg = write_config(tmp_path, {"input": str(tmp_path / "solution.json")})
+        assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load solution")
+        assert "Traceback" not in err
+
     def test_wrong_suffix(self, tmp_path):
         (tmp_path / "data.bin").write_bytes(b"\x00")
         cfg = write_config(tmp_path, {"input": str(tmp_path / "data.bin")})

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbarlab.dbar import (
     DbarProblem,
+    DbarSolution,
     NanEncountered,
     load_solution,
     picard_solve,
@@ -262,7 +265,7 @@ class TestPersistence:
         assert back.converged == sol.converged
         assert back.iterations == sol.iterations
 
-    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    @pytest.mark.parametrize("version", [None, 0, 2, "1", True, 1.0])
     def test_schema_version_checked(self, tmp_path, version):
         sol = picard_solve(DbarProblem(unit(33), b=0.05))
         paths = sol.save(tmp_path)
@@ -276,3 +279,76 @@ class TestPersistence:
             json.dump(record, fh)
         with pytest.raises(ValueError, match="schema_version"):
             load_solution(paths["json"])
+
+
+# Every malformed input must surface as one of the errors the certify command
+# turns into a bad-config exit; anything else escapes as a traceback.
+LOAD_ERRORS = (ValueError, KeyError, OSError)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+_DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def saved_record(tmp_path_factory):
+    d = tmp_path_factory.mktemp("record")
+    f = profile_exact(-0.5, unit(17))
+    sol = DbarSolution(DbarProblem(unit(17), b=0.25), f, 0.01, 0.5, True, 3)
+    paths = sol.save(d)
+    with open(paths["json"]) as fh:
+        return d, json.load(fh)
+
+
+def _load_or_reject(path):
+    try:
+        load_solution(path)
+    except LOAD_ERRORS:
+        pass
+
+
+class TestLoadSolutionFuzz:
+    def test_saved_record_loads(self, saved_record):
+        d, _ = saved_record
+        assert load_solution(d / "solution.json").iterations == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_whole_record(self, saved_record, value):
+        d, _ = saved_record
+        path = d / "whole.json"
+        path.write_text(json.dumps(value))
+        _load_or_reject(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        where=st.sampled_from(["top", "problem"]),
+        key=st.sampled_from(
+            ["schema_version", "problem", "field", "residual_sup", "sup_f", "converged",
+             "iterations", "radius", "resolution", "b", "epsilon", "theta", "tol",
+             "max_iter", "continuation_steps", "margin_cells", "holo_coeffs"]
+        ),
+        value=JSON_VALUES | st.just(_DELETE),
+    )
+    def test_mutated_key(self, saved_record, where, key, value):
+        d, record = saved_record
+        record = json.loads(json.dumps(record))
+        target = record if where == "top" else record["problem"]
+        if value is _DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        path = d / "mutated.json"
+        path.write_text(json.dumps(record))
+        _load_or_reject(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_raw_bytes(self, saved_record, data):
+        d, _ = saved_record
+        path = d / "raw.json"
+        path.write_bytes(data)
+        _load_or_reject(path)
