@@ -25,8 +25,6 @@ uses, to keep that comparison at rounding level.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +36,6 @@ from .grid import (
     central_dx,
     central_dy,
     erode4,
-    load_complex_field,
-    save_field,
     sup_norm,
     wirtinger_dzbar,
 )
@@ -48,7 +44,6 @@ Z1_RADIUS = 2.0
 Z2_RADIUS = 0.1
 # open-set membership: a point must sit below each radius by at least this
 MEMBERSHIP_SLACK = 1e-12
-HOELDER_EXPONENT = 0.5
 
 # coupling entries live at rows 3 and 4 (positions [2,1] and [3,0])
 _TEMPLATE = np.array(
@@ -68,59 +63,6 @@ def lambda_val(z2):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def in_target(z1: complex, z2: complex) -> bool:
-    """Strict membership in the open product domain, with rounding slack."""
-    return bool(
-        abs(z1) < Z1_RADIUS - MEMBERSHIP_SLACK
-        and abs(z2) < Z2_RADIUS - MEMBERSHIP_SLACK
-    )
-
-
-@dataclass(frozen=True)
-class JMatrix:
-    """The 4 x 4 structure matrix at one point of the target.
-
-    entries is frozen and always matches the fixed template with the
-    coupling value written into rows 3 and 4; hoelder_exponent records how
-    the coupling varies with the second coordinate (metadata, not used in
-    arithmetic).
-    """
-
-    entries: np.ndarray
-    lam: float
-    hoelder_exponent: float = HOELDER_EXPONENT
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.shape != (4, 4):
-            raise ValueError("entries must be a 4 x 4 matrix")
-        expected = _TEMPLATE.copy()
-        expected[2, 1] = self.lam
-        expected[3, 0] = self.lam
-        if not np.array_equal(e, expected):
-            raise ValueError("entries do not match the structure template")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "lam", float(self.lam))
-
-    def squared_deviation(self) -> float:
-        """Max entry of |J @ J + I|; zero in exact arithmetic."""
-        return float(np.max(np.abs(self.entries @ self.entries + np.eye(4))))
-
-
-def j_at(p) -> JMatrix:
-    """Structure matrix at p = (z1, z2); rejects points outside the target."""
-    z1, z2 = complex(p[0]), complex(p[1])
-    if not in_target(z1, z2):
-        raise ValueError(f"point ({z1}, {z2}) lies outside the open target domain")
-    lam = lambda_val(z2)
-    e = _TEMPLATE.copy()
-    e[2, 1] = lam
-    e[3, 0] = lam
-    return JMatrix(e, lam)
 
 
 def j_squared_deviation(z1, z2, chunk: int = 200_000) -> float:
@@ -234,35 +176,3 @@ def reduction_identity(f: ComplexField) -> float:
     m = r3.mask & dzb.mask
     return float(np.max(np.abs(left - right)[m]))
 
-
-def save_discmap(zmap: DiscMap, directory, stem: str) -> dict:
-    """Write both components plus a JSON manifest; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
-    z1_name = f"{stem}.z1.f64"
-    z2_name = f"{stem}.z2.f64"
-    save_field(zmap.z1, os.path.join(directory, z1_name))
-    save_field(zmap.z2, os.path.join(directory, z2_name))
-    manifest = {
-        "kind": "discmap",
-        "radius": zmap.grid.radius,
-        "resolution": zmap.grid.resolution,
-        "margin": zmap.z1.margin,
-        "z1_file": z1_name,
-        "z2_file": z2_name,
-    }
-    path = os.path.join(directory, f"{stem}.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return {"manifest": path, "z1": os.path.join(directory, z1_name), "z2": os.path.join(directory, z2_name)}
-
-
-def load_discmap(manifest_path) -> DiscMap:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "discmap":
-        raise ValueError("not a disc-map manifest")
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    z1 = load_complex_field(os.path.join(base, manifest["z1_file"]))
-    z2 = load_complex_field(os.path.join(base, manifest["z2_file"]))
-    return DiscMap(z1.spec, z1, z2)

@@ -111,14 +111,3 @@ def cauchy_transform(g: ComplexField, method: str = "fft") -> ComplexField:
         return ComplexField(g.spec, out, g.margin, g.mask)
     raise ValueError(f"unknown method {method!r}; expected 'fft' or 'direct'")
 
-
-def adjust_value_at_zero(f: ComplexField, b: complex) -> ComplexField:
-    """Add the constant b - f(0); the shift is holomorphic, so d/dzbar is untouched."""
-    c = f.spec.center
-    if not f.mask[c, c]:
-        raise ValueError("origin node is not masked; nothing to anchor")
-    b = complex(b)
-    shift = b - f.at_origin()
-    vals = f.values + shift
-    vals[c, c] = b  # pin exactly; the residual rounding of f0 + (b - f0) is below 1 ulp
-    return f.like(vals)

@@ -39,7 +39,6 @@ from .grid import (
     erode4,
     laplacian5,
     polar_decompose,
-    sup_norm,
 )
 from .grid import _dx, _dy, _lap5
 

@@ -88,31 +88,6 @@ class ConfigError(ValueError):
     """Config rejected before any output is written."""
 
 
-def _merge(defaults: dict, overrides: dict | None) -> dict:
-    """Strict merge: unknown keys and list/scalar shape mismatches refuse."""
-    cfg = {k: (list(v) if isinstance(v, list) else v) for k, v in defaults.items()}
-    if overrides is None:
-        return cfg
-    if not isinstance(overrides, dict):
-        raise ConfigError("config must be a JSON object")
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        want = defaults[key]
-        if want is None or value is None:
-            pass  # nullable slot (certify input, kr radii)
-        elif isinstance(want, str) != isinstance(value, str):
-            raise ConfigError(f"config key {key!r} has the wrong type")
-        elif isinstance(want, list) != isinstance(value, list):
-            raise ConfigError(f"config key {key!r} has the wrong shape")
-        elif isinstance(want, (int, float)) and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-        ):
-            raise ConfigError(f"config key {key!r} must be numeric")
-        cfg[key] = value
-    return cfg
-
-
 def _load_overrides(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -188,11 +163,17 @@ def _guarded(fn, *args, **kwargs) -> dict:
 
 def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
     path = cfg["input"]
-    if not path:
+    if not path or not isinstance(path, str):
         raise ConfigError("certify needs config key 'input' (solution .json or field .f64)")
     if not os.path.exists(path):
         raise ConfigError(f"input not found: {path}")
-    basepoint = complex(cfg["basepoint"][0], cfg["basepoint"][1])
+    try:
+        basepoint = util.from_complex_pair(cfg["basepoint"])
+        delta0 = float(cfg["delta0"])
+        standoff = int(cfg["standoff_cells"])
+        kappa = float(cfg["kappa"])
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid certify config: {exc}") from exc
 
     sol = None
     if str(path).endswith(".json"):
@@ -213,10 +194,6 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
 
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
-
-    delta0 = float(cfg["delta0"])
-    standoff = int(cfg["standoff_cells"])
-    kappa = float(cfg["kappa"])
 
     def branch_chain():
         branch = cert.sqrt_branch(f, delta0=delta0, basepoint=basepoint)
@@ -318,10 +295,10 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(overrides: dict | None, cfg: dict, out_dir, threads: int) -> int:
+def cmd_selftest(cfg: dict, out_dir, threads: int) -> int:
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
-    summary = run_selftest(config=overrides, threads=threads, out_dir=out_dir)
+    summary = run_selftest(config=cfg, threads=threads, out_dir=out_dir)
     for line in format_table(summary):
         print(line)
     scan_files = [p for p in sorted(os.listdir(out_dir))
@@ -366,6 +343,7 @@ _RUNNERS = {
     "certify": cmd_certify,
     "kr-scan": cmd_kr_scan,
     "ode": cmd_ode,
+    "selftest": cmd_selftest,
 }
 
 
@@ -377,23 +355,15 @@ def main(argv=None) -> int:
     try:
         overrides = _load_overrides(args.config) if args.config else None
         if args.command == "selftest":
-            try:
-                merged = merge_config(overrides)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            merged = merge_config(overrides)
         else:
-            merged = _merge(COMMAND_DEFAULTS[args.command], overrides)
+            merged = util.merge_config(COMMAND_DEFAULTS[args.command], overrides)
         if args.print_config:
             sys.stdout.write(util.json_dumps(merged))
             return EXIT_OK
         out_dir = os.environ.get("DBARLAB_OUT") or args.out or "."
-        if args.command == "selftest":
-            return cmd_selftest(overrides, merged, out_dir, args.threads)
         return _RUNNERS[args.command](merged, out_dir, args.threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -54,6 +54,11 @@ class DbarProblem:
     def __post_init__(self):
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "holo_coeffs", tuple(complex(c) for c in self.holo_coeffs))
+        for name in ("max_iter", "continuation_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
         if not self.tol > 0:
@@ -185,14 +190,6 @@ def load_solution(json_path) -> DbarSolution:
     if f.spec != problem.grid:
         raise ValueError("field file does not match the recorded problem grid")
     return DbarSolution(problem=problem, f=f, **scalars)
-
-
-def rhs_sqrt(f: ComplexField, eps: float) -> RealField:
-    """The regularized right side (|f|^2 + eps^2)^(1/4); eps=0 gives |f|^(1/2)."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    vals = _rhs_values(f.values, eps)
-    return RealField(f.spec, vals, f.margin, f.mask)
 
 
 def _rhs_values(values: np.ndarray, eps: float) -> np.ndarray:

@@ -11,7 +11,7 @@ restricted to odd N >= 17 for that reason; solvers anchor a value there).
 
 Fields are immutable after construction.  Serialization is a flat binary
 layout (header: radius f64, N u32, margin f64, then row-major re/im f64
-pairs) plus a CSV debug export with columns x, y, re, im.
+pairs).
 """
 
 from __future__ import annotations
@@ -457,22 +457,14 @@ def save_field(field, path) -> str:
     """
     if not _is_disc_masked(field):
         raise ValueError("only disc-masked fields serialize; restricted masks are ephemeral")
-    n = field.spec.resolution
-    vals = np.asarray(field.values)
-    pairs = np.empty((n, n, 2), dtype="<f8")
-    if np.iscomplexobj(vals):
-        pairs[..., 0] = vals.real
-        pairs[..., 1] = vals.imag
-    else:
-        pairs[..., 0] = vals
-        pairs[..., 1] = 0.0
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(field.spec.radius, n, field.margin))
-        fh.write(pairs.tobytes())
+        fh.write(_HEADER.pack(field.spec.radius, field.spec.resolution, field.margin))
+        fh.write(np.asarray(field.values, dtype="<c16").tobytes())
     return str(path)
 
 
-def _load_pairs(path):
+def load_complex_field(path) -> ComplexField:
+    """Read the save_field layout back; every stored value, signed zeros included, round-trips."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -482,32 +474,5 @@ def _load_pairs(path):
     expect = n * n * 16
     if len(body) != expect:
         raise ValueError(f"field payload has {len(body)} bytes, expected {expect}")
-    pairs = np.frombuffer(body, dtype="<f8").reshape(n, n, 2)
-    return make_grid(radius, n), pairs, margin
-
-
-def load_complex_field(path) -> ComplexField:
-    spec, pairs, margin = _load_pairs(path)
-    return ComplexField(spec, pairs[..., 0] + 1j * pairs[..., 1], margin)
-
-
-def load_real_field(path) -> RealField:
-    spec, pairs, margin = _load_pairs(path)
-    return RealField(spec, pairs[..., 0].copy(), margin)
-
-
-def field_to_csv(field, path) -> str:
-    """Debug export, one row per node: x, y, re, im."""
-    X, Y = field.spec.mesh()
-    vals = np.asarray(field.values)
-    re = vals.real if np.iscomplexobj(vals) else vals
-    im = vals.imag if np.iscomplexobj(vals) else np.zeros_like(vals)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,re,im\n")
-        for i in range(field.spec.resolution):
-            for j in range(field.spec.resolution):
-                fh.write(
-                    f"{float(X[i, j])!r},{float(Y[i, j])!r},"
-                    f"{float(re[i, j])!r},{float(im[i, j])!r}\n"
-                )
-    return str(path)
+    values = np.frombuffer(body, dtype="<c16").reshape(n, n)
+    return ComplexField(make_grid(radius, n), values, margin)

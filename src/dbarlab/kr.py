@@ -205,28 +205,6 @@ def upper_bound_origin(resolution: int = DEFAULT_RESOLUTION) -> OriginBound:
     return OriginBound(0.5, witness, sup)
 
 
-def scaled_witness_bound(t: float, resolution: int = DEFAULT_RESOLUTION) -> OriginBound:
-    """Bound 1/t from the witness z -> (t z, 0) on the unit disc.
-
-    Consistency family for the origin estimate: as t approaches 2 the
-    bound approaches the best one, and the range constraint |t z| < 2
-    caps how far t can go.
-    """
-    t = float(t)
-    if t <= 0:
-        raise ValueError("scale must be positive")
-    spec = make_grid(1.0, resolution)
-    witness = DiscMap(
-        spec,
-        ComplexField.from_function(spec, lambda z: t * z),
-        ComplexField.constant(spec, 0.0),
-    )
-    _, sup = jholo_residual(witness)
-    if sup > 1e-13:
-        raise ArithmeticError(f"scaled witness residual {sup:.3e} is not zero")
-    return OriginBound(1.0 / t, witness, sup)
-
-
 def graph_feasibility(
     r: float,
     b: complex,

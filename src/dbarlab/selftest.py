@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import util
 from .acs import j_squared_deviation, reduction_identity
 from .cauchy import cauchy_transform
 from .certify import eq_chain_check, lemma1_check, lemma2_check, sqrt_branch
@@ -87,24 +88,10 @@ class CriterionResult:
 
 
 def merge_config(overrides: dict | None) -> dict:
-    """Defaults plus overrides; unknown keys or wrong shapes are errors."""
-    cfg = {k: (list(v) if isinstance(v, list) else v) for k, v in SELFTEST_DEFAULTS.items()}
-    if overrides is None:
-        return cfg
-    if not isinstance(overrides, dict):
-        raise ValueError("selftest config must be a JSON object")
-    for key, value in overrides.items():
-        if key not in SELFTEST_DEFAULTS:
-            raise ValueError(f"unknown selftest config key {key!r}")
-        want = SELFTEST_DEFAULTS[key]
-        if isinstance(want, list) != isinstance(value, list):
-            raise ValueError(f"config key {key!r} must be a list" if isinstance(want, list)
-                             else f"config key {key!r} must be a scalar")
-        if isinstance(want, (int, float)) and not isinstance(want, bool):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be numeric")
-        cfg[key] = value
-    bad = [c for c in cfg["criteria"] if c not in CRITERION_NAMES]
+    """Defaults plus overrides under util.merge_config's rules; unknown criteria are errors."""
+    cfg = util.merge_config(SELFTEST_DEFAULTS, overrides, "selftest config")
+    known = list(CRITERION_NAMES)  # compared by ==, so an unhashable entry is refused, not a crash
+    bad = [c for c in cfg["criteria"] if c not in known]
     if bad:
         raise ValueError(f"unknown criteria requested: {bad}")
     return cfg

@@ -26,6 +26,39 @@ def from_complex_pair(pair) -> complex:
     return complex(float(re), float(im))
 
 
+def merge_config(defaults: dict, overrides, name: str = "config") -> dict:
+    """Strict merge of JSON overrides into a copy of defaults.
+
+    Every override must name a default key and match its kind: list or
+    scalar, string or not, numeric (bool excluded) where the default is a
+    number.  null is accepted only where the default is None.  Anything
+    else raises ValueError; name labels the config in the message.
+    """
+    cfg = {k: (list(v) if isinstance(v, list) else v) for k, v in defaults.items()}
+    if overrides is None:
+        return cfg
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise ValueError(f"unknown {name} key {key!r}")
+        want = defaults[key]
+        if want is not None:
+            if value is None:
+                raise ValueError(f"{name} key {key!r} must not be null")
+            if isinstance(want, list) != isinstance(value, list):
+                kind = "a list" if isinstance(want, list) else "a scalar"
+                raise ValueError(f"{name} key {key!r} must be {kind}")
+            if isinstance(want, str) != isinstance(value, str):
+                raise ValueError(f"{name} key {key!r} has the wrong type")
+            if isinstance(want, (int, float)) and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{name} key {key!r} must be numeric")
+        cfg[key] = value
+    return cfg
+
+
 def jsonify(obj):
     """Recursively convert numpy scalars/arrays and complex numbers to JSON types."""
     if isinstance(obj, dict):

@@ -1,0 +1,19 @@
+import os
+from pathlib import Path
+
+import pytest
+
+import dbarlab
+
+
+@pytest.fixture
+def subprocess_env() -> dict:
+    """A copy of os.environ under which `python -m dbarlab` imports the package under test.
+
+    pytest's pythonpath setting reaches only the test process, so the
+    imported package's parent directory goes first on PYTHONPATH.
+    """
+    env = dict(os.environ)
+    src = str(Path(dbarlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

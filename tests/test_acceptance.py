@@ -179,10 +179,10 @@ def test_criterion_10_usc_gap(tmp_path):
     assert on_disk["empirical"] is True
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, subprocess_env):
     # full battery through the CLI at --threads 1 and --threads 8:
     # byte-identical summary.json
-    env = {**os.environ}
+    env = subprocess_env
     env.pop("DBARLAB_OUT", None)
     outs = []
     for label, threads in (("one", "1"), ("eight", "8")):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, adjust_value_at_zero, cauchy_transform
+from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, cauchy_transform
 from dbarlab.grid import ComplexField, RealField, make_grid, sup_norm, wirtinger_dzbar
 
 
@@ -105,34 +105,6 @@ def test_cached_transform_matches_function():
     a = t.apply(f)
     b = cauchy_transform(f)
     assert np.array_equal(a.values, b.values)
-
-
-def test_adjust_value_at_zero():
-    g = make_grid(1.0, 33)
-    f = _random_field(g, 3)
-    b = 0.25 - 0.1j
-    out = adjust_value_at_zero(f, b)
-    assert out.at_origin() == b
-    # idempotent once anchored
-    again = adjust_value_at_zero(out, b)
-    assert np.array_equal(again.values, out.values)
-
-
-def test_adjust_keeps_dzbar():
-    g = make_grid(1.0, 65)
-    f = _random_field(g, 9)
-    out = adjust_value_at_zero(f, 1.5 + 0.5j)
-    d1 = wirtinger_dzbar(f)
-    d2 = wirtinger_dzbar(out)
-    assert np.abs(d1.values - d2.values)[d1.mask].max() <= 1e-12
-
-
-def test_adjust_requires_masked_origin():
-    g = make_grid(1.0, 33)
-    f = ComplexField.constant(g, 1.0)
-    ring = f.restrict(np.abs(g.nodes()) > 0.2)
-    with pytest.raises(ValueError):
-        adjust_value_at_zero(ring, 1.0)
 
 
 def test_transform_of_smooth_bump_is_smooth_scale():

@@ -5,7 +5,6 @@ test proves the module entry point works.  Output trees go to tmp_path.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -153,6 +152,28 @@ class TestCertifyCommand:
         assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+class TestInvalidConfigRefused:
+    @pytest.mark.parametrize("command, overrides", [
+        ("certify", {"delta0": None}),
+        ("certify", {"basepoint": None}),
+        ("certify", {"basepoint": [0.0]}),
+        ("certify", {"input": [1]}),
+        ("solve-dbar", {"resolution": 17, "max_iter": 2.5}),
+    ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list", "max-iter-float"])
+    def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
+        if command == "certify":
+            field = tmp_path / "p.f64"
+            save_field(ComplexField.constant(make_grid(1.0, 17), 0.01), field)
+            overrides = {"input": str(field), **overrides}
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestKrScanCommand:
     def test_report_files_emitted(self, tmp_path):
         cfg = write_config(tmp_path, {"b_list": [[0.01, 0.0]], "radii": [0.25, 0.33, 0.5]})
@@ -236,13 +257,13 @@ class TestSelftestCommand:
         assert cli.main(["selftest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, subprocess_env):
     out = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-m", "dbarlab", "ode", "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**os.environ, "DBARLAB_OUT": ""},
+        env={**subprocess_env, "DBARLAB_OUT": ""},
     )
     assert proc.returncode == 0
     assert (out / "run_record.json").exists()

@@ -13,7 +13,7 @@ from dbarlab.dbar import (
     picard_solve,
     profile_exact,
     rescale_solution,
-    rhs_sqrt,
+    _rhs_values,
     _stalled,
 )
 from dbarlab.dbar import residual_dbar
@@ -26,24 +26,15 @@ def unit(n=65):
 
 class TestRhsSqrt:
     def test_zero(self):
-        f = ComplexField.constant(unit(), 0.0)
-        assert np.all(rhs_sqrt(f, 0.0).values == 0.0)
+        assert np.all(_rhs_values(np.zeros((5, 5), dtype=complex), 0.0) == 0.0)
 
     def test_constant_four(self):
-        f = ComplexField.constant(unit(), 4.0)
-        out = rhs_sqrt(f, 0.0)
-        assert np.allclose(out.values[out.mask], 2.0, atol=0, rtol=0)
+        assert np.all(_rhs_values(np.full((5, 5), 4.0 + 0j), 0.0) == 2.0)
 
     def test_zero_field_with_eps(self):
         # (0 + eps^2)^(1/4) with eps = 1e-4 is exactly 1e-2
-        f = ComplexField.constant(unit(), 0.0)
-        out = rhs_sqrt(f, 1e-4)
-        assert abs(out.at_origin() - 1e-2) < 1e-17
-
-    def test_negative_eps_rejected(self):
-        f = ComplexField.constant(unit(), 1.0)
-        with pytest.raises(ValueError):
-            rhs_sqrt(f, -1e-3)
+        out = _rhs_values(np.zeros((5, 5), dtype=complex), 1e-4)
+        assert np.all(np.abs(out - 1e-2) < 1e-17)
 
 
 class TestProfile:
@@ -113,8 +104,18 @@ class TestProblemValidation:
             DbarProblem(unit(), b=0.1, tol=0.0)
 
     def test_bad_steps(self):
+        for steps in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                DbarProblem(unit(), b=0.1, continuation_steps=steps)
+
+    def test_bad_max_iter(self):
+        for max_iter in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                DbarProblem(unit(), b=0.1, max_iter=max_iter)
+
+    def test_bad_epsilon(self):
         with pytest.raises(ValueError):
-            DbarProblem(unit(), b=0.1, continuation_steps=0)
+            DbarProblem(unit(), b=0.1, epsilon=-1e-3)
 
     def test_schedule_shape(self):
         p = DbarProblem(unit(), b=0.05)

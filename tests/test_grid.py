@@ -14,10 +14,8 @@ from dbarlab.grid import (
     VanishingFieldError,
     central_dx,
     central_dy,
-    field_to_csv,
     laplacian5,
     load_complex_field,
-    load_real_field,
     make_grid,
     polar_decompose,
     save_field,
@@ -241,14 +239,18 @@ def test_polar_reconstruct_roundtrip(ar, ai, br, bi):
 
 def test_binary_roundtrip(tmp_path):
     g = make_grid(1.5, 33)
-    f = ComplexField.from_function(g, lambda z: z * z - 0.7j)
-    path = tmp_path / "field.f64"
-    save_field(f, path)
-    back = load_complex_field(path)
-    assert back.spec == f.spec
-    assert back.margin == f.margin
-    assert np.array_equal(back.mask, f.mask)
-    assert np.array_equal(back.values, f.values)
+    # a negative real value with a -0.0 imaginary part has argument -pi, not +pi
+    negative = ComplexField.constant(g, complex(-1.0, -0.0))
+    for f in (ComplexField.from_function(g, lambda z: z * z - 0.7j), negative):
+        path = tmp_path / "field.f64"
+        save_field(f, path)
+        back = load_complex_field(path)
+        assert back.spec == f.spec
+        assert back.margin == f.margin
+        assert np.array_equal(back.mask, f.mask)
+        assert np.array_equal(back.values, f.values)
+        assert np.array_equal(np.signbit(back.values.imag), np.signbit(f.values.imag))
+    assert np.all(np.angle(back.values) == -np.pi)
 
 
 def test_binary_roundtrip_real(tmp_path):
@@ -256,8 +258,9 @@ def test_binary_roundtrip_real(tmp_path):
     u = RealField.from_function(g, lambda x, y: x - y)
     path = tmp_path / "u.f64"
     save_field(u, path)
-    back = load_real_field(path)
-    assert np.array_equal(back.values, u.values)
+    back = load_complex_field(path)
+    assert np.array_equal(back.values.real, u.values)
+    assert not back.values.imag.any()
 
 
 def test_restricted_mask_refuses_to_serialize(tmp_path):
@@ -266,18 +269,6 @@ def test_restricted_mask_refuses_to_serialize(tmp_path):
     r = f.restrict(g.mesh()[0] > 0)
     with pytest.raises(ValueError):
         save_field(r, tmp_path / "r.f64")
-
-
-def test_csv_export(tmp_path):
-    g = make_grid(1.0, 17)
-    f = ComplexField.constant(g, 1.0 + 2.0j)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 1 + 17 * 17
-    cells = lines[1].split(",")
-    assert float(cells[2]) == 1.0 and float(cells[3]) == 2.0
 
 
 def test_polar_field_requires_positive_rho():

@@ -1,0 +1,68 @@
+"""Static hygiene of the package sources, checked with the stdlib ast module.
+
+Two rules keep dead code from piling up: every import is used in its own
+module, and every top-level function or class is referenced somewhere in
+the package (a name only its own tests call is reached by no pipeline).
+"""
+
+import ast
+from pathlib import Path
+
+import dbarlab
+
+PACKAGE = Path(dbarlab.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree) -> list:
+    """(bound name, line) for every import that binds a name in the module."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.append((alias.asname or alias.name, node.lineno))
+    return bound
+
+
+def test_sources_found():
+    assert PACKAGE.joinpath("cli.py") in SOURCES
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in SOURCES:
+        tree = _parse(path)
+        used = _referenced(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
+                   if name not in used]
+    assert unused == []
+
+
+def test_every_top_level_name_is_referenced():
+    trees = [_parse(path) for path in SOURCES]
+    used = set().union(*(_referenced(tree) for tree in trees))
+    unreferenced = [
+        f"{path.name}: {node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unreferenced == []

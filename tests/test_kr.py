@@ -15,7 +15,6 @@ from dbarlab.kr import (
     default_radii,
     graph_feasibility,
     radius_scan,
-    scaled_witness_bound,
     upper_bound_origin,
     usc_report,
 )
@@ -27,17 +26,6 @@ class TestOriginBound:
         ob = upper_bound_origin()
         assert ob.bound == 0.5
         assert ob.witness_residual_sup == 0.0
-
-    def test_scaled_witness_family(self):
-        sw = scaled_witness_bound(1.6)
-        assert sw.bound == pytest.approx(0.625, abs=1e-15)
-        assert sw.witness_residual_sup <= 1e-13
-
-    def test_scaled_witness_range_cap(self):
-        with pytest.raises(ValueError):
-            scaled_witness_bound(2.5)
-        with pytest.raises(ValueError):
-            scaled_witness_bound(-1.0)
 
 
 class TestGraphFeasibility:

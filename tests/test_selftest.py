@@ -33,8 +33,9 @@ class TestMergeConfig:
             selftest.merge_config({"ode_steps": [1000]})
 
     def test_unknown_criterion_rejected(self):
-        with pytest.raises(ValueError, match="unknown criteria"):
-            selftest.merge_config({"criteria": [1, 12]})
+        for criteria in ([1, 12], [[1]]):
+            with pytest.raises(ValueError, match="unknown criteria"):
+                selftest.merge_config({"criteria": criteria})
 
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError):
