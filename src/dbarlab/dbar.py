@@ -261,6 +261,7 @@ def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSo
     transform = CauchyTransform(spec, mask)
     theta = problem.theta
     b = problem.b
+    new = np.empty_like(f)
     history: list = []
     iterations = 0
     stage_converged = False
@@ -272,20 +273,23 @@ def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSo
             # overflow here is diagnosed by the finiteness check, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 g = _rhs_values(f, eps)
-                tg = transform.apply_values(g)
-                target = tg + (b - tg[c, c])
+                target = transform.apply_values(g)
+                target += b - target[c, c]
                 if holo is not None:
-                    target = target + holo
+                    target += holo
                 target[c, c] = b
-                new = (1.0 - theta) * f + theta * target
+                target *= theta
+                np.multiply(f, 1.0 - theta, out=new)
+                new += target
                 new[c, c] = b
-            if not np.isfinite(new[mask]).all():
+                update = float(np.max(np.abs((new - f)[mask])))
+            # f is finite on the mask, so a non-finite update means a non-finite iterate there
+            if not np.isfinite(update):
                 raise NanEncountered("non-finite iterate on the mask")
-            update = float(np.max(np.abs((new - f)[mask])))
             history.append(update)
             stage_history.append(update)
             iterations += 1
-            f = new
+            f, new = new, f
             if update <= problem.tol:
                 stage_converged = True
                 break
