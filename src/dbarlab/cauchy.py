@@ -8,8 +8,12 @@ vanishes, and dropping the cell is second-order consistent.
 Two independent evaluation paths are kept alive deliberately.  The direct
 path is the literal O(N^4) double sum.  The fast path observes that the sum
 is a discrete convolution with the kernel sampled on signed node offsets and
-evaluates it by zero-padded FFT (circular length m >= 2N-1 per axis, so no
-wrap-around reaches the output window).  The input is real in the solver, so
+evaluates it by zero-padded FFT.  The output window is the whole N x N grid
+but the data sit on the mask, so the kernel needs only the offsets from a
+masked row or column to the far edge of the window; with R the largest such
+offset, a circular length m >= 2R+1 per axis keeps wrap-around out of the
+window.  R = N-1 when the mask touches the edge of the grid, and R = N-3 for
+the solver's discs with a two-cell margin.  The input is real in the solver, so
 the fast path convolves it with Re k and Im k separately through real FFTs,
 and it transforms only the N rows and columns that carry data (a pruned FFT,
 see http://www.fftw.org/pruned.html).  Both paths must agree to 1e-10
@@ -29,6 +33,9 @@ AGREEMENT_RTOL = 1e-10
 class CauchyTransform:
     """Pruned real-FFT evaluator bound to one (grid, mask) pair.
 
+    The padded length is m = next_fast_len(2R+1), where the reach R is the
+    largest distance, in nodes, from the mask's first or last row or column
+    to the opposite edge of the grid; kernel offsets beyond R stay zero.
     Set-up caches the half spectra of Re k and Im k, halved along y, so the
     length-m passes along x run over contiguous rows.  An apply to real
     values does one rfft down the N data columns, one fft along the m/2+1
@@ -42,11 +49,19 @@ class CauchyTransform:
         self.mask = np.asarray(mask, dtype=bool)
         n = spec.resolution
         h = spec.spacing
-        m = sfft.next_fast_len(2 * n - 1)
+        rows = np.flatnonzero(self.mask.any(axis=1))
+        cols = np.flatnonzero(self.mask.any(axis=0))
+        # data rows r0..r1 reach output rows 0..n-1 through offsets in
+        # [-r1, n-1-r0], likewise for columns; an empty mask carries no data
+        if rows.size:
+            reach = int(max(rows[-1], n - 1 - rows[0], cols[-1], n - 1 - cols[0]))
+        else:
+            reach = n - 1
+        m = sfft.next_fast_len(2 * reach + 1)
         idx = np.arange(m)
         # wrapped signed offsets; slots that no data pair can reach stay zero
-        off = np.where(idx <= n - 1, idx, idx - m)
-        live = np.abs(off) <= n - 1
+        off = np.where(idx <= reach, idx, idx - m)
+        live = np.abs(off) <= reach
         ox = (off * h)[np.newaxis, :]
         oy = (off * h)[:, np.newaxis]
         d = ox + 1j * oy

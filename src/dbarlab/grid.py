@@ -58,8 +58,9 @@ class GridSpec:
             raise ValueError("resolution must be an integer")
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+        # disc_mask compares x^2 + y^2, up to 2 radius^2, against radius^2
+        if not (self.radius > 0 and math.isfinite(2.0 * self.radius * self.radius)):
+            raise ValueError("radius must be positive, with 2 * radius**2 finite")
         if self.resolution < MIN_RESOLUTION:
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         if self.resolution % 2 == 0:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, cauchy_transform
@@ -66,23 +68,34 @@ def test_paths_agree(n):
     assert np.abs(fast.values - direct.values).max() <= 1e-10 * scale
 
 
-def _real_field(spec, seed):
+def _real_field(spec, seed, margin=None):
     # the solver's right side |f|^(1/2) is real and non-negative
     rng = np.random.default_rng(seed)
     n = spec.resolution
-    return RealField(spec, np.abs(rng.standard_normal((n, n))), spec.default_margin())
+    margin = spec.default_margin() if margin is None else margin
+    return RealField(spec, np.abs(rng.standard_normal((n, n))), margin)
 
 
-@pytest.mark.parametrize("n, m", [(17, 33), (37, 75), (33, 66), (65, 132)])
-def test_paths_agree_real_input(n, m):
-    # odd and even padded lengths exercise both rfft half-spectrum shapes
+def _assert_real_paths_agree(n, m, margin_cells):
     g = make_grid(1.0, n)
-    assert next_fast_len(2 * n - 1) == m
-    u = _real_field(g, 5)
+    u = _real_field(g, 5, margin_cells * g.spacing)
+    assert CauchyTransform(g, u.mask)._m == m
     fast = cauchy_transform(u, method="fft")
     direct = cauchy_transform(u, method="direct")
     scale = np.abs(direct.values).max()
     assert np.abs(fast.values - direct.values).max() <= AGREEMENT_RTOL * scale
+
+
+# odd and even padded lengths exercise both rfft half-spectrum shapes
+@pytest.mark.parametrize("n, m", [(17, 33), (37, 75), (33, 66), (65, 132)])
+def test_paths_agree_real_input(n, m):
+    # a mask that reaches the grid's edge pads to the full square
+    _assert_real_paths_agree(n, m, 0.0)
+
+
+@pytest.mark.parametrize("n, m", [(17, 30), (37, 70), (33, 63), (65, 125)])
+def test_paths_agree_real_input_solver_margin(n, m):
+    _assert_real_paths_agree(n, m, 2.0)
 
 
 def test_real_and_complex_input_identical():
@@ -113,3 +126,82 @@ def test_transform_of_smooth_bump_is_smooth_scale():
     f = ComplexField.from_function(g, lambda z: np.exp(-4 * np.abs(z) ** 2))
     out = cauchy_transform(f)
     assert sup_norm(out) <= 2.0 * sup_norm(f) + 1e-12
+
+
+# The padding follows the mask's reach, so a padded length one short of it
+# would wrap the kernel tails back into the output window.
+
+
+def _assert_paths_agree(spec, mask, seed=3):
+    rng = np.random.default_rng(seed)
+    n = spec.resolution
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = ComplexField(spec, vals, 0.0, mask)
+    fast = cauchy_transform(g, method="fft").values
+    direct = cauchy_transform(g, method="direct").values
+    scale = np.abs(direct).max()
+    assert np.abs(fast - direct).max() <= AGREEMENT_RTOL * scale
+
+
+def _corner(row, col):
+    def mask(g):
+        out = np.zeros((g.resolution, g.resolution), dtype=bool)
+        out[row, col] = True
+        return out
+
+    return mask
+
+
+# masks on the N = 17 grid and the padded length the reach rule gives them;
+# padding to 2R instead of 2R+1 gives 32 and 30 for the first two, and a reach
+# taken only from the last row and column gives 32 for the part at the left
+# edge and 1 for the top-left corner
+GUARD_MASKS = {
+    "full": (lambda g: np.ones((17, 17), dtype=bool), 33),
+    "disc_margin_1": (lambda g: g.disc_mask(g.spacing), 32),
+    # the disc's part with x >= 0.3 (x <= -0.3) reaches only the right (left) edge
+    "disc_x_ge_0.3": (lambda g: g.disc_mask(0.0) & (g.mesh()[0] >= 0.3), 33),
+    "disc_x_le_-0.3": (lambda g: g.disc_mask(0.0) & (g.mesh()[0] <= -0.3), 33),
+    **{f"corner_{r}_{c}": (_corner(r, c), 33) for r in (0, 16) for c in (0, 16)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MASKS))
+def test_wraparound_guard(name):
+    build, m = GUARD_MASKS[name]
+    g = make_grid(1.0, 17)
+    mask = build(g)
+    assert CauchyTransform(g, mask)._m == m
+    _assert_paths_agree(g, mask)
+
+
+def test_empty_mask_gives_zero():
+    g = make_grid(1.0, 17)
+    out = CauchyTransform(g, np.zeros((17, 17), dtype=bool)).apply_values(np.ones((17, 17)))
+    assert out.shape == (17, 17)
+    assert not out.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_masks_agree(data):
+    n = data.draw(st.sampled_from(range(17, 42, 2)), label="n")
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), label="rows"))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), label="cols"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    density = data.draw(st.floats(0.0, 1.0), label="density")
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[r0 : r1 + 1, c0 : c1 + 1] = rng.random((r1 - r0 + 1, c1 - c0 + 1)) < density
+    # pin the bounding box to rows r0..r1 and columns c0..c1
+    mask[r0, c0] = mask[r1, c1] = True
+    g = make_grid(1.0, n)
+    m = CauchyTransform(g, mask)._m
+    assert n <= m <= next_fast_len(2 * n - 1)
+    _assert_paths_agree(g, mask, seed % 1000)
+
+
+@pytest.mark.parametrize("n, m", [(65, 125), (129, 256), (257, 512)])
+def test_solver_disc_padded_size(n, m):
+    g = make_grid(1.0, n)
+    assert CauchyTransform(g, g.disc_mask(2 * g.spacing))._m == m

@@ -54,6 +54,27 @@ def test_loader_rejects_non_finite_radius(tmp_path):
         load_complex_field(path)
 
 
+@pytest.mark.parametrize("radius", [1e200, 1e155, 1.8e308])
+def test_make_grid_rejects_radius_whose_square_overflows(radius):
+    # x^2 + y^2 <= rr^2 would read inf <= inf and mask every node of the square
+    with pytest.raises(ValueError):
+        make_grid(radius, 17)
+
+
+def test_large_radius_masks_the_unit_disc_nodes():
+    # a power-of-two radius scales every coordinate exactly
+    big, unit = make_grid(2.0**500, 17), make_grid(1.0, 17)
+    assert np.array_equal(big.disc_mask(0.0), unit.disc_mask(0.0))
+    assert int(unit.disc_mask(0.0).sum()) == 197
+
+
+def test_loader_rejects_radius_whose_square_overflows(tmp_path):
+    path = tmp_path / "huge.f64"
+    path.write_bytes(struct.pack("<dId", 1e200, 17, 0.0) + bytes(17 * 17 * 16))
+    with pytest.raises(ValueError):
+        load_complex_field(path)
+
+
 def test_origin_is_a_node():
     g = make_grid(1.0, 17)
     xs = g.coords()
@@ -317,6 +338,8 @@ def test_loader_fuzz_truncated(tmp_path_factory, field_bytes, cut):
         load_complex_field(path)
 
 
+# a RuntimeWarning (overflow, invalid) means a bad header got past validation
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     radius=HEADER_FLOATS,
