@@ -53,6 +53,7 @@ class CauchyTransform:
         cols = np.flatnonzero(self.mask.any(axis=0))
         # data rows r0..r1 reach output rows 0..n-1 through offsets in
         # [-r1, n-1-r0], likewise for columns; an empty mask carries no data
+        # and keeps the full-square padding
         if rows.size:
             reach = int(max(rows[-1], n - 1 - rows[0], cols[-1], n - 1 - cols[0]))
         else:

@@ -8,11 +8,18 @@ from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, cauchy_transform
 from dbarlab.grid import ComplexField, RealField, make_grid, sup_norm, wirtinger_dzbar
 
 
-def _random_field(spec, seed):
+def _random_field(spec, seed, mask=None):
     rng = np.random.default_rng(seed)
     n = spec.resolution
     vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return ComplexField(spec, vals, spec.default_margin())
+    return ComplexField(spec, vals, spec.default_margin(), mask)
+
+
+def _assert_paths_agree(field):
+    fast = cauchy_transform(field, method="fft").values
+    direct = cauchy_transform(field, method="direct").values
+    scale = np.abs(direct).max()
+    assert np.abs(fast - direct).max() <= AGREEMENT_RTOL * scale
 
 
 def test_zero_maps_to_zero():
@@ -60,12 +67,7 @@ def test_right_inverse_first_order():
 
 @pytest.mark.parametrize("n", [65, 129])
 def test_paths_agree(n):
-    g = make_grid(1.0, n)
-    f = _random_field(g, 42)
-    fast = cauchy_transform(f, method="fft")
-    direct = cauchy_transform(f, method="direct")
-    scale = np.abs(direct.values).max()
-    assert np.abs(fast.values - direct.values).max() <= 1e-10 * scale
+    _assert_paths_agree(_random_field(make_grid(1.0, n), 42))
 
 
 def _real_field(spec, seed, margin=None):
@@ -80,10 +82,7 @@ def _assert_real_paths_agree(n, m, margin_cells):
     g = make_grid(1.0, n)
     u = _real_field(g, 5, margin_cells * g.spacing)
     assert CauchyTransform(g, u.mask)._m == m
-    fast = cauchy_transform(u, method="fft")
-    direct = cauchy_transform(u, method="direct")
-    scale = np.abs(direct.values).max()
-    assert np.abs(fast.values - direct.values).max() <= AGREEMENT_RTOL * scale
+    _assert_paths_agree(u)
 
 
 # odd and even padded lengths exercise both rfft half-spectrum shapes
@@ -132,17 +131,6 @@ def test_transform_of_smooth_bump_is_smooth_scale():
 # would wrap the kernel tails back into the output window.
 
 
-def _assert_paths_agree(spec, mask, seed=3):
-    rng = np.random.default_rng(seed)
-    n = spec.resolution
-    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g = ComplexField(spec, vals, 0.0, mask)
-    fast = cauchy_transform(g, method="fft").values
-    direct = cauchy_transform(g, method="direct").values
-    scale = np.abs(direct).max()
-    assert np.abs(fast - direct).max() <= AGREEMENT_RTOL * scale
-
-
 def _corner(row, col):
     def mask(g):
         out = np.zeros((g.resolution, g.resolution), dtype=bool)
@@ -172,7 +160,7 @@ def test_wraparound_guard(name):
     g = make_grid(1.0, 17)
     mask = build(g)
     assert CauchyTransform(g, mask)._m == m
-    _assert_paths_agree(g, mask)
+    _assert_paths_agree(_random_field(g, 3, mask))
 
 
 def test_empty_mask_gives_zero():
@@ -198,7 +186,7 @@ def test_random_masks_agree(data):
     g = make_grid(1.0, n)
     m = CauchyTransform(g, mask)._m
     assert n <= m <= next_fast_len(2 * n - 1)
-    _assert_paths_agree(g, mask, seed % 1000)
+    _assert_paths_agree(_random_field(g, seed, mask))
 
 
 @pytest.mark.parametrize("n, m", [(65, 125), (129, 256), (257, 512)])
