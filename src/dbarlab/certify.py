@@ -14,7 +14,8 @@ Three layers, composed bottom-up:
 Every check reports the minimum slack and its witness node rather than a bare
 boolean.  Inequalities are judged against tolerances proportional to h^2
 times the local derivative scale of the quantity involved; the equation
-hypothesis itself is gated by the dbar residual.  Checks stand off the mask
+hypothesis itself is gated by the dbar residual, against the 5h gate that
+DbarSolution.certified applies to a whole solve.  Checks stand off the mask
 edge by a few cells (standoff_cells): transform-produced solutions carry an
 O(1) differentiation artifact in the outermost stencil rows, because the
 integration density is chopped at the mask boundary and the transform's
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import util
-from .dbar import DbarSolution, residual_dbar
+from .dbar import RESIDUAL_GATE_FACTOR, DbarSolution, residual_dbar
 from .grid import (
     ComplexField,
     MaskError,
@@ -44,7 +45,6 @@ from .grid import _dx, _dy, _lap5
 
 DELTA0_DEFAULT = 1e-3
 KAPPA_DEFAULT = 10.0
-RESIDUAL_GATE_FACTOR = 5.0
 STANDOFF_CELLS = 3
 SUP_FLOOR = 0.1
 FD_TOLERANCE = 0.02
@@ -92,7 +92,6 @@ def lemma1_check(
     h: ComplexField,
     delta0: float = DELTA0_DEFAULT,
     kappa: float = KAPPA_DEFAULT,
-    gate_factor: float = RESIDUAL_GATE_FACTOR,
     standoff_cells: int = STANDOFF_CELLS,
 ) -> CertificateReport:
     """Check Delta(|h|^(3/4)) >= (3/4)|h|^(-1/4) on {|h| > delta0}.
@@ -100,7 +99,7 @@ def lemma1_check(
     The inequality is sharp on the translated profile family (x - c)_+^2,
     where it holds with equality; the reported min_slack is the raw minimum
     of LHS - RHS over eligible nodes.  The hypothesis that h solves the
-    equation is gated by the dbar residual on the same eligible set.
+    equation is gated by the dbar residual on the same eligible set, at 5h.
     Pointwise tolerances are kappa * h^2 * max(1, |h|^(-5/4)): fourth
     derivatives of |h|^(3/4) grow like |h|^(-5/4) near the zero set, which is
     also why nodes with |h| <= delta0 are excluded.
@@ -120,7 +119,8 @@ def lemma1_check(
         raise MaskError("no eligible nodes: |h| <= delta0 on the whole interior")
 
     res_sup = float(np.max(res_field.values[eligible]))
-    hypothesis_ok = res_sup <= gate_factor * hh
+    gate = RESIDUAL_GATE_FACTOR * hh
+    hypothesis_ok = res_sup <= gate
 
     with np.errstate(divide="ignore"):
         rhs = 0.75 * absh ** -0.25
@@ -141,7 +141,7 @@ def lemma1_check(
         tolerance_used=kappa * hh * hh,
         details={
             "residual_sup_eligible": res_sup,
-            "residual_gate": gate_factor * hh,
+            "residual_gate": gate,
             "inequality_ok": inequality_ok,
             "delta0": delta0,
             "standoff_cells": standoff_cells,
@@ -324,18 +324,17 @@ def lemma2_check(
 def theorem2_chain(
     sol: DbarSolution,
     delta0: float = DELTA0_DEFAULT,
-    gate_factor: float = RESIDUAL_GATE_FACTOR,
     fd_tolerance: float = FD_TOLERANCE,
     standoff_cells: int = STANDOFF_CELLS,
 ) -> CertificateReport:
     """Compose the certificates into the sup-bound verdict for one solve.
 
-    Applies only to certified solves: converged with dbar residual within
-    gate_factor * h.  With f(0) = 0 the bound asserts nothing and the report
-    says so.  Otherwise the chain records the unconditional inequality of
-    lemma1_check on f, the lemma2_check diagnostics on u = |f|^(3/4), and the
-    verdict: sup|f| must reach 1/10, confirmed against the measured sup_f at
-    finite-difference tolerance.  min_slack is sup_f - (1/10 - fd_tolerance).
+    Applies only to DbarSolution.certified solves.  With f(0) = 0 the bound
+    asserts nothing and the report says so.  Otherwise the chain records the
+    unconditional inequality of lemma1_check on f, the lemma2_check
+    diagnostics on u = |f|^(3/4), and the verdict: sup|f| must reach 1/10,
+    confirmed against the measured sup_f at finite-difference tolerance.
+    min_slack is sup_f - (1/10 - fd_tolerance).
 
     The composition is a contradiction argument: were sup|f| below 1/10, the
     growth hypothesis Delta u >= 1 would hold on all of {u > 0} and the
@@ -345,13 +344,12 @@ def theorem2_chain(
     documents which hypothesis breaks (Delta u >= 1 fails where |f| is large)
     while its conclusion slack stays positive; both facts are recorded.
     """
-    h = sol.f.spec.spacing
     if not sol.converged:
         raise ValueError("not a certified solve: iteration did not converge")
-    if sol.residual_sup > gate_factor * h:
+    if not sol.certified:
         raise ValueError(
             f"not a certified solve: residual {sol.residual_sup:.3e} "
-            f"exceeds gate {gate_factor * h:.3e}"
+            f"exceeds gate {sol.residual_gate:.3e}"
         )
 
     b = sol.f.at_origin()
@@ -366,9 +364,7 @@ def theorem2_chain(
             details={"verdict": "not_applicable", "reason": "f(0) = 0", "sup_f": sol.sup_f},
         )
 
-    lemma1 = lemma1_check(
-        sol.f, delta0=delta0, gate_factor=gate_factor, standoff_cells=standoff_cells
-    )
+    lemma1 = lemma1_check(sol.f, delta0=delta0, standoff_cells=standoff_cells)
     u = RealField(sol.f.spec, np.abs(sol.f.values) ** 0.75, sol.f.margin, sol.f.mask)
     lemma2 = lemma2_check(u, delta0=delta0 ** 0.75, standoff_cells=standoff_cells)
 

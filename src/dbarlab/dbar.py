@@ -20,7 +20,7 @@ equation because the added part is holomorphic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from . import util
 EPSILON_DECAY = 0.2
 STALL_WINDOW = 50
 STALL_RATIO = 0.9
+# a solve is certified when its dbar residual is within this many grid spacings
+RESIDUAL_GATE_FACTOR = 5.0
 
 
 class NanEncountered(ArithmeticError):
@@ -114,7 +116,10 @@ class DbarProblem:
 
 @dataclass(frozen=True)
 class DbarSolution:
-    """Solver output; converged=False is a valid, reportable outcome."""
+    """Solver output; converged=False is a valid, reportable outcome.
+
+    final_update is the sup-norm change of the last Picard step, if any.
+    """
 
     problem: DbarProblem
     f: ComplexField
@@ -122,7 +127,7 @@ class DbarSolution:
     sup_f: float
     converged: bool
     iterations: int
-    update_history: tuple = field(default_factory=tuple)
+    final_update: float | None = None
 
     def __post_init__(self):
         if self.converged:
@@ -130,8 +135,17 @@ class DbarSolution:
             if err > 1e-12:
                 raise ValueError(f"converged solution violates the anchor: |f(0)-b| = {err:.3e}")
 
+    @property
+    def residual_gate(self) -> float:
+        """The certification bound on residual_sup: 5h on the solution's own grid."""
+        return RESIDUAL_GATE_FACTOR * self.f.spec.spacing
+
+    @property
+    def certified(self) -> bool:
+        """Converged with the dbar residual within the gate; the lemmas apply only then."""
+        return self.converged and self.residual_sup <= self.residual_gate
+
     def to_json_dict(self) -> dict:
-        last = self.update_history[-1] if self.update_history else None
         return {
             "schema_version": util.SCHEMA_VERSION,
             "problem": self.problem.to_json_dict(),
@@ -139,7 +153,7 @@ class DbarSolution:
             "residual_sup": self.residual_sup,
             "sup_f": self.sup_f,
             "iterations": self.iterations,
-            "final_update": last,
+            "final_update": self.final_update,
         }
 
     def save(self, directory, stem: str = "solution") -> dict:
@@ -178,11 +192,15 @@ def load_solution(json_path) -> DbarSolution:
     try:
         problem = DbarProblem.from_json_dict(record["problem"])
         field_path = os.path.join(os.path.dirname(str(json_path)), record["field"])
+        final_update = record["final_update"]
+        if final_update is not None and type(final_update) not in (int, float):
+            raise TypeError(f"final_update is a JSON {type(final_update).__name__}")
         scalars = dict(
             residual_sup=float(record["residual_sup"]),
             sup_f=float(record["sup_f"]),
             converged=bool(record["converged"]),
             iterations=int(record["iterations"]),
+            final_update=None if final_update is None else float(final_update),
         )
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed solution record: {exc}") from exc
@@ -262,7 +280,6 @@ def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSo
     theta = problem.theta
     b = problem.b
     new = np.empty_like(f)
-    history: list = []
     iterations = 0
     stage_converged = False
 
@@ -286,7 +303,6 @@ def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSo
             # f is finite on the mask, so a non-finite update means a non-finite iterate there
             if not np.isfinite(update):
                 raise NanEncountered("non-finite iterate on the mask")
-            history.append(update)
             stage_history.append(update)
             iterations += 1
             f, new = new, f
@@ -305,52 +321,33 @@ def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSo
         sup_f=sup_norm(field_out),
         converged=stage_converged,
         iterations=iterations,
-        update_history=tuple(history),
+        final_update=update,
     )
 
 
-def rescale_solution(f: ComplexField, r: float, resolution: int | None = None) -> ComplexField:
+def rescale_solution(f: ComplexField) -> ComplexField:
     """Pull a field on the radius-r disc back to the unit disc: F(w) = f(r w) / r^2.
 
     If f solves the equation on the large disc, F solves it on the unit disc.
-    Values are bilinearly resampled; when source and target share a resolution
-    the sample points land exactly on source nodes and the resample is exact.
+    The unit grid at the same resolution has its nodes at the source nodes
+    divided by r, so the pull-back is the exact relabel F = f / r^2, node for
+    node.  The target margin is the source margin plus 1.5 source cells,
+    scaled by 1/r and at least two target cells; the 1.5-cell allowance is
+    kept so the certified mask is unchanged.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
     src = f.spec
-    if abs(src.radius - r) > 1e-12 * max(1.0, r):
-        raise ValueError("r must equal the radius of f's grid")
-    n = src.resolution if resolution is None else resolution
-    target = make_grid(1.0, n)
-    # keep every bilinear corner inside the source mask
+    r = src.radius
+    target = make_grid(1.0, src.resolution)
     margin_t = max(target.default_margin(), (f.margin + 1.5 * src.spacing) / r)
     mask_t = target.disc_mask(margin_t)
     if not mask_t.any():
         raise ValueError("rescale target mask is empty")
-
-    Xt, Yt = target.mesh()
-    gx = (Xt * r) / src.spacing + src.center
-    gy = (Yt * r) / src.spacing + src.center
-    i0 = np.clip(np.floor(gy).astype(int), 0, src.resolution - 2)
-    j0 = np.clip(np.floor(gx).astype(int), 0, src.resolution - 2)
-    ty = gy - i0
-    tx = gx - j0
-    v = f.values
-    interp = (
-        v[i0, j0] * (1 - ty) * (1 - tx)
-        + v[i0, j0 + 1] * (1 - ty) * tx
-        + v[i0 + 1, j0] * ty * (1 - tx)
-        + v[i0 + 1, j0 + 1] * ty * tx
-    )
-    out = np.where(mask_t, interp / (r * r), 0)
-    return ComplexField(target, out, margin_t, mask_t)
+    return ComplexField(target, np.where(mask_t, f.values / (r * r), 0), margin_t, mask_t)
 
 
-def rescaled_solution_record(sol: DbarSolution, resolution: int | None = None) -> DbarSolution:
-    """Rescale a solve from D_r to the unit disc and re-measure its residual."""
-    r = sol.problem.grid.radius
-    F = rescale_solution(sol.f, r, resolution)
+def rescaled_solution_record(sol: DbarSolution) -> DbarSolution:
+    """Relabel a solve from D_r onto the unit disc and re-measure residual and sup there."""
+    F = rescale_solution(sol.f)
     _, res = residual_dbar(F)
     problem = replace(
         sol.problem,

@@ -8,9 +8,9 @@ exactly zero), never assumed.
 
 Away from the origin, at basepoints (0, b) with b != 0, this module scans
 graph discs z -> (z, f(z)) over a grid of radii: a radius is feasible when
-the solver converges, its equation residual passes the gate, and the graph
-stays inside the radius-1/10 target factor.  The largest feasible radius
-a gives an empirical lower-bound estimate 1/a for the pseudo-norm; a
+the solve is DbarSolution.certified (converged, residual within 5h) and
+the graph stays inside the radius-1/10 target factor.  The largest feasible
+radius a gives an empirical lower-bound estimate 1/a for the pseudo-norm; a
 failed solve is evidence, not proof, so every report carries an
 empirical=true flag, and the rigorous content rides on the certificate
 chain attached to solves that do converge.  The punchline the reports
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acs import MEMBERSHIP_SLACK, Z2_RADIUS, DiscMap, graph_map, jholo_residual
-from .certify import RESIDUAL_GATE_FACTOR, CertificateReport, theorem2_chain
+from .certify import CertificateReport, theorem2_chain
 from .dbar import (
     DbarProblem,
     DbarSolution,
@@ -76,11 +76,12 @@ def _check_anchor(b: complex) -> complex:
 class FeasibilityRecord:
     """Outcome of one graph-disc attempt at one radius.
 
-    failure_mode none means feasible; non_convergence covers both a
-    diverging iteration and a converged fixed point whose equation
-    residual misses the gate (no certificate either way); the sup mode
-    means a gate-passing solution exists but its graph escapes the
-    radius-1/10 factor, which is exactly what the sup lower bound demands.
+    failure_mode none means feasible; non_convergence covers every solve
+    that is not DbarSolution.certified, both a diverging iteration and a
+    converged fixed point whose equation residual misses the gate (no
+    certificate either way); the sup mode means a certified solution
+    exists but its graph escapes the radius-1/10 factor, which is exactly
+    what the sup lower bound demands.
     """
 
     radius: float
@@ -102,11 +103,8 @@ class FeasibilityRecord:
                 raise ValueError("record radius disagrees with the solution's grid")
         if self.feasible:
             sol = self.solution
-            if sol is None or not sol.converged:
-                raise ValueError("a feasible record needs a converged solution")
-            gate = RESIDUAL_GATE_FACTOR * sol.f.spec.spacing
-            if sol.residual_sup > gate:
-                raise ValueError("a feasible record needs the residual below the gate")
+            if sol is None or not sol.certified:
+                raise ValueError("a feasible record needs a certified solution")
             if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
                 raise ValueError("a feasible graph must stay inside the target factor")
         object.__setattr__(self, "radius", float(self.radius))
@@ -123,9 +121,7 @@ class FeasibilityRecord:
             "iterations": None if sol is None else sol.iterations,
             "sup_f": None if sol is None else sol.sup_f,
             "residual_sup": None if sol is None else sol.residual_sup,
-            "residual_gate": None
-            if sol is None
-            else RESIDUAL_GATE_FACTOR * sol.f.spec.spacing,
+            "residual_gate": None if sol is None else sol.residual_gate,
             "chain": None if self.chain is None else self.chain.to_json_dict(),
             "chain_note": self.chain_note,
         }
@@ -137,14 +133,11 @@ class KrEstimate:
 
     basepoint: tuple
     vector: tuple
-    upper_bound: float
     records: tuple
     a_observed: float
-    empirical: bool = True
+    empirical = True  # a scan is grid-level evidence, never a proof
 
     def __post_init__(self):
-        if not self.upper_bound > 0:
-            raise ValueError("upper bound must be positive")
         if self.records:
             top = max(rec.radius for rec in self.records)
             if self.a_observed > top:
@@ -153,27 +146,42 @@ class KrEstimate:
         object.__setattr__(self, "vector", tuple(complex(c) for c in self.vector))
         object.__setattr__(self, "records", tuple(self.records))
 
+    @property
+    def no_feasible_disc(self) -> bool:
+        return self.a_observed == 0.0
+
+    @property
+    def upper_bound(self) -> float:
+        """1/a_observed: the largest feasible graph disc bounds the norm above."""
+        return math.inf if self.no_feasible_disc else 1.0 / self.a_observed
+
     def lower_bound(self) -> float:
-        """Empirical: no larger graph disc worked, so at least 1/a_observed."""
-        if self.a_observed == 0.0:
-            return math.inf
-        return 1.0 / self.a_observed
+        """Empirical: no larger graph disc worked, so at least 1/a_observed.
+
+        inf when no disc is feasible: a gap against a finite bound then holds a fortiori.
+        """
+        return self.upper_bound
+
+    def verdict(self) -> dict:
+        """The reported scan verdict; an infinite lower bound is null plus no_feasible_disc."""
+        return {
+            "a_observed": self.a_observed,
+            "lower_bound": None if self.no_feasible_disc else self.lower_bound(),
+            "no_feasible_disc": self.no_feasible_disc,
+            "scan_consistent": self.scan_consistent(),
+        }
 
     def scan_consistent(self) -> bool:
         return check_scan_consistency(self.records)
 
     def to_json_dict(self) -> dict:
-        no_disc = self.a_observed == 0.0
         return {
             "basepoint": [as_complex_pair(c) for c in self.basepoint],
             "vector": [as_complex_pair(c) for c in self.vector],
-            "upper_bound": None if math.isinf(self.upper_bound) else self.upper_bound,
-            "lower_bound": None if no_disc else self.lower_bound(),
-            "no_feasible_disc": no_disc,
-            "a_observed": self.a_observed,
+            "upper_bound": None if self.no_feasible_disc else self.upper_bound,
             "empirical": self.empirical,
-            "scan_consistent": self.scan_consistent(),
             "records": [rec.to_json_dict() for rec in self.records],
+            **self.verdict(),
         }
 
 
@@ -212,11 +220,12 @@ def graph_feasibility(
 ) -> FeasibilityRecord:
     """Attempt a graph disc of radius r anchored at f(0) = b.
 
-    Solver trouble (divergence, non-convergence, residual above the gate)
-    is recorded as non_convergence; a certified solution whose sup leaves
-    the radius-1/10 factor is recorded as sup_bound_violated.  Infeasible
-    records are data, not errors.  When the gate passes, the theorem chain
-    runs on the unit-disc rescale of the solution and rides along.
+    A solve that is not certified (divergence, non-convergence, residual
+    above the gate) is recorded as non_convergence; a certified solution
+    whose sup leaves the radius-1/10 factor is recorded as
+    sup_bound_violated.  Infeasible records are data, not errors.  For a
+    certified solve, the theorem chain runs on the unit-disc rescale of the
+    solution and rides along.
     """
     r = float(r)
     if not (r > 0 and math.isfinite(r)):
@@ -235,12 +244,9 @@ def graph_feasibility(
         return FeasibilityRecord(r, b, False, FAILURE_NONCONV, None, None,
                                  "iteration left the floating-point range")
 
-    gate = RESIDUAL_GATE_FACTOR * sol.f.spec.spacing
-    gate_ok = sol.converged and sol.residual_sup <= gate
-
     chain = None
     chain_note = None
-    if gate_ok:
+    if sol.certified:
         try:
             chain = theorem2_chain(rescaled_solution_record(sol))
         except ValueError as exc:
@@ -248,7 +254,7 @@ def graph_feasibility(
     else:
         chain_note = "no certificate: solve missed the residual gate"
 
-    if not gate_ok:
+    if not sol.certified:
         return FeasibilityRecord(r, b, False, FAILURE_NONCONV, sol, chain, chain_note)
     if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
         return FeasibilityRecord(r, b, False, FAILURE_SUP, sol, chain, chain_note)
@@ -288,14 +294,11 @@ def radius_scan(
         lambda r: graph_feasibility(r, b, template), radii, threads=threads
     )
     feasible = [rec.radius for rec in records if rec.feasible]
-    a_observed = max(feasible) if feasible else 0.0
-    upper = (1.0 / a_observed) if a_observed > 0 else math.inf
     return KrEstimate(
         basepoint=(0.0, b),
         vector=(1.0, 0.0),
-        upper_bound=upper,
         records=tuple(records),
-        a_observed=a_observed,
+        a_observed=max(feasible) if feasible else 0.0,
     )
 
 
@@ -331,18 +334,11 @@ def usc_report(
     for bi, b in enumerate(b_list):
         est = radius_scan(b, radii=radii, template=template, threads=threads)
         scans.append(est)
-        no_disc = est.a_observed == 0.0
-        # an empty feasible set bounds the norm below by 1/min-radius at
-        # least, so the gap against 1/2 holds a fortiori
-        gap_positive = True if no_disc else est.lower_bound() > origin.bound
         rows.append(
             {
                 "b": as_complex_pair(b),
-                "a_observed": est.a_observed,
-                "lower_bound": None if no_disc else est.lower_bound(),
-                "no_feasible_disc": no_disc,
-                "gap_positive": gap_positive,
-                "scan_consistent": est.scan_consistent(),
+                "gap_positive": est.lower_bound() > origin.bound,
+                **est.verdict(),
             }
         )
         for ri, rec in enumerate(est.records):

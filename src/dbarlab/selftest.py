@@ -21,7 +21,14 @@ import numpy as np
 from . import util
 from .acs import j_squared_deviation, reduction_identity
 from .cauchy import cauchy_transform
-from .certify import eq_chain_check, lemma1_check, lemma2_check, sqrt_branch
+from .certify import (
+    FD_TOLERANCE,
+    SUP_FLOOR,
+    eq_chain_check,
+    lemma1_check,
+    lemma2_check,
+    sqrt_branch,
+)
 from .dbar import DbarProblem, picard_solve, profile_exact, residual_dbar
 from .grid import ComplexField, RealField, make_grid
 from .kr import radius_scan, upper_bound_origin, usc_report
@@ -247,18 +254,18 @@ def criterion_06(cfg: dict, threads: int) -> CriterionResult:
         for ph in cfg["sweep_phases"]:
             anchors.append(float(mag) * complex(ph[0], ph[1]))
 
+    floor = SUP_FLOOR - FD_TOLERANCE
+
     def run(b: complex) -> dict:
         sol = picard_solve(DbarProblem(make_grid(1.0, n), b=b))
-        gate = 5.0 * sol.f.spec.spacing
-        gate_ok = sol.converged and sol.residual_sup <= gate
         return {
             "b": [b.real, b.imag],
             "converged": sol.converged,
             "residual_sup": sol.residual_sup,
-            "residual_gate": gate,
-            "gate_ok": gate_ok,
+            "residual_gate": sol.residual_gate,
+            "gate_ok": sol.certified,
             "sup_f": sol.sup_f,
-            "undercuts_floor": bool(gate_ok and sol.sup_f < 0.08),
+            "undercuts_floor": bool(sol.certified and sol.sup_f < floor),
         }
 
     start = time.monotonic()
@@ -272,7 +279,7 @@ def criterion_06(cfg: dict, threads: int) -> CriterionResult:
         none_undercut and runtime_ok,
         {
             "resolution": n,
-            "floor": 0.08,
+            "floor": floor,
             "rows": rows,
             "runtime_ok": runtime_ok,
         },
@@ -384,9 +391,7 @@ def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
         report = usc_report([b], out_dir, template=template, threads=threads)
     summary = report["summary"]
     est = report["scans"][0]
-    gap_ok = est.a_observed < 2.0 and (
-        est.a_observed == 0.0 or est.lower_bound() > 0.5
-    )
+    gap_ok = est.a_observed < 2.0 and est.lower_bound() > 0.5
     ok = (
         gap_ok
         and summary["empirical"] is True
@@ -399,13 +404,10 @@ def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
         ok,
         {
             "anchor": [b.real, b.imag],
-            "a_observed": est.a_observed,
-            "lower_bound": None if est.a_observed == 0.0 else est.lower_bound(),
-            "no_feasible_disc": est.a_observed == 0.0,
             "origin_upper_bound": summary["origin_upper_bound"],
             "empirical": summary["empirical"],
             "all_gaps_positive": summary["all_gaps_positive"],
-            "scan_consistent": est.scan_consistent(),
+            **est.verdict(),
         },
     )
 

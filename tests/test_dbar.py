@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dbarlab.dbar import (
 )
 from dbarlab.dbar import residual_dbar
 from dbarlab.grid import ComplexField, make_grid
+from dbarlab.kr import default_radii
 
 
 def unit(n=65):
@@ -166,8 +168,7 @@ class TestPicard:
         prob = DbarProblem(unit(65), b=0.05)
         sol = picard_solve(prob)
         assert sol.converged
-        assert sol.update_history[-1] <= prob.tol
-        assert sol.iterations == len(sol.update_history)
+        assert sol.final_update <= prob.tol
 
     def test_non_convergence_is_data(self):
         prob = DbarProblem(unit(65), b=0.05, max_iter=3, tol=1e-15)
@@ -214,6 +215,30 @@ class TestPicard:
         assert rich.residual_sup <= 0.2
 
 
+class TestCertifiedGate:
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return picard_solve(DbarProblem(unit(33), b=0.05))
+
+    def test_gate_is_five_spacings(self, sol):
+        assert sol.residual_gate == 5.0 * sol.f.spec.spacing
+
+    @pytest.mark.parametrize(
+        "residual, converged, certified",
+        [
+            (lambda gate: gate, True, True),
+            (lambda gate: float(np.nextafter(gate, np.inf)), True, False),
+            (lambda gate: 0.0, False, False),
+        ],
+        ids=["at_gate", "next_float_above", "not_converged"],
+    )
+    def test_boundary(self, sol, residual, converged, certified):
+        gate = sol.residual_gate
+        case = replace(sol, residual_sup=residual(gate), converged=converged)
+        assert case.residual_gate == gate
+        assert case.certified is certified
+
+
 class TestStallRule:
     def test_flat_history_stalls(self):
         assert _stalled([1.0] * 100)
@@ -229,12 +254,12 @@ class TestRescale:
     def test_identity(self):
         spec = unit(65)
         f = profile_exact(-0.2, spec)
-        F = rescale_solution(f, 1.0)
+        F = rescale_solution(f)
         assert np.max(np.abs((F.values - f.values)[F.mask])) == 0.0
 
     def test_profile_from_double_disc(self):
         f2 = profile_exact(0.0, make_grid(2.0, 65))
-        F = rescale_solution(f2, 2.0)
+        F = rescale_solution(f2)
         ref = profile_exact(0.0, F.spec)
         assert np.max(np.abs((F.values - ref.values)[F.mask])) == 0.0
         _, res = residual_dbar(F)
@@ -242,16 +267,25 @@ class TestRescale:
 
     def test_profile_from_half_disc(self):
         fh = profile_exact(0.0, make_grid(0.5, 65))
-        F = rescale_solution(fh, 0.5)
+        F = rescale_solution(fh)
         ref = profile_exact(0.0, F.spec)
         assert np.max(np.abs((F.values - ref.values)[F.mask])) == 0.0
 
-    def test_wrong_radius_rejected(self):
-        f = profile_exact(0.0, unit(65))
-        with pytest.raises(ValueError):
-            rescale_solution(f, 2.0)
-        with pytest.raises(ValueError):
-            rescale_solution(f, -1.0)
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_relabel_is_exact(self, n):
+        # source and unit grids share node indices, so F = f / r^2 bit for bit
+        rng = np.random.default_rng(n)
+        for r in default_radii():
+            spec = make_grid(r, n)
+            vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            f = ComplexField(spec, vals, 2.0 * spec.spacing)
+            F = rescale_solution(f)
+            target = make_grid(1.0, n)
+            margin = max(2.0 * target.spacing, (f.margin + 1.5 * spec.spacing) / spec.radius)
+            mask = target.disc_mask(margin)
+            assert F.spec == target
+            assert np.array_equal(F.mask, mask)
+            assert np.array_equal(F.values, np.where(mask, f.values / spec.radius**2, 0))
 
 
 class TestPersistence:
@@ -265,6 +299,23 @@ class TestPersistence:
         assert back.sup_f == sol.sup_f
         assert back.converged == sol.converged
         assert back.iterations == sol.iterations
+        want, got = sol.to_json_dict(), back.to_json_dict()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], key
+        assert got["final_update"] is not None
+
+    @pytest.mark.parametrize("value", ["1e-9", True, [1e-9], {"x": 1e-9}])
+    def test_final_update_type_checked(self, tmp_path, value):
+        sol = picard_solve(DbarProblem(unit(33), b=0.05))
+        paths = sol.save(tmp_path)
+        with open(paths["json"]) as fh:
+            record = json.load(fh)
+        record["final_update"] = value
+        with open(paths["json"], "w") as fh:
+            json.dump(record, fh)
+        with pytest.raises(ValueError, match="final_update"):
+            load_solution(paths["json"])
 
     @pytest.mark.parametrize("version", [None, 0, 2, "1", True, 1.0])
     def test_schema_version_checked(self, tmp_path, version):

@@ -3,15 +3,18 @@
 Two rules keep dead code from piling up: every import is used in its own
 module, and every top-level function or class is referenced somewhere in
 the package (a name only its own tests call is reached by no pipeline).
+A third keeps the benchmark tracer's targets in step with the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import dbarlab
 
 PACKAGE = Path(dbarlab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _parse(path):
@@ -66,3 +69,31 @@ def test_every_top_level_name_is_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def _tracer_targets() -> dict:
+    """TARGETS of the tracer, read from its source: span name -> (module, attr, class)."""
+    for node in _parse(TRACER).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {
+                ast.literal_eval(key): tuple(ast.literal_eval(e) for e in value.elts[:3])
+                for key, value in zip(node.value.keys, node.value.values)
+            }
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    targets = _tracer_targets()
+    assert "dbar.rescaled_solution_record" in targets
+    missing = []
+    for span, (module, attr, cls) in targets.items():
+        try:
+            owner = importlib.import_module(module)
+            if cls is not None:
+                owner = getattr(owner, cls)
+            getattr(owner, attr)
+        except (ImportError, AttributeError) as exc:
+            missing.append(f"{span}: {exc}")
+    assert missing == []
