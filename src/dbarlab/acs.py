@@ -65,7 +65,7 @@ def lambda_val(z2):
     return out
 
 
-def j_squared_deviation(z1, z2, chunk: int = 200_000) -> float:
+def j_squared_deviation(z1, z2) -> float:
     """Max |J^2 + I| entry over batches of sample points.
 
     Vectorized so a million-point sweep stays cheap; every sample must lie
@@ -81,6 +81,7 @@ def j_squared_deviation(z1, z2, chunk: int = 200_000) -> float:
         raise ValueError("sample points must lie inside the open target domain")
     eye = np.eye(4)
     worst = 0.0
+    chunk = 200_000  # keeps each (chunk, 4, 4) float64 batch near 26 MB
     for start in range(0, z1.size, chunk):
         lam = lambda_val(z2[start : start + chunk])
         mats = np.broadcast_to(_TEMPLATE, (lam.size, 4, 4)).copy()

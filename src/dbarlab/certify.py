@@ -88,10 +88,14 @@ def _standoff_mask(field, cells: int) -> np.ndarray:
     return field.spec.disc_mask(field.margin + cells * field.spec.spacing)
 
 
+def abs_power_34(f: ComplexField) -> RealField:
+    """u = |f|^(3/4) on f's grid and mask: the function both lemmas are about."""
+    return RealField(f.spec, np.abs(f.values) ** 0.75, f.margin, f.mask)
+
+
 def lemma1_check(
     h: ComplexField,
     delta0: float = DELTA0_DEFAULT,
-    kappa: float = KAPPA_DEFAULT,
     standoff_cells: int = STANDOFF_CELLS,
 ) -> CertificateReport:
     """Check Delta(|h|^(3/4)) >= (3/4)|h|^(-1/4) on {|h| > delta0}.
@@ -100,7 +104,7 @@ def lemma1_check(
     where it holds with equality; the reported min_slack is the raw minimum
     of LHS - RHS over eligible nodes.  The hypothesis that h solves the
     equation is gated by the dbar residual on the same eligible set, at 5h.
-    Pointwise tolerances are kappa * h^2 * max(1, |h|^(-5/4)): fourth
+    Pointwise tolerances are KAPPA_DEFAULT * h^2 * max(1, |h|^(-5/4)): fourth
     derivatives of |h|^(3/4) grow like |h|^(-5/4) near the zero set, which is
     also why nodes with |h| <= delta0 are excluded.
     """
@@ -109,8 +113,7 @@ def lemma1_check(
     spec = h.spec
     hh = spec.spacing
     absh = np.abs(h.values)
-    u34 = RealField(spec, absh ** 0.75, h.margin, h.mask)
-    lap = laplacian5(u34)
+    lap = laplacian5(abs_power_34(h))
     res_field, _ = residual_dbar(h)
 
     eligible = lap.mask & h.mask & res_field.mask & (absh > delta0)
@@ -129,7 +132,7 @@ def lemma1_check(
     witness = _witness(spec, eligible, slack, np.nanargmin)
 
     with np.errstate(divide="ignore"):
-        tol_point = kappa * hh * hh * np.maximum(1.0, absh ** -1.25)
+        tol_point = KAPPA_DEFAULT * hh * hh * np.maximum(1.0, absh ** -1.25)
     inequality_ok = bool(np.all(slack[eligible] >= -tol_point[eligible]))
 
     return CertificateReport(
@@ -138,7 +141,7 @@ def lemma1_check(
         min_slack=min_slack,
         witness=witness,
         checked_nodes=int(eligible.sum()),
-        tolerance_used=kappa * hh * hh,
+        tolerance_used=KAPPA_DEFAULT * hh * hh,
         details={
             "residual_sup_eligible": res_sup,
             "residual_gate": gate,
@@ -246,13 +249,12 @@ def sqrt_branch(
 def lemma2_check(
     u: RealField,
     delta0: float = DELTA0_DEFAULT,
-    kappa: float = KAPPA_DEFAULT,
     standoff_cells: int = 0,
 ) -> CertificateReport:
     """Maximum-principle certificate: nonnegative subharmonic u with
     Delta u >= 1 on {u > delta0} and u(0) > 0 must reach sup u > 1/4.
 
-    Hypotheses are checked with tolerance kappa * h^2; the conclusion sup is
+    Hypotheses are checked with tolerance KAPPA_DEFAULT * h^2; the conclusion sup is
     taken over the full mask (the statement is about the supremum on the
     disc, so boundary nodes count when the margin admits them).  When
     u(0) = 0 the conclusion is not triggered and min_slack reports the worst
@@ -267,7 +269,7 @@ def lemma2_check(
     """
     spec = u.spec
     h = spec.spacing
-    tol = kappa * h * h
+    tol = KAPPA_DEFAULT * h * h
 
     neg = float(np.min(u.values[u.mask]))
     if neg < -tol:
@@ -324,7 +326,6 @@ def lemma2_check(
 def theorem2_chain(
     sol: DbarSolution,
     delta0: float = DELTA0_DEFAULT,
-    fd_tolerance: float = FD_TOLERANCE,
     standoff_cells: int = STANDOFF_CELLS,
 ) -> CertificateReport:
     """Compose the certificates into the sup-bound verdict for one solve.
@@ -334,7 +335,7 @@ def theorem2_chain(
     unconditional inequality of lemma1_check on f, the lemma2_check
     diagnostics on u = |f|^(3/4), and the verdict: sup|f| must reach 1/10,
     confirmed against the measured sup_f at finite-difference tolerance.
-    min_slack is sup_f - (1/10 - fd_tolerance).
+    min_slack is sup_f - (1/10 - FD_TOLERANCE).
 
     The composition is a contradiction argument: were sup|f| below 1/10, the
     growth hypothesis Delta u >= 1 would hold on all of {u > 0} and the
@@ -360,15 +361,15 @@ def theorem2_chain(
             min_slack=0.0,
             witness=None,
             checked_nodes=int(sol.f.mask.sum()),
-            tolerance_used=fd_tolerance,
+            tolerance_used=FD_TOLERANCE,
             details={"verdict": "not_applicable", "reason": "f(0) = 0", "sup_f": sol.sup_f},
         )
 
     lemma1 = lemma1_check(sol.f, delta0=delta0, standoff_cells=standoff_cells)
-    u = RealField(sol.f.spec, np.abs(sol.f.values) ** 0.75, sol.f.margin, sol.f.mask)
-    lemma2 = lemma2_check(u, delta0=delta0 ** 0.75, standoff_cells=standoff_cells)
+    lemma2 = lemma2_check(abs_power_34(sol.f), delta0=delta0 ** 0.75,
+                          standoff_cells=standoff_cells)
 
-    min_slack = sol.sup_f - (SUP_FLOOR - fd_tolerance)
+    min_slack = sol.sup_f - (SUP_FLOOR - FD_TOLERANCE)
     verdict = "consistent" if min_slack >= 0 else "violation"
     return CertificateReport(
         kind="theorem2",
@@ -376,7 +377,7 @@ def theorem2_chain(
         min_slack=min_slack,
         witness=_witness(sol.f.spec, sol.f.mask, np.abs(sol.f.values), np.nanargmax),
         checked_nodes=lemma1.checked_nodes,
-        tolerance_used=fd_tolerance,
+        tolerance_used=FD_TOLERANCE,
         details={
             "verdict": verdict,
             "sup_f": sol.sup_f,

@@ -32,7 +32,7 @@ from .dbar import (
     rescaled_solution_record,
     residual_dbar,
 )
-from .grid import MaskError, PhaseUnwrapError, RealField, load_complex_field, make_grid
+from .grid import MaskError, PhaseUnwrapError, load_complex_field, make_grid
 from .kr import DEFAULT_B_SWEEP, usc_report
 from .ode import exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 from .selftest import SELFTEST_DEFAULTS, format_table, merge_config, run_selftest
@@ -201,12 +201,11 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
             branch, kappa=kappa, basepoint=basepoint, standoff_cells=standoff
         )
 
-    u = RealField(f.spec, np.abs(f.values) ** 0.75, f.margin, f.mask)
     certs = {
         "smoothness": _guarded(cert.lemma1_check, f, delta0=delta0, standoff_cells=standoff),
         "identity_chain": _guarded(branch_chain),
-        "max_principle": _guarded(cert.lemma2_check, u, delta0=delta0 ** 0.75,
-                                  standoff_cells=standoff),
+        "max_principle": _guarded(cert.lemma2_check, cert.abs_power_34(f),
+                                  delta0=delta0 ** 0.75, standoff_cells=standoff),
     }
     if sol is not None:
         certs["sup_bound"] = _guarded(
@@ -239,13 +238,14 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
     try:
         b_list = [util.from_complex_pair(p) for p in cfg["b_list"]]
         radii = None if cfg["radii"] is None else [float(r) for r in cfg["radii"]]
-        template = DbarProblem(grid=make_grid(1.0, int(cfg["resolution"])), b=0.01)
+        make_grid(1.0, cfg["resolution"])  # refuse a bad resolution before writing
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scan config: {exc}") from exc
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
     try:
-        report = usc_report(b_list, out_dir, radii=radii, template=template, threads=threads)
+        report = usc_report(b_list, out_dir, radii=radii, resolution=cfg["resolution"],
+                            threads=threads)
     except ValueError as exc:
         raise ConfigError(f"invalid scan config: {exc}") from exc
     summary = dict(report["summary"])

@@ -156,26 +156,38 @@ class DbarSolution:
             "final_update": self.final_update,
         }
 
-    def save(self, directory, stem: str = "solution") -> dict:
-        """Write {stem}.json plus the binary field {stem}.f64; returns the paths."""
+    def save(self, directory) -> dict:
+        """Write solution.json plus the binary field solution.f64; returns the paths."""
         import os
 
         from .grid import save_field
 
-        field_path = os.path.join(str(directory), stem + ".f64")
-        json_path = os.path.join(str(directory), stem + ".json")
+        field_path = os.path.join(str(directory), "solution.f64")
+        json_path = os.path.join(str(directory), "solution.json")
         save_field(self.f, field_path)
         record = self.to_json_dict()
-        record["field"] = stem + ".f64"
+        record["field"] = "solution.f64"
         util.write_json(json_path, record)
         return {"json": json_path, "field": field_path}
+
+
+# the JSON types load_solution accepts for each scalar of a solution record
+_RECORD_SCALARS = {
+    "converged": (bool,),
+    "iterations": (int,),
+    "residual_sup": (int, float),
+    "sup_f": (int, float),
+    "final_update": (int, float, type(None)),
+}
 
 
 def load_solution(json_path) -> DbarSolution:
     """Read a solution.json record and its field file.
 
     Any malformed record raises ValueError (JSON syntax errors included),
-    KeyError for a missing key, or OSError for an unreadable file.
+    KeyError for a missing key, or OSError for an unreadable file.  Scalars
+    are taken only with their JSON type: converged a boolean, iterations an
+    integer, residual_sup and sup_f numbers, final_update a number or null.
     """
     import json as _json
     import os
@@ -192,14 +204,16 @@ def load_solution(json_path) -> DbarSolution:
     try:
         problem = DbarProblem.from_json_dict(record["problem"])
         field_path = os.path.join(os.path.dirname(str(json_path)), record["field"])
+        for key, kinds in _RECORD_SCALARS.items():
+            value = record[key]
+            if type(value) not in kinds:  # bool is not an int here
+                raise TypeError(f"{key} is a JSON {type(value).__name__}")
         final_update = record["final_update"]
-        if final_update is not None and type(final_update) not in (int, float):
-            raise TypeError(f"final_update is a JSON {type(final_update).__name__}")
         scalars = dict(
             residual_sup=float(record["residual_sup"]),
             sup_f=float(record["sup_f"]),
-            converged=bool(record["converged"]),
-            iterations=int(record["iterations"]),
+            converged=record["converged"],
+            iterations=record["iterations"],
             final_update=None if final_update is None else float(final_update),
         )
     except (TypeError, AttributeError, OverflowError) as exc:
@@ -217,13 +231,11 @@ def _rhs_values(values: np.ndarray, eps: float) -> np.ndarray:
     return (a + eps * eps) ** 0.25
 
 
-def profile_exact(c: float, spec: GridSpec, margin: float | None = None) -> ComplexField:
+def profile_exact(c: float, spec: GridSpec) -> ComplexField:
     """The translated exact solution (max(x - c, 0))^2; vanishes left of x = c."""
-    if margin is None:
-        margin = spec.default_margin()
     X, _ = spec.mesh()
     vals = np.maximum(X - float(c), 0.0) ** 2
-    return ComplexField(spec, vals.astype(np.complex128), margin)
+    return ComplexField(spec, vals.astype(np.complex128), spec.default_margin())
 
 
 def residual_dbar(f: ComplexField) -> tuple[RealField, float]:
@@ -245,13 +257,12 @@ def _stalled(history: list) -> bool:
     return recent > STALL_RATIO * older
 
 
-def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSolution:
+def picard_solve(problem: DbarProblem) -> DbarSolution:
     """Run the damped Picard iteration through the continuation schedule.
 
-    Starts from f identically b (or the warm start f0 on the same grid).  Each
-    stage iterates until the sup-norm update falls below tol, max_iter is
-    exhausted, or the update stalls; converged reports whether the final
-    eps = 0 stage met tol.  The anchor f(0) = b holds exactly at every iterate.
+    Starts from f identically b.  Each stage iterates until the sup-norm
+    update falls below tol, max_iter is exhausted, or the update stalls;
+    converged reports whether the final eps = 0 stage met tol.  The anchor f(0) = b holds exactly at every iterate.
     """
     spec = problem.grid
     margin = problem.margin
@@ -262,12 +273,7 @@ def picard_solve(problem: DbarProblem, f0: ComplexField | None = None) -> DbarSo
     if not mask[c, c]:
         raise ValueError("origin node must be masked to anchor f(0)")
 
-    if f0 is None:
-        f = np.full((spec.resolution, spec.resolution), problem.b, dtype=np.complex128)
-    else:
-        if f0.spec != spec:
-            raise ValueError("warm start lives on a different grid")
-        f = np.array(f0.values, dtype=np.complex128, copy=True)
+    f = np.full((spec.resolution, spec.resolution), problem.b, dtype=np.complex128)
 
     holo = None
     if problem.holo_coeffs:

@@ -149,20 +149,13 @@ class ComplexField:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def from_function(cls, spec: GridSpec, fn: Callable, margin: float | None = None) -> "ComplexField":
-        if margin is None:
-            margin = spec.default_margin()
-        return cls(spec, np.asarray(fn(spec.nodes()), dtype=np.complex128), margin)
+    def from_function(cls, spec: GridSpec, fn: Callable) -> "ComplexField":
+        return cls(spec, np.asarray(fn(spec.nodes()), dtype=np.complex128), spec.default_margin())
 
     @classmethod
-    def constant(cls, spec: GridSpec, value: complex, margin: float | None = None) -> "ComplexField":
-        if margin is None:
-            margin = spec.default_margin()
+    def constant(cls, spec: GridSpec, value: complex) -> "ComplexField":
         vals = np.full((spec.resolution, spec.resolution), complex(value), dtype=np.complex128)
-        return cls(spec, vals, margin)
-
-    def like(self, values: np.ndarray) -> "ComplexField":
-        return ComplexField(self.spec, values, self.margin, self.mask)
+        return cls(spec, vals, spec.default_margin())
 
     def restrict(self, keep: np.ndarray) -> "ComplexField":
         return ComplexField(self.spec, self.values, self.margin, self.mask & keep)
@@ -198,17 +191,9 @@ class RealField:
         return cls(spec, np.asarray(fn(X, Y), dtype=np.float64), margin)
 
     @classmethod
-    def constant(cls, spec: GridSpec, value: float, margin: float | None = None) -> "RealField":
-        if margin is None:
-            margin = spec.default_margin()
+    def constant(cls, spec: GridSpec, value: float) -> "RealField":
         vals = np.full((spec.resolution, spec.resolution), float(value), dtype=np.float64)
-        return cls(spec, vals, margin)
-
-    def like(self, values: np.ndarray) -> "RealField":
-        return RealField(self.spec, values, self.margin, self.mask)
-
-    def restrict(self, keep: np.ndarray) -> "RealField":
-        return RealField(self.spec, self.values, self.margin, self.mask & keep)
+        return cls(spec, vals, spec.default_margin())
 
     def at_origin(self) -> float:
         c = self.spec.center
@@ -229,10 +214,6 @@ class PolarField:
             raise ValueError("rho and phi have different masks")
         if np.min(self.rho.values[self.rho.mask]) <= 0:
             raise VanishingFieldError("rho must be strictly positive on the mask")
-
-    def reconstruct(self) -> ComplexField:
-        vals = self.rho.values * np.exp(1j * self.phi.values)
-        return ComplexField(self.rho.spec, vals, self.rho.margin, self.rho.mask)
 
 
 def _shrunk(field) -> tuple[float, np.ndarray]:

@@ -17,6 +17,8 @@ chain attached to solves that do converge.  The punchline the reports
 juxtapose: 1/2 at the origin against estimates above 1/2 arbitrarily
 close to it.
 
+Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
+unless the caller passes another) with the solver's default parameters.
 Scan points are independent jobs; records are assembled in radius order
 so reports are byte-identical for every thread count.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +88,6 @@ class FeasibilityRecord:
 
     radius: float
     b: complex
-    feasible: bool
     failure_mode: str
     solution: DbarSolution | None
     chain: CertificateReport | None
@@ -95,8 +96,6 @@ class FeasibilityRecord:
     def __post_init__(self):
         if self.failure_mode not in (FAILURE_NONE, FAILURE_SUP, FAILURE_NONCONV):
             raise ValueError(f"unknown failure mode {self.failure_mode!r}")
-        if self.feasible != (self.failure_mode == FAILURE_NONE):
-            raise ValueError("feasible flag must match the failure mode")
         if self.solution is not None:
             got = self.solution.problem.grid.radius
             if abs(got - float(self.radius)) > 1e-12 * max(1.0, abs(got)):
@@ -109,6 +108,10 @@ class FeasibilityRecord:
                 raise ValueError("a feasible graph must stay inside the target factor")
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "b", complex(self.b))
+
+    @property
+    def feasible(self) -> bool:
+        return self.failure_mode == FAILURE_NONE
 
     def to_json_dict(self) -> dict:
         sol = self.solution
@@ -129,38 +132,42 @@ class FeasibilityRecord:
 
 @dataclass(frozen=True)
 class KrEstimate:
-    """Scan summary at one basepoint for the fixed vector (1, 0)."""
+    """Scan summary at the basepoint (0, b) for the fixed vector (1, 0)."""
 
-    basepoint: tuple
-    vector: tuple
+    b: complex
     records: tuple
-    a_observed: float
+    vector = (1.0, 0.0)  # the tangent vector every scan uses
     empirical = True  # a scan is grid-level evidence, never a proof
 
     def __post_init__(self):
-        if self.records:
-            top = max(rec.radius for rec in self.records)
-            if self.a_observed > top:
-                raise ValueError("a_observed cannot exceed the scanned radii")
-        object.__setattr__(self, "basepoint", tuple(complex(c) for c in self.basepoint))
-        object.__setattr__(self, "vector", tuple(complex(c) for c in self.vector))
+        object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "records", tuple(self.records))
+
+    @property
+    def a_observed(self) -> float:
+        """The largest feasible radius, or zero when no radius is feasible."""
+        return max((rec.radius for rec in self.records if rec.feasible), default=0.0)
 
     @property
     def no_feasible_disc(self) -> bool:
         return self.a_observed == 0.0
 
-    @property
-    def upper_bound(self) -> float:
-        """1/a_observed: the largest feasible graph disc bounds the norm above."""
-        return math.inf if self.no_feasible_disc else 1.0 / self.a_observed
-
     def lower_bound(self) -> float:
         """Empirical: no larger graph disc worked, so at least 1/a_observed.
 
-        inf when no disc is feasible: a gap against a finite bound then holds a fortiori.
+        The same number is reported as upper_bound, since the largest feasible
+        disc bounds the norm above by it.  inf when no disc is feasible: a gap
+        against a finite bound then holds a fortiori.
         """
-        return self.upper_bound
+        return math.inf if self.no_feasible_disc else 1.0 / self.a_observed
+
+    def scan_consistent(self) -> bool:
+        """No feasible radius above one where a certified solution broke the sup bound."""
+        sup_violations = [rec.radius for rec in self.records if rec.failure_mode == FAILURE_SUP]
+        if not sup_violations:
+            return True
+        r0 = min(sup_violations)
+        return all(not rec.feasible for rec in self.records if rec.radius > r0)
 
     def verdict(self) -> dict:
         """The reported scan verdict; an infinite lower bound is null plus no_feasible_disc."""
@@ -171,17 +178,15 @@ class KrEstimate:
             "scan_consistent": self.scan_consistent(),
         }
 
-    def scan_consistent(self) -> bool:
-        return check_scan_consistency(self.records)
-
     def to_json_dict(self) -> dict:
+        verdict = self.verdict()
         return {
-            "basepoint": [as_complex_pair(c) for c in self.basepoint],
+            "basepoint": [as_complex_pair(0.0), as_complex_pair(self.b)],
             "vector": [as_complex_pair(c) for c in self.vector],
-            "upper_bound": None if self.no_feasible_disc else self.upper_bound,
+            "upper_bound": verdict["lower_bound"],
             "empirical": self.empirical,
             "records": [rec.to_json_dict() for rec in self.records],
-            **self.verdict(),
+            **verdict,
         }
 
 
@@ -216,14 +221,14 @@ def upper_bound_origin(resolution: int = DEFAULT_RESOLUTION) -> OriginBound:
 def graph_feasibility(
     r: float,
     b: complex,
-    template: DbarProblem | None = None,
+    resolution: int = DEFAULT_RESOLUTION,
 ) -> FeasibilityRecord:
     """Attempt a graph disc of radius r anchored at f(0) = b.
 
-    A solve that is not certified (divergence, non-convergence, residual
-    above the gate) is recorded as non_convergence; a certified solution
-    whose sup leaves the radius-1/10 factor is recorded as
-    sup_bound_violated.  Infeasible records are data, not errors.  For a
+    The solve runs on a resolution x resolution grid of the disc.  A solve
+    that is not certified (divergence, non-convergence, residual above the
+    gate) is recorded as non_convergence; a certified solution whose sup
+    leaves the radius-1/10 factor is recorded as sup_bound_violated.  Infeasible records are data, not errors.  For a
     certified solve, the theorem chain runs on the unit-disc rescale of the
     solution and rides along.
     """
@@ -231,17 +236,10 @@ def graph_feasibility(
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("radius must be positive and finite")
     b = _check_anchor(b)
-    if template is None:
-        problem = DbarProblem(make_grid(r, DEFAULT_RESOLUTION), b=b)
-    else:
-        problem = replace(
-            template, grid=make_grid(r, template.grid.resolution), b=b
-        )
-
     try:
-        sol = picard_solve(problem)
+        sol = picard_solve(DbarProblem(make_grid(r, resolution), b=b))
     except NanEncountered:
-        return FeasibilityRecord(r, b, False, FAILURE_NONCONV, None, None,
+        return FeasibilityRecord(r, b, FAILURE_NONCONV, None, None,
                                  "iteration left the floating-point range")
 
     chain = None
@@ -255,27 +253,18 @@ def graph_feasibility(
         chain_note = "no certificate: solve missed the residual gate"
 
     if not sol.certified:
-        return FeasibilityRecord(r, b, False, FAILURE_NONCONV, sol, chain, chain_note)
+        return FeasibilityRecord(r, b, FAILURE_NONCONV, sol, chain, chain_note)
     if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
-        return FeasibilityRecord(r, b, False, FAILURE_SUP, sol, chain, chain_note)
+        return FeasibilityRecord(r, b, FAILURE_SUP, sol, chain, chain_note)
     # construct the graph to re-validate the range through the map type
     graph_map(sol.f)
-    return FeasibilityRecord(r, b, True, FAILURE_NONE, sol, chain, chain_note)
-
-
-def check_scan_consistency(records) -> bool:
-    """No feasible radius above one where a certified solution broke the sup bound."""
-    sup_violations = [rec.radius for rec in records if rec.failure_mode == FAILURE_SUP]
-    if not sup_violations:
-        return True
-    r0 = min(sup_violations)
-    return all(not rec.feasible for rec in records if rec.radius > r0)
+    return FeasibilityRecord(r, b, FAILURE_NONE, sol, chain, chain_note)
 
 
 def radius_scan(
     b: complex,
     radii=None,
-    template: DbarProblem | None = None,
+    resolution: int = DEFAULT_RESOLUTION,
     threads: int = 1,
 ) -> KrEstimate:
     """Feasibility records over a radius grid plus the bound estimate.
@@ -291,15 +280,9 @@ def radius_scan(
         raise ValueError("radius scan needs at least one radius")
 
     records = parallel_map(
-        lambda r: graph_feasibility(r, b, template), radii, threads=threads
+        lambda r: graph_feasibility(r, b, resolution), radii, threads=threads
     )
-    feasible = [rec.radius for rec in records if rec.feasible]
-    return KrEstimate(
-        basepoint=(0.0, b),
-        vector=(1.0, 0.0),
-        records=tuple(records),
-        a_observed=max(feasible) if feasible else 0.0,
-    )
+    return KrEstimate(b, records)
 
 
 def _csv_complex(b: complex) -> str:
@@ -311,7 +294,7 @@ def usc_report(
     b_list,
     out_dir,
     radii=None,
-    template: DbarProblem | None = None,
+    resolution: int = DEFAULT_RESOLUTION,
     threads: int = 1,
 ) -> dict:
     """Juxtapose the exact origin bound with scan estimates near the origin.
@@ -332,7 +315,7 @@ def usc_report(
     heatmaps = []
     scans = []
     for bi, b in enumerate(b_list):
-        est = radius_scan(b, radii=radii, template=template, threads=threads)
+        est = radius_scan(b, radii=radii, resolution=resolution, threads=threads)
         scans.append(est)
         rows.append(
             {
@@ -355,7 +338,7 @@ def usc_report(
 
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "vector": [as_complex_pair(1.0), as_complex_pair(0.0)],
+        "vector": [as_complex_pair(c) for c in KrEstimate.vector],
         "origin_upper_bound": origin.bound,
         "origin_witness_residual": origin.witness_residual_sup,
         "empirical": True,

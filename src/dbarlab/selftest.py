@@ -383,12 +383,12 @@ def criterion_09(cfg: dict, threads: int) -> CriterionResult:
 def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
     """Strict gap between origin bound and nearby empirical lower bounds."""
     b = complex(cfg["scan_anchor"][0], cfg["scan_anchor"][1])
-    template = DbarProblem(make_grid(1.0, int(cfg["scan_resolution"])), b=b)
+    resolution = int(cfg["scan_resolution"])
     if out_dir is None:
         with tempfile.TemporaryDirectory() as tmp:
-            report = usc_report([b], tmp, template=template, threads=threads)
+            report = usc_report([b], tmp, resolution=resolution, threads=threads)
     else:
-        report = usc_report([b], out_dir, template=template, threads=threads)
+        report = usc_report([b], out_dir, resolution=resolution, threads=threads)
     summary = report["summary"]
     est = report["scans"][0]
     gap_ok = est.a_observed < 2.0 and est.lower_bound() > 0.5

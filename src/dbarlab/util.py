@@ -97,13 +97,12 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
-def write_pgm(path, values: np.ndarray, vmax: float | None = None) -> str:
-    """8-bit binary PGM (P5) heatmap, values linearly mapped from [0, vmax] to [0, 255]."""
+def write_pgm(path, values: np.ndarray) -> str:
+    """8-bit binary PGM (P5) heatmap, values linearly mapped from [0, max] to [0, 255]."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise ValueError("PGM heatmap needs a 2-d array")
-    if vmax is None:
-        vmax = float(v.max()) if v.size else 0.0
+    vmax = float(v.max()) if v.size else 0.0
     if vmax > 0:
         pix = np.rint(np.clip(v / vmax, 0.0, 1.0) * 255.0).astype(np.uint8)
     else:

@@ -164,7 +164,8 @@ def test_half_disc_profile_matches_loops(n, kink):
     # off-axis basepoint: the row pass misses the right rim columns, so the fallback fires
     spec = make_grid(1.0, n)
     h = profile_exact(kink, spec)
-    h = h.like(h.values * np.exp(1j * (0.7 + 2.0 * spec.nodes().imag)))
+    phase = np.exp(1j * (0.7 + 2.0 * spec.nodes().imag))
+    h = ComplexField(spec, h.values * phase, h.margin, h.mask)
     bp = complex(kink + 0.3, 0.45)
     want, filled = loop_sqrt_branch(h, 1e-3, bp)
     assert filled > 0
@@ -190,7 +191,7 @@ def test_branch_keeps_only_the_basepoint_component(n, bp):
     spec = make_grid(1.0, n)
     X, _ = spec.mesh()
     h = winding_free(spec)
-    h = h.like(h.values / np.abs(h.values) * (X * X - 0.16) ** 2)
+    h = ComplexField(spec, h.values / np.abs(h.values) * (X * X - 0.16) ** 2, h.margin, h.mask)
     delta0 = 2e-3
     want, _ = loop_sqrt_branch(h, delta0, bp)
     got = sqrt_branch(h, delta0=delta0, basepoint=bp)

@@ -34,7 +34,7 @@ def test_linearity():
     f1 = _random_field(g, 1)
     f2 = _random_field(g, 2)
     a = 0.7 - 0.3j
-    lhs = cauchy_transform(f1.like(a * f1.values + f2.values))
+    lhs = cauchy_transform(ComplexField(g, a * f1.values + f2.values, f1.margin, f1.mask))
     rhs = a * cauchy_transform(f1).values + cauchy_transform(f2).values
     scale = np.abs(rhs).max()
     assert np.abs(lhs.values - rhs).max() <= 1e-13 * scale

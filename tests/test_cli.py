@@ -159,7 +159,9 @@ class TestInvalidConfigRefused:
         ("certify", {"basepoint": [0.0]}),
         ("certify", {"input": [1]}),
         ("solve-dbar", {"resolution": 17, "max_iter": 2.5}),
-    ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list", "max-iter-float"])
+        ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
+    ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list", "max-iter-float",
+            "scan-resolution-float"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
         if command == "certify":
             field = tmp_path / "p.f64"

@@ -140,25 +140,6 @@ class TestPicard:
         assert sol.sup_f == 0.0
         assert sol.iterations <= 2
 
-    def test_warm_start_from_exact_profile(self):
-        # start at the closed-form solution with the matching anchor
-        spec = unit(65)
-        h = spec.spacing
-        prob = DbarProblem(spec, b=0.25)
-        sol = picard_solve(prob, f0=profile_exact(-0.5, spec))
-        assert sol.converged
-        assert sol.residual_sup <= 5 * h
-        assert sol.f.at_origin() == 0.25
-        assert sol.sup_f >= 0.08
-
-    def test_warm_and_cold_share_the_fixed_point(self):
-        spec = unit(65)
-        prob = DbarProblem(spec, b=0.25)
-        warm = picard_solve(prob, f0=profile_exact(-0.5, spec))
-        cold = picard_solve(prob)
-        d = np.max(np.abs((warm.f.values - cold.f.values)[warm.f.mask]))
-        assert d <= 1e-12
-
     def test_anchor_exact(self):
         for b in (0.05, 0.1j, -0.03 + 0.04j):
             sol = picard_solve(DbarProblem(unit(65), b=b))
@@ -305,17 +286,33 @@ class TestPersistence:
             assert got[key] == want[key], key
         assert got["final_update"] is not None
 
-    @pytest.mark.parametrize("value", ["1e-9", True, [1e-9], {"x": 1e-9}])
-    def test_final_update_type_checked(self, tmp_path, value):
+    @staticmethod
+    def _saved_with(tmp_path, **edits):
+        """Save an N=33 solve, overwrite keys of its record, and return the record path."""
         sol = picard_solve(DbarProblem(unit(33), b=0.05))
         paths = sol.save(tmp_path)
         with open(paths["json"]) as fh:
             record = json.load(fh)
-        record["final_update"] = value
+        record.update(edits)
         with open(paths["json"], "w") as fh:
             json.dump(record, fh)
+        return paths["json"]
+
+    @pytest.mark.parametrize("value", ["1e-9", True, [1e-9], {"x": 1e-9}])
+    def test_final_update_type_checked(self, tmp_path, value):
         with pytest.raises(ValueError, match="final_update"):
-            load_solution(paths["json"])
+            load_solution(self._saved_with(tmp_path, final_update=value))
+
+    @pytest.mark.parametrize("key, value", [
+        ("converged", "false"), ("converged", 0), ("converged", None),
+        ("residual_sup", "1e-9"), ("residual_sup", True),
+        ("sup_f", "0.5"), ("sup_f", False),
+        ("iterations", 2.7), ("iterations", 2.0), ("iterations", True), ("iterations", "2"),
+    ])
+    def test_scalars_type_checked(self, tmp_path, key, value):
+        # bool(), float() and int() would read every one of these as a valid scalar
+        with pytest.raises(ValueError, match=key):
+            load_solution(self._saved_with(tmp_path, **{key: value}))
 
     @pytest.mark.parametrize("version", [None, 0, 2, "1", True, 1.0])
     def test_schema_version_checked(self, tmp_path, version):

@@ -1,9 +1,10 @@
 """Static hygiene of the package sources, checked with the stdlib ast module.
 
 Two rules keep dead code from piling up: every import is used in its own
-module, and every top-level function or class is referenced somewhere in
-the package (a name only its own tests call is reached by no pipeline).
-A third keeps the benchmark tracer's targets in step with the package.
+module, and every top-level function or class, and every method of a
+package class other than a dunder, is referenced somewhere in the package
+(a name only its own tests call is reached by no pipeline).  A third keeps
+the benchmark tracer's targets in step with the package.
 """
 
 import ast
@@ -58,14 +59,34 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_every_top_level_name_is_referenced():
+def _package_names():
+    """Every parsed source with its tree, and every name referenced in the package."""
     trees = [_parse(path) for path in SOURCES]
-    used = set().union(*(_referenced(tree) for tree in trees))
+    return zip(SOURCES, trees), set().union(*(_referenced(tree) for tree in trees))
+
+
+def test_every_top_level_name_is_referenced():
+    sources, used = _package_names()
     unreferenced = [
         f"{path.name}: {node.name}"
-        for path, tree in zip(SOURCES, trees)
+        for path, tree in sources
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unreferenced == []
+
+
+def test_every_method_is_referenced():
+    sources, used = _package_names()
+    unreferenced = [
+        f"{path.name}: {cls.name}.{node.name}"
+        for path, tree in sources
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
     ]
     assert unreferenced == []

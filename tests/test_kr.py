@@ -4,14 +4,12 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from dbarlab.dbar import DbarProblem
-from dbarlab.grid import make_grid
 from dbarlab.kr import (
     FAILURE_NONCONV,
     FAILURE_NONE,
     FAILURE_SUP,
     FeasibilityRecord,
-    check_scan_consistency,
+    KrEstimate,
     default_radii,
     graph_feasibility,
     radius_scan,
@@ -64,20 +62,21 @@ class TestGraphFeasibility:
         assert sol.residual_sup <= 5 * sol.f.spec.spacing
         assert rec.chain is not None
 
-    def test_template_controls_resolution(self):
-        template = DbarProblem(make_grid(1.0, 33), b=0.001)
-        rec = graph_feasibility(0.25, 0.001, template=template)
+    def test_resolution_controls_grid(self):
+        rec = graph_feasibility(0.25, 0.001, resolution=33)
         assert rec.solution.f.spec.resolution == 33
         assert rec.solution.problem.grid.radius == 0.25
 
     def test_record_flag_consistency_enforced(self):
         rec = graph_feasibility(0.25, 0.001)
+        assert FeasibilityRecord(0.25, 0.001, FAILURE_NONE, rec.solution, None).feasible
+        assert not FeasibilityRecord(0.25, 0.001, FAILURE_SUP, rec.solution, None).feasible
         with pytest.raises(ValueError):
-            FeasibilityRecord(0.25, 0.001, True, FAILURE_SUP, rec.solution, None)
+            FeasibilityRecord(0.25, 0.001, "feasible", rec.solution, None)
         with pytest.raises(ValueError):
-            FeasibilityRecord(0.25, 0.001, True, FAILURE_NONE, None, None)
+            FeasibilityRecord(0.25, 0.001, FAILURE_NONE, None, None)
         with pytest.raises(ValueError):
-            FeasibilityRecord(0.9, 0.001, True, FAILURE_NONE, rec.solution, None)
+            FeasibilityRecord(0.9, 0.001, FAILURE_NONE, rec.solution, None)
 
 
 class TestRadiusScan:
@@ -86,7 +85,8 @@ class TestRadiusScan:
         radii = default_radii()
         assert est.a_observed == pytest.approx(float(radii[2]))
         assert est.lower_bound() == pytest.approx(1.0 / float(radii[2]))
-        assert est.upper_bound == est.lower_bound()
+        blob = est.to_json_dict()
+        assert blob["upper_bound"] == blob["lower_bound"] == est.lower_bound()
         assert est.scan_consistent()
         assert [rec.radius for rec in est.records] == sorted(
             float(r) for r in radii
@@ -129,18 +129,28 @@ class TestScanConsistency:
         est = radius_scan(0.001, radii=[0.25, 0.5])
         assert est.records[0].feasible
         assert est.records[1].failure_mode == FAILURE_SUP
-        assert check_scan_consistency(est.records)
+        assert est.scan_consistent()
 
     def test_detects_feasible_above_violation(self):
         recs = [
             self.FakeRec(0.5, False, FAILURE_SUP),
             self.FakeRec(1.0, True, FAILURE_NONE),
         ]
-        assert not check_scan_consistency(recs)
+        assert not KrEstimate(0.01, recs).scan_consistent()
 
     def test_vacuous_without_sup_violations(self):
         recs = [self.FakeRec(0.5, False, FAILURE_NONCONV)]
-        assert check_scan_consistency(recs)
+        assert KrEstimate(0.01, recs).scan_consistent()
+
+    def test_a_observed_is_the_largest_feasible_radius(self):
+        recs = [
+            self.FakeRec(0.25, True, FAILURE_NONE),
+            self.FakeRec(0.5, True, FAILURE_NONE),
+            self.FakeRec(1.0, False, FAILURE_NONCONV),
+        ]
+        assert KrEstimate(0.01, recs).a_observed == 0.5
+        assert KrEstimate(0.01, recs[2:]).a_observed == 0.0
+        assert KrEstimate(0.01, ()).no_feasible_disc
 
 
 class TestUscReport:
