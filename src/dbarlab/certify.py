@@ -48,6 +48,8 @@ KAPPA_DEFAULT = 10.0
 STANDOFF_CELLS = 3
 SUP_FLOOR = 0.1
 FD_TOLERANCE = 0.02
+# relative gap under which two candidate witness nodes count as tied
+WITNESS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,17 @@ class CertificateReport:
 
 
 def _witness(spec, mask: np.ndarray, values: np.ndarray, pick) -> tuple:
-    """Coordinates of the extremal masked node; pick is argmin/argmax on flats."""
+    """Coordinates of the extremal masked node; pick is nanargmin/nanargmax on flats.
+
+    Nodes within WITNESS_RTOL of the extremum tie, and the first of them in
+    row-major order is the witness, so rounding does not choose between
+    mirror-image nodes.
+    """
     flat = np.where(mask.ravel(), values.ravel(), np.nan)
-    idx = int(pick(flat))
-    i, j = divmod(idx, spec.resolution)
+    best = flat[pick(flat)]
+    with np.errstate(invalid="ignore"):
+        ties = (flat == best) | (np.abs(flat - best) <= WITNESS_RTOL * abs(best))
+    i, j = divmod(int(np.argmax(ties)), spec.resolution)
     h = spec.spacing
     c = spec.center
     return ((j - c) * h, (i - c) * h)

@@ -33,7 +33,7 @@ from .dbar import (
     residual_dbar,
 )
 from .grid import MaskError, PhaseUnwrapError, load_complex_field, make_grid
-from .kr import DEFAULT_B_SWEEP, usc_report
+from .kr import DEFAULT_B_SWEEP, check_anchor, scan_radii, usc_report
 from .ode import exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 from .selftest import SELFTEST_DEFAULTS, format_table, merge_config, run_selftest
 
@@ -170,10 +170,10 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
     try:
         basepoint = util.from_complex_pair(cfg["basepoint"])
         delta0 = float(cfg["delta0"])
-        standoff = int(cfg["standoff_cells"])
         kappa = float(cfg["kappa"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid certify config: {exc}") from exc
+    standoff = cfg["standoff_cells"]
 
     sol = None
     if str(path).endswith(".json"):
@@ -236,18 +236,15 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
 
 def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
     try:
-        b_list = [util.from_complex_pair(p) for p in cfg["b_list"]]
-        radii = None if cfg["radii"] is None else [float(r) for r in cfg["radii"]]
+        b_list = [check_anchor(util.from_complex_pair(p)) for p in cfg["b_list"]]
+        radii = scan_radii(cfg["radii"])
         make_grid(1.0, cfg["resolution"])  # refuse a bad resolution before writing
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scan config: {exc}") from exc
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        report = usc_report(b_list, out_dir, radii=radii, resolution=cfg["resolution"],
-                            threads=threads)
-    except ValueError as exc:
-        raise ConfigError(f"invalid scan config: {exc}") from exc
+    report = usc_report(b_list, out_dir, radii=radii, resolution=cfg["resolution"],
+                        threads=threads)
     summary = dict(report["summary"])
     summary["config_digest"] = util.config_digest(cfg)
     rel = [os.path.basename(report["paths"]["json"]), os.path.basename(report["paths"]["csv"])]
@@ -265,9 +262,9 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
 def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
     try:
         g0 = float(cfg["g0"])
-        traj = rk4_integrate(g0, steps=int(cfg["steps"]))
+        traj = rk4_integrate(g0, steps=cfg["steps"])
         kinks = [float(c) for c in cfg["family_kinks"]]
-        fams = [family_trajectory(c, samples=int(cfg["samples"])) for c in kinks]
+        fams = [family_trajectory(c, samples=cfg["samples"]) for c in kinks]
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid ode config: {exc}") from exc
     started = _utcnow()

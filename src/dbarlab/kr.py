@@ -65,13 +65,34 @@ def default_radii() -> np.ndarray:
     return np.geomspace(lo, hi, DEFAULT_RADIUS_COUNT)
 
 
-def _check_anchor(b: complex) -> complex:
+def check_anchor(b: complex) -> complex:
+    """The anchor as a complex number; ValueError unless 0 < |b| < 1/10."""
     b = complex(b)
     if b == 0:
         raise ValueError("anchor must be nonzero; the zero graph is trivial")
     if abs(b) >= Z2_RADIUS - MEMBERSHIP_SLACK:
         raise ValueError("anchor must lie strictly inside the radius-1/10 disc")
     return b
+
+
+def _check_radius(r) -> float:
+    r = float(r)
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("radius must be positive and finite")
+    return r
+
+
+def scan_radii(radii=None) -> list:
+    """The sorted radii a scan visits, default_radii() when radii is None.
+
+    ValueError for an empty list or a radius that is not positive and finite.
+    """
+    if radii is None:
+        radii = default_radii()
+    radii = sorted(_check_radius(r) for r in radii)
+    if not radii:
+        raise ValueError("radius scan needs at least one radius")
+    return radii
 
 
 @dataclass(frozen=True)
@@ -232,10 +253,8 @@ def graph_feasibility(
     certified solve, the theorem chain runs on the unit-disc rescale of the
     solution and rides along.
     """
-    r = float(r)
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("radius must be positive and finite")
-    b = _check_anchor(b)
+    r = _check_radius(r)
+    b = check_anchor(b)
     try:
         sol = picard_solve(DbarProblem(make_grid(r, resolution), b=b))
     except NanEncountered:
@@ -272,13 +291,8 @@ def radius_scan(
     a_observed is the largest feasible radius (zero when none is); the
     reported lower bound 1/a_observed is empirical by construction.
     """
-    b = _check_anchor(b)
-    if radii is None:
-        radii = default_radii()
-    radii = sorted(float(r) for r in np.asarray(radii, dtype=float).ravel())
-    if len(radii) == 0:
-        raise ValueError("radius scan needs at least one radius")
-
+    b = check_anchor(b)
+    radii = scan_radii(radii)
     records = parallel_map(
         lambda r: graph_feasibility(r, b, resolution), radii, threads=threads
     )
@@ -306,7 +320,7 @@ def usc_report(
     with no basepoints it is null.  Values that would be infinite are
     encoded as null plus the no_feasible_disc flag.
     """
-    b_list = [_check_anchor(b) for b in b_list]
+    b_list = [check_anchor(b) for b in b_list]
     os.makedirs(out_dir, exist_ok=True)
     origin = upper_bound_origin()
 

@@ -117,8 +117,8 @@ def _random_small_field(spec, seed: int) -> ComplexField:
 
 def criterion_01(cfg: dict, threads: int) -> CriterionResult:
     """Graph system and scalar equation agree to rounding on random fields."""
-    spec = make_grid(1.0, int(cfg["random_field_resolution"]))
-    count = int(cfg["random_field_count"])
+    spec = make_grid(1.0, cfg["random_field_resolution"])
+    count = cfg["random_field_count"]
     start = time.monotonic()
     gaps = parallel_map(
         lambda i: reduction_identity(_random_small_field(spec, 1000 + i)),
@@ -149,7 +149,7 @@ def criterion_02(cfg: dict, threads: int) -> CriterionResult:
     away = []
     spacings = []
     for n in cfg["family_resolutions"]:
-        spec = make_grid(1.0, int(n))
+        spec = make_grid(1.0, n)
         res_field, sup = residual_dbar(profile_exact(c, spec))
         X, _ = spec.mesh()
         off_kink = res_field.mask & (np.abs(X - c) >= 3 * spec.spacing)
@@ -165,7 +165,7 @@ def criterion_02(cfg: dict, threads: int) -> CriterionResult:
         away_ok and halves,
         {
             "kink": c,
-            "resolutions": [int(n) for n in cfg["family_resolutions"]],
+            "resolutions": list(cfg["family_resolutions"]),
             "residual_sup": sups,
             "residual_sup_off_kink": away,
             "constant_bound": 2.0,
@@ -176,7 +176,7 @@ def criterion_02(cfg: dict, threads: int) -> CriterionResult:
 
 def criterion_03(cfg: dict, threads: int) -> CriterionResult:
     """Sharpness: the smoothness inequality is an equality on the profile."""
-    spec = make_grid(1.0, int(cfg["sharpness_resolution"]))
+    spec = make_grid(1.0, cfg["sharpness_resolution"])
     X, _ = spec.mesh()
     rep = lemma1_check(profile_exact(-1.0, spec).restrict(X > -0.5))
     tol = 10.0 * spec.spacing ** 2
@@ -197,7 +197,7 @@ def criterion_03(cfg: dict, threads: int) -> CriterionResult:
 
 def criterion_04(cfg: dict, threads: int) -> CriterionResult:
     """Identity chain on the explicit branch of the profile."""
-    spec = make_grid(1.0, int(cfg["chain_resolution"]))
+    spec = make_grid(1.0, cfg["chain_resolution"])
     branch = sqrt_branch(profile_exact(-1.0, spec))
     rep = eq_chain_check(branch)
     tol = 10.0 * spec.spacing
@@ -218,7 +218,7 @@ def criterion_04(cfg: dict, threads: int) -> CriterionResult:
 
 def criterion_05(cfg: dict, threads: int) -> CriterionResult:
     """Discrete maximum principle calibration on the exact quadratic."""
-    spec = make_grid(1.0, int(cfg["max_principle_resolution"]))
+    spec = make_grid(1.0, cfg["max_principle_resolution"])
     u = RealField.from_function(
         spec, lambda X, Y: 0.25 * (X * X + Y * Y) + 0.01, margin=0.0
     )
@@ -248,7 +248,7 @@ def criterion_05(cfg: dict, threads: int) -> CriterionResult:
 
 def criterion_06(cfg: dict, threads: int) -> CriterionResult:
     """No gate-passing solve with nonzero anchor undercuts the sup floor."""
-    n = int(cfg["sweep_resolution"])
+    n = cfg["sweep_resolution"]
     anchors = []
     for mag in cfg["sweep_magnitudes"]:
         for ph in cfg["sweep_phases"]:
@@ -290,13 +290,13 @@ def criterion_07(cfg: dict, threads: int) -> CriterionResult:
     """Transform accuracy on the disc indicator plus path agreement."""
     errs = []
     for n in cfg["transform_resolutions"]:
-        spec = make_grid(1.0, int(n))
+        spec = make_grid(1.0, n)
         chi = ComplexField.constant(spec, 1.0)
         out = cauchy_transform(chi)
         zz = spec.nodes()
         inner = chi.mask & (np.abs(zz) <= 0.8)
         errs.append(float(np.max(np.abs(out.values - np.conj(zz))[inner])))
-    na = int(cfg["transform_agreement_resolution"])
+    na = cfg["transform_agreement_resolution"]
     spec_a = make_grid(1.0, na)
     chi_a = ComplexField.constant(spec_a, 1.0)
     fast = cauchy_transform(chi_a, method="fft")
@@ -308,7 +308,7 @@ def criterion_07(cfg: dict, threads: int) -> CriterionResult:
         CRITERION_NAMES[7],
         ok,
         {
-            "resolutions": [int(n) for n in cfg["transform_resolutions"]],
+            "resolutions": list(cfg["transform_resolutions"]),
             "indicator_errors": errs,
             "error_bound": 0.05,
             "path_agreement": agreement,
@@ -319,7 +319,7 @@ def criterion_07(cfg: dict, threads: int) -> CriterionResult:
 
 def criterion_08(cfg: dict, threads: int) -> CriterionResult:
     """Scalar analogue: integrator accuracy, family validity, bound slack."""
-    steps = int(cfg["ode_steps"])
+    steps = cfg["ode_steps"]
     rk_errs = {}
     for g0 in (0.01, 1.0):
         traj = rk4_integrate(g0, steps=steps)
@@ -359,12 +359,12 @@ def criterion_08(cfg: dict, threads: int) -> CriterionResult:
 
 def criterion_09(cfg: dict, threads: int) -> CriterionResult:
     """Structure matrix algebra and the certified origin witness."""
-    count = int(cfg["structure_sample_count"])
+    count = cfg["structure_sample_count"]
     rng = np.random.default_rng(0)
     z1 = 1.999 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     z2 = 0.0999 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     dev = j_squared_deviation(z1, z2)
-    origin = upper_bound_origin(int(cfg["scan_resolution"]))
+    origin = upper_bound_origin(cfg["scan_resolution"])
     ok = dev <= 1e-14 and origin.witness_residual_sup == 0.0 and origin.bound == 0.5
     return CriterionResult(
         9,
@@ -383,7 +383,7 @@ def criterion_09(cfg: dict, threads: int) -> CriterionResult:
 def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
     """Strict gap between origin bound and nearby empirical lower bounds."""
     b = complex(cfg["scan_anchor"][0], cfg["scan_anchor"][1])
-    resolution = int(cfg["scan_resolution"])
+    resolution = cfg["scan_resolution"]
     if out_dir is None:
         with tempfile.TemporaryDirectory() as tmp:
             report = usc_report([b], tmp, resolution=resolution, threads=threads)
@@ -415,7 +415,7 @@ def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
 def criterion_11(cfg: dict, threads: int) -> CriterionResult:
     """Reduced workload rerun across thread counts; outputs byte-compared."""
     b = complex(cfg["scan_anchor"][0], cfg["scan_anchor"][1])
-    spec = make_grid(1.0, int(cfg["scan_resolution"]))
+    spec = make_grid(1.0, cfg["scan_resolution"])
 
     def workload(t: int) -> str:
         est = radius_scan(b, radii=[0.25, 0.5, 1.0], threads=t)
@@ -480,7 +480,7 @@ def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> 
     """
     cfg = merge_config(config)
     results = []
-    for idx in sorted(set(int(c) for c in cfg["criteria"])):
+    for idx in sorted(set(cfg["criteria"])):
         fn = _CRITERIA[idx]
         try:
             if idx == 10:

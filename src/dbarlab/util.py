@@ -26,13 +26,20 @@ def from_complex_pair(pair) -> complex:
     return complex(float(re), float(im))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def merge_config(defaults: dict, overrides, name: str = "config") -> dict:
     """Strict merge of JSON overrides into a copy of defaults.
 
     Every override must name a default key and match its kind: list or
     scalar, string or not, numeric (bool excluded) where the default is a
-    number.  null is accepted only where the default is None.  Anything
-    else raises ValueError; name labels the config in the message.
+    number, an integer where the default is one, and no scalar but an
+    integer inside a list whose default holds only integers (nested lists
+    and objects are left to the key's consumer).  null is accepted only
+    where the default is None.  Anything else raises ValueError; name
+    labels the config in the message.
     """
     cfg = {k: (list(v) if isinstance(v, list) else v) for k, v in defaults.items()}
     if overrides is None:
@@ -55,6 +62,11 @@ def merge_config(defaults: dict, overrides, name: str = "config") -> dict:
                 not isinstance(value, (int, float)) or isinstance(value, bool)
             ):
                 raise ValueError(f"{name} key {key!r} must be numeric")
+            if _is_int(want) and not _is_int(value):
+                raise ValueError(f"{name} key {key!r} must be an integer")
+            if (isinstance(want, list) and want and all(map(_is_int, want))
+                    and any(not (_is_int(v) or isinstance(v, (list, dict))) for v in value)):
+                raise ValueError(f"{name} key {key!r} must list integers")
         cfg[key] = value
     return cfg
 

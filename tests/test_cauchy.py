@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, cauchy_transform
+from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, _next_fast_len, cauchy_transform
 from dbarlab.grid import ComplexField, RealField, make_grid, sup_norm, wirtinger_dzbar
 
 
@@ -92,7 +92,8 @@ def test_paths_agree_real_input(n, m):
     _assert_real_paths_agree(n, m, 0.0)
 
 
-@pytest.mark.parametrize("n, m", [(17, 30), (37, 70), (33, 63), (65, 125)])
+# complex input on the same discs: test_paths_agree at N = 65 and 129
+@pytest.mark.parametrize("n, m", [(17, 30), (37, 70), (33, 63), (65, 125), (129, 256)])
 def test_paths_agree_real_input_solver_margin(n, m):
     _assert_real_paths_agree(n, m, 2.0)
 
@@ -102,6 +103,23 @@ def test_real_and_complex_input_identical():
     u = _real_field(g, 11)
     t = CauchyTransform(g, u.mask)
     assert np.array_equal(t.apply_values(u.values), t.apply_values(u.values + 0j))
+
+
+def test_applies_return_independent_arrays():
+    # the transform reuses its buffers across applies; its results must not
+    g = make_grid(1.0, 33)
+    u = _real_field(g, 13)
+    t = CauchyTransform(g, u.mask)
+    first = t.apply_values(u.values)
+    kept = first.copy()
+    second = t.apply_values(2.0 * u.values)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(t.apply_values(u.values), kept)
+
+
+def test_next_fast_len_matches_scipy():
+    assert [_next_fast_len(k) for k in range(1, 4097)] == [next_fast_len(k) for k in range(1, 4097)]
 
 
 def test_unknown_method_rejected():

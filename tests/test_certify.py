@@ -183,6 +183,19 @@ class TestLemma2:
         rep = lemma2_check(u)
         assert not rep.details["triggered"]
 
+    def test_witness_ignores_rounding_between_mirror_nodes(self):
+        # sup u sits on the four rim nodes (+-1, 0), (0, +-1); lifting the last
+        # of them in row-major order, (0, 1), by one ulp must not move the
+        # witness off the first, (0, -1)
+        spec = make_grid(1.0, 33)
+        X, Y = spec.mesh()
+        vals = 0.25 * (X * X + Y * Y) + 0.01
+        c = spec.center
+        vals[-1, c] = np.nextafter(vals[-1, c], np.inf)
+        rep = lemma2_check(RealField(spec, vals, 0.0))
+        assert rep.details["triggered"]
+        assert rep.witness == (0.0, -1.0)
+
     def test_negative_field_rejected(self):
         spec = make_grid(1.0, 65)
         u = RealField.from_function(spec, lambda X, Y: -(X * X + Y * Y))

@@ -160,8 +160,14 @@ class TestInvalidConfigRefused:
         ("certify", {"input": [1]}),
         ("solve-dbar", {"resolution": 17, "max_iter": 2.5}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
+        ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
+        ("kr-scan", {"b_list": [[0.0, 0.0]], "radii": [0.25]}),
+        ("kr-scan", {"b_list": [[0.1, 0.0]], "radii": [0.25]}),
+        ("selftest", {"criteria": [9], "scan_resolution": 17.9}),
+        ("ode", {"steps": 10.7}),
     ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list", "max-iter-float",
-            "scan-resolution-float"])
+            "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
+            "scan-anchor-outside", "selftest-resolution-float", "ode-steps-float"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
         if command == "certify":
             field = tmp_path / "p.f64"

@@ -4,11 +4,15 @@ Two rules keep dead code from piling up: every import is used in its own
 module, and every top-level function or class, and every method of a
 package class other than a dunder, is referenced somewhere in the package
 (a name only its own tests call is reached by no pipeline).  A third keeps
-the benchmark tracer's targets in step with the package.
+the benchmark tracer's targets in step with the package.  A fourth keeps
+scipy off the import path: it may be imported only inside a function, and
+importing the command-line module must leave it unloaded.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import dbarlab
@@ -118,3 +122,34 @@ def test_tracer_targets_resolve():
         except (ImportError, AttributeError) as exc:
             missing.append(f"{span}: {exc}")
     assert missing == []
+
+
+def _module_level_imports(tree) -> list:
+    """(module, line) for every import that runs when the module itself is imported."""
+    deferred = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in deferred:
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module, node.lineno))
+    return found
+
+
+def test_no_module_level_scipy_import():
+    eager = [f"{path.name}:{line} {module}"
+             for path in SOURCES for module, line in _module_level_imports(_parse(path))
+             if module.split(".")[0] == "scipy"]
+    assert eager == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dbarlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

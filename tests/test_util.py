@@ -28,6 +28,12 @@ def test_overrides_applied():
     ({"x": {"value": 1}}, "must be numeric"),
     ({"n": None}, "must not be null"),
     ({"items": None}, "must not be null"),
+    ({"n": 17.9}, "must be an integer"),
+    ({"n": 2.0}, "must be an integer"),
+    ({"items": [1, 2.5]}, "must list integers"),
+    ({"items": [True]}, "must list integers"),
+    ({"items": ["2"]}, "must list integers"),
+    ({"items": [None]}, "must list integers"),
 ])
 def test_rejected(overrides, message):
     with pytest.raises(ValueError, match=message):
