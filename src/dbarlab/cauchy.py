@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ComplexField
+from .grid import ComplexField, mask_window
 
 AGREEMENT_RTOL = 1e-10
 
@@ -75,15 +75,11 @@ class CauchyTransform:
         self.mask = np.asarray(mask, dtype=bool)
         n = spec.resolution
         h = spec.spacing
-        rows = np.flatnonzero(self.mask.any(axis=1))
-        cols = np.flatnonzero(self.mask.any(axis=0))
+        rows, cols = mask_window(self.mask, 0)
         # data rows r0..r1 reach output rows 0..n-1 through offsets in
-        # [-r1, n-1-r0], likewise for columns; an empty mask carries no data
-        # and keeps the full-square padding
-        if rows.size:
-            reach = int(max(rows[-1], n - 1 - rows[0], cols[-1], n - 1 - cols[0]))
-        else:
-            reach = n - 1
+        # [-r1, n-1-r0], likewise for columns; an empty mask has the empty
+        # window 0:0, carries no data and keeps the full-square padding
+        reach = max(rows.stop - 1, n - 1 - rows.start, cols.stop - 1, n - 1 - cols.start)
         m = _next_fast_len(2 * reach + 1)
         idx = np.arange(m)
         # wrapped signed offsets; slots that no data pair can reach stay zero

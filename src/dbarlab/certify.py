@@ -22,6 +22,15 @@ integration density is chopped at the mask boundary and the transform's
 tangential derivative is log-singular across that circle.  The interior is
 where the open-set statements live; the standoff is the discrete surrogate
 for openness.
+
+Every check computes only on its window: the bounding box of the nodes it
+checks (eligible, inner, interior, or the branch component), grown by the
+one-node stencil halo and clipped at the grid edge (grid.mask_window).
+Stencils, residuals and transcendentals are evaluated on window slices, and
+witnesses map window indices back to grid nodes; row-major order inside a
+window is row-major order in the grid, so the WITNESS_RTOL tie rule picks
+the node a full-grid evaluation would.  polar_decompose likewise unwraps on
+the mask's window and takes each forward principal increment once.
 """
 
 from __future__ import annotations
@@ -31,17 +40,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import util
-from .dbar import RESIDUAL_GATE_FACTOR, DbarSolution, residual_dbar
+from .dbar import RESIDUAL_GATE_FACTOR, DbarSolution, residual_values
 from .grid import (
     ComplexField,
     MaskError,
     RealField,
     basepoint_node,
     erode4,
-    laplacian5,
+    mask_window,
     polar_decompose,
 )
-from .grid import _dx, _dy, _lap5
+from .grid import _dx, _dy, _dzbar, _lap5, _shrunk
 
 DELTA0_DEFAULT = 1e-3
 KAPPA_DEFAULT = 10.0
@@ -76,30 +85,43 @@ class CertificateReport:
         )
 
 
-def _witness(spec, mask: np.ndarray, values: np.ndarray, pick) -> tuple:
+def _witness(spec, win: tuple, mask: np.ndarray, values: np.ndarray, pick) -> tuple:
     """Coordinates of the extremal masked node; pick is nanargmin/nanargmax on flats.
 
-    Nodes within WITNESS_RTOL of the extremum tie, and the first of them in
-    row-major order is the witness, so rounding does not choose between
-    mirror-image nodes.
+    mask and values are the window win of the grid.  Nodes within
+    WITNESS_RTOL of the extremum tie, and the first of them in row-major
+    order is the witness, so rounding does not choose between mirror-image
+    nodes; row-major order in a window is row-major order in the grid.
     """
     flat = np.where(mask.ravel(), values.ravel(), np.nan)
     best = flat[pick(flat)]
     with np.errstate(invalid="ignore"):
         ties = (flat == best) | (np.abs(flat - best) <= WITNESS_RTOL * abs(best))
-    i, j = divmod(int(np.argmax(ties)), spec.resolution)
+    i, j = divmod(int(np.argmax(ties)), mask.shape[1])
+    i += win[0].start
+    j += win[1].start
     h = spec.spacing
     c = spec.center
     return ((j - c) * h, (i - c) * h)
+
+
+def _require_finite(*checked: np.ndarray) -> None:
+    """Refuse non-finite stencil values on checked nodes, as building a field from them would."""
+    if not all(np.isfinite(a).all() for a in checked):
+        raise ValueError("non-finite values on masked nodes")
 
 
 def _standoff_mask(field, cells: int) -> np.ndarray:
     return field.spec.disc_mask(field.margin + cells * field.spec.spacing)
 
 
+def _power_34(absf: np.ndarray) -> np.ndarray:
+    return absf ** 0.75
+
+
 def abs_power_34(f: ComplexField) -> RealField:
     """u = |f|^(3/4) on f's grid and mask: the function both lemmas are about."""
-    return RealField(f.spec, np.abs(f.values) ** 0.75, f.margin, f.mask)
+    return RealField(f.spec, _power_34(np.abs(f.values)), f.margin, f.mask)
 
 
 def lemma1_check(
@@ -121,24 +143,28 @@ def lemma1_check(
         raise ValueError("delta0 must be positive")
     spec = h.spec
     hh = spec.spacing
+    _, stencil = _shrunk(h)
     absh = np.abs(h.values)
-    lap = laplacian5(abs_power_34(h))
-    res_field, _ = residual_dbar(h)
-
-    eligible = lap.mask & h.mask & res_field.mask & (absh > delta0)
+    eligible = stencil & h.mask & (absh > delta0)
     eligible &= _standoff_mask(h, standoff_cells)
     if not eligible.any():
         raise MaskError("no eligible nodes: |h| <= delta0 on the whole interior")
 
-    res_sup = float(np.max(res_field.values[eligible]))
+    win = mask_window(eligible, 1)
+    eligible = eligible[win]
+    absh = absh[win]
+    lap = _lap5(_power_34(absh), hh)
+    res = residual_values(h.values[win], hh)[eligible]
+    _require_finite(lap[eligible], res)
+    res_sup = float(np.max(res))
     gate = RESIDUAL_GATE_FACTOR * hh
     hypothesis_ok = res_sup <= gate
 
     with np.errstate(divide="ignore"):
         rhs = 0.75 * absh ** -0.25
-    slack = lap.values - rhs
+    slack = lap - rhs
     min_slack = float(np.min(slack[eligible]))
-    witness = _witness(spec, eligible, slack, np.nanargmin)
+    witness = _witness(spec, win, eligible, slack, np.nanargmin)
 
     with np.errstate(divide="ignore"):
         tol_point = KAPPA_DEFAULT * hh * hh * np.maximum(1.0, absh ** -1.25)
@@ -187,14 +213,16 @@ def eq_chain_check(
     polar = polar_decompose(g, basepoint)
     spec = g.spec
     h = spec.spacing
-    rho = polar.rho.values
-    phi = polar.phi.values
 
     inner = erode4(g.mask) & _standoff_mask(g, standoff_cells)
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
+    win = mask_window(inner, 1)
+    inner = inner[win]
+    rho = polar.rho.values[win]
+    phi = polar.phi.values[win]
 
-    gz = 0.5 * (_dx(g.values, h) + 1j * _dy(g.values, h))
+    gz = _dzbar(g.values[win], h)
     viol1 = np.abs(gz - 0.5 * np.exp(-1j * phi))
 
     rx, ry = _dx(rho, h), _dy(rho, h)
@@ -217,7 +245,7 @@ def eq_chain_check(
         "laplacian_identity": float(np.max(viol8[inner])),
     }
     min_slack = float(np.min(slack8[inner]))
-    witness = _witness(spec, inner, slack8, np.nanargmin)
+    witness = _witness(spec, win, inner, slack8, np.nanargmin)
 
     return CertificateReport(
         kind="eq_chain",
@@ -235,10 +263,15 @@ def sqrt_branch(
     delta0: float = DELTA0_DEFAULT,
     basepoint: complex = 0j,
 ) -> ComplexField:
-    """A continuous square root of h on the component of {|h| > delta0} at basepoint."""
+    """A continuous square root of h on the component of {|h| > delta0} at basepoint.
+
+    Off the component the branch is 1, the square root of the polar fill
+    rho = 1, phi = 0; only the component's window is computed.
+    """
     spec = h.spec
-    absh = np.abs(h.values)
-    region = h.mask & (absh > delta0)
+    win = mask_window(h.mask, 0)
+    region = np.zeros_like(h.mask)
+    region[win] = h.mask[win] & (np.abs(h.values[win]) > delta0)
 
     node = basepoint_node(spec, basepoint, region)
     if node is None:
@@ -247,11 +280,14 @@ def sqrt_branch(
     # connected component of the basepoint; label's default structure is 4-connectivity
     from scipy import ndimage
 
-    labels, _ = ndimage.label(region)
-    comp = labels == labels[node]
+    labels, _ = ndimage.label(region[win])
+    comp = np.zeros_like(region)
+    comp[win] = labels == labels[node[0] - win[0].start, node[1] - win[1].start]
 
     polar = polar_decompose(h.restrict(comp), basepoint)
-    vals = np.sqrt(polar.rho.values) * np.exp(0.5j * polar.phi.values)
+    cw = mask_window(comp, 0)
+    vals = np.ones(comp.shape, dtype=np.complex128)
+    vals[cw] = np.sqrt(polar.rho.values[cw]) * np.exp(0.5j * polar.phi.values[cw])
     return ComplexField(spec, vals, h.margin, comp)
 
 
@@ -284,33 +320,43 @@ def lemma2_check(
     if neg < -tol:
         raise ValueError(f"u is negative beyond tolerance: min u = {neg:.3e}")
 
-    lap = laplacian5(u)
-    interior = lap.mask & u.mask
+    _, interior = _shrunk(u)
+    interior = interior & u.mask
     if standoff_cells:
         interior &= _standoff_mask(u, standoff_cells)
     if not interior.any():
         raise MaskError("mask too thin for the laplacian")
+    win = mask_window(interior, 1)
+    interior = interior[win]
+    uw = u.values[win]
+    lap = _lap5(uw, h)
+    _require_finite(lap[interior])
 
-    sub_slack = float(np.min(lap.values[interior]))
-    support = interior & (u.values > delta0)
-    growth_slack = float(np.min(lap.values[support] - 1.0)) if support.any() else np.inf
+    sub_slack = float(np.min(lap[interior]))
+    support = interior & (uw > delta0)
+    growth_slack = float(np.min(lap[support] - 1.0)) if support.any() else np.inf
     hypothesis_ok = sub_slack >= -tol and (not support.any() or growth_slack >= -tol)
 
     triggered = u.at_origin() > 0.0
-    X, Y = spec.mesh()
-    quad = 0.25 * (X * X + Y * Y)
-    v = u.values - quad
-    ring = u.mask & ~spec.disc_mask(u.margin + h)
-    boundary_max_v = float(np.max(v[ring])) if ring.any() else None
+    # v = u - |z|^2/4 is read only on the outermost masked ring
+    ring = np.nonzero(u.mask & ~spec.disc_mask(u.margin + h))
+    if ring[0].size:
+        xs = spec.coords()
+        sq = xs * xs
+        v = u.values[ring] - 0.25 * (sq[ring[1]] + sq[ring[0]])
+        boundary_max_v = float(np.max(v))
+    else:
+        boundary_max_v = None
 
     if triggered:
         conclusion_slack = float(np.max(u.values[u.mask])) - 0.25
         min_slack = conclusion_slack
-        witness = _witness(spec, u.mask, u.values, np.nanargmax)
+        spread = mask_window(u.mask, 0)
+        witness = _witness(spec, spread, u.mask[spread], u.values[spread], np.nanargmax)
     else:
         conclusion_slack = None
         min_slack = sub_slack if not support.any() else min(sub_slack, growth_slack)
-        witness = _witness(spec, interior, lap.values, np.nanargmin)
+        witness = _witness(spec, win, interior, lap, np.nanargmin)
 
     return CertificateReport(
         kind="lemma2",
@@ -379,12 +425,14 @@ def theorem2_chain(
                           standoff_cells=standoff_cells)
 
     min_slack = sol.sup_f - (SUP_FLOOR - FD_TOLERANCE)
+    spec, mask = sol.f.spec, sol.f.mask
+    win = mask_window(mask, 0)
     verdict = "consistent" if min_slack >= 0 else "violation"
     return CertificateReport(
         kind="theorem2",
         hypothesis_ok=lemma1.hypothesis_ok,
         min_slack=min_slack,
-        witness=_witness(sol.f.spec, sol.f.mask, np.abs(sol.f.values), np.nanargmax),
+        witness=_witness(spec, win, mask[win], np.abs(sol.f.values[win]), np.nanargmax),
         checked_nodes=lemma1.checked_nodes,
         tolerance_used=FD_TOLERANCE,
         details={

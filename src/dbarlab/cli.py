@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -173,7 +174,12 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
         kappa = float(cfg["kappa"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid certify config: {exc}") from exc
+    for key, value in (("delta0", delta0), ("kappa", kappa)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"invalid certify config: {key} must be positive and finite")
     standoff = cfg["standoff_cells"]
+    if standoff < 0:
+        raise ConfigError("invalid certify config: standoff_cells must be >= 0")
 
     sol = None
     if str(path).endswith(".json"):

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cauchy import CauchyTransform
-from .grid import ComplexField, GridSpec, RealField, make_grid, sup_norm, wirtinger_dzbar
+from .grid import ComplexField, GridSpec, RealField, make_grid, sup_norm
+from .grid import _dzbar, _shrunk
 from . import util
 
 EPSILON_DECAY = 0.2
@@ -241,13 +242,21 @@ def profile_exact(c: float, spec: GridSpec) -> ComplexField:
     return ComplexField(spec, vals.astype(np.complex128), spec.default_margin())
 
 
+def residual_values(values: np.ndarray, h: float) -> np.ndarray:
+    """|df/dzbar - |f|^(1/2)| at every node of an array of f values with spacing h.
+
+    Only nodes whose centered stencil lies inside the array are meaningful,
+    so a window of the grid gives, on its inner nodes, the grid's values.
+    """
+    return np.abs(_dzbar(values, h) - np.sqrt(np.abs(values)))
+
+
 def residual_dbar(f: ComplexField) -> tuple[RealField, float]:
     """Pointwise |df/dzbar - |f|^(1/2)| on the stencil interior, plus its sup."""
-    d = wirtinger_dzbar(f)
-    rhs = np.sqrt(np.abs(f.values))
-    vals = np.where(d.mask, np.abs(d.values - rhs), 0.0)
-    out = RealField(f.spec, vals, d.margin, d.mask)
-    return out, float(np.max(vals[d.mask]))
+    margin, mask = _shrunk(f)
+    vals = np.where(mask, residual_values(f.values, f.spec.spacing), 0.0)
+    out = RealField(f.spec, vals, margin, mask)
+    return out, float(np.max(vals[mask]))
 
 
 def _stalled(history: list) -> bool:

@@ -95,8 +95,9 @@ class GridSpec:
         rr = self.radius - margin
         if rr < 0:
             return np.zeros((self.resolution, self.resolution), dtype=bool)
-        X, Y = self.mesh()
-        return X * X + Y * Y <= rr * rr
+        xs = self.coords()
+        sq = xs * xs
+        return sq[np.newaxis, :] + sq[:, np.newaxis] <= rr * rr
 
 
 def make_grid(radius: float, resolution: int) -> GridSpec:
@@ -127,7 +128,7 @@ def _validate_field(spec, values, margin, mask, dtype):
             raise ValueError("mask shape mismatch")
     if not mask.any():
         raise MaskError("empty mask: margin leaves no interior nodes")
-    vals = values.astype(dtype)
+    vals = values.astype(dtype, copy=False)
     if not np.isfinite(vals[mask]).all():
         raise ValueError("non-finite values on masked nodes")
     return _frozen(vals, dtype), margin, _frozen(mask, bool)
@@ -240,6 +241,7 @@ def _dy(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _lap5(values: np.ndarray, h: float) -> np.ndarray:
+    """Five-point Laplacian (E + W + N + S - 4C)/h^2, exact on quadratics; 0 on the outer frame."""
     out = np.zeros_like(values)
     with np.errstate(all="ignore"):
         out[1:-1, 1:-1] = (
@@ -247,6 +249,10 @@ def _lap5(values: np.ndarray, h: float) -> np.ndarray:
             - 4.0 * values[1:-1, 1:-1]
         ) / (h * h)
     return out
+
+
+def _dzbar(values: np.ndarray, h: float) -> np.ndarray:
+    return 0.5 * (_dx(values, h) + 1j * _dy(values, h))
 
 
 def _masked_out(field, raw: np.ndarray, m2: float, mk: np.ndarray, cls):
@@ -275,16 +281,7 @@ def wirtinger_dzbar(f: ComplexField) -> ComplexField:
     masked one spacing inside f's margin so every node has a full stencil.
     """
     m2, mk = _shrunk(f)
-    h = f.spec.spacing
-    raw = 0.5 * (_dx(f.values, h) + 1j * _dy(f.values, h))
-    return _masked_out(f, raw, m2, mk, ComplexField)
-
-
-def laplacian5(u: RealField) -> RealField:
-    """Five-point Laplacian (E + W + N + S - 4C)/h^2, exact on quadratics."""
-    m2, mk = _shrunk(u)
-    raw = _lap5(u.values, u.spec.spacing)
-    return _masked_out(u, raw, m2, mk, RealField)
+    return _masked_out(f, _dzbar(f.values, f.spec.spacing), m2, mk, ComplexField)
 
 
 def sup_norm(field) -> float:
@@ -312,8 +309,39 @@ def erode4(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def mask_window(mask: np.ndarray, halo: int) -> tuple[slice, slice]:
+    """Row and column slices of the mask's bounding box grown by halo nodes, clipped to the grid.
+
+    A stencil check on the masked nodes reads nothing outside the window with
+    halo 1, and row-major order inside the window is row-major order in the
+    grid.  An empty mask gives the empty window (0:0, 0:0).
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    n_rows, n_cols = mask.shape
+    return (
+        slice(max(int(rows[0]) - halo, 0), min(int(rows[-1]) + 1 + halo, n_rows)),
+        slice(max(int(cols[0]) - halo, 0), min(int(cols[-1]) + 1 + halo, n_cols)),
+    )
+
+
 def _principal(delta: np.ndarray) -> np.ndarray:
-    return (delta + np.pi) % (2.0 * np.pi) - np.pi
+    """(delta + pi) % 2pi - pi, with the remainder taken only where it changes the value.
+
+    For 0 <= delta + pi < 2pi the remainder returns its operand exactly, so
+    skipping it there leaves every bit as the plain formula has it.
+    """
+    t = np.asarray(delta + np.pi)
+    np.remainder(t, 2.0 * np.pi, out=t, where=(t < 0.0) | (t >= 2.0 * np.pi))
+    return t - np.pi
+
+
+def _increments(raw: np.ndarray) -> np.ndarray:
+    """Principal increments of the argument from each row of raw to the next."""
+    with np.errstate(invalid="ignore"):
+        return _principal(raw[1:] - raw[:-1])
 
 
 def basepoint_node(spec: GridSpec, basepoint: complex, mask: np.ndarray) -> tuple[int, int] | None:
@@ -329,59 +357,69 @@ def basepoint_node(spec: GridSpec, basepoint: complex, mask: np.ndarray) -> tupl
     return bi, bj
 
 
-def _unwrap_outward(phi: np.ndarray, raw: np.ndarray, mask: np.ndarray) -> None:
+def _walk(phi: np.ndarray, steps: np.ndarray, mask: np.ndarray) -> None:
     """Extend phi from its row 0 down axis 0, in place, column by column.
 
-    Each column whose row-0 entry is set is walked by a running sum of
-    principal increments and stops before its first unmasked node.  The
-    arguments are same-oriented views (sliced, reversed or transposed) of the
-    full arrays; np.cumsum adds strictly in order, so every value is the one
-    a node-by-node walk would produce.
+    steps[k] is the principal increment from row k to row k + 1.  Each column
+    is walked by a running sum of the increments and stops before its first
+    unmasked node.  The arguments are same-oriented views (sliced, reversed
+    or transposed) of window arrays; np.cumsum adds strictly in order, so
+    every value is the one a node-by-node walk would produce.
     """
-    with np.errstate(invalid="ignore"):
-        steps = _principal(raw[1:] - raw[:-1])
-        walked = np.cumsum(np.concatenate([phi[:1], steps]), axis=0)[1:]
-    reached = np.logical_and.accumulate(mask[1:], axis=0) & ~np.isnan(phi[0])
+    walked = np.cumsum(np.concatenate([phi[:1], steps]), axis=0)[1:]
+    reached = np.logical_and.accumulate(mask[1:], axis=0)
     phi[1:][reached] = walked[reached]
 
 
 def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
     """Split a nonvanishing field into modulus and a continuous argument branch.
 
-    The branch is fixed by the principal argument at the basepoint node.  It
-    is unwrapped outwards along the basepoint's row, then from every seeded
-    row node up and down its column, all columns at once; each walk is a
-    cumulative sum of principal increments that stops before the first
-    unmasked node.  Masked nodes those passes miss (non-disc restrictions) are
-    reached by a breadth-first fill seeded, in row-major order, with the set
-    nodes that border them.  Afterwards every masked edge is checked: the
-    unwrapped increment must match the principal increment to UNWRAP_TOL,
-    otherwise no continuous branch exists (a zero of g is enclosed) and
-    PhaseUnwrapError is raised.
+    The branch is fixed by the principal argument at the basepoint node.  All
+    the work runs on the mask's window (its bounding box), since the walks
+    stop at the mask and every checked edge joins two masked nodes.  The
+    argument is unwrapped outwards along the basepoint's row, then from every
+    seeded row node up and down its column, all seeded columns at once; each
+    walk is a cumulative sum of principal increments that stops before the
+    first unmasked node.  The forward increments (down axis 0, along axis 1)
+    are taken once and serve the downward and rightward walks and the edge
+    check; the upward and leftward walks difference in the opposite sign,
+    which rounds differently, so they take their own.  Masked nodes the
+    passes miss (non-disc restrictions) are reached by a breadth-first fill
+    seeded, in row-major order, with the set nodes that border them.
+    Afterwards every masked edge is checked: the unwrapped increment must
+    match the principal increment to UNWRAP_TOL, otherwise no continuous
+    branch exists (a zero of g is enclosed) and PhaseUnwrapError is raised.
+    Off the mask, phi is 0 and rho is 1.
     """
     spec = g.spec
-    mask = g.mask
-    rho_vals = np.abs(g.values)
+    n = spec.resolution
+    win = mask_window(g.mask, 0)
+    mask = g.mask[win]
+    values = g.values[win]
+    rho_vals = np.abs(values)
     if np.min(rho_vals[mask]) <= 0.0:
         raise VanishingFieldError("field vanishes on its mask")
 
-    n = spec.resolution
-    node = basepoint_node(spec, basepoint, mask)
+    node = basepoint_node(spec, basepoint, g.mask)
     if node is None:
         raise ValueError("basepoint is not a masked grid node")
-    bi, bj = node
+    bi, bj = node[0] - win[0].start, node[1] - win[1].start
 
-    raw = np.angle(g.values)
-    phi = np.full((n, n), np.nan)
+    raw = np.angle(values)
+    down = _increments(raw)
+    across = _increments(raw.T)
+    phi = np.full(mask.shape, np.nan)
     phi[bi, bj] = raw[bi, bj]
 
     # basepoint row, outwards in both directions
     row = slice(bi, bi + 1)
-    for cols in (slice(bj, None), slice(bj, None, -1)):
-        _unwrap_outward(phi[row, cols].T, raw[row, cols].T, mask[row, cols].T)
-    # columns, from the seeded row, downwards and upwards
-    for rows in (slice(bi, None), slice(bi, None, -1)):
-        _unwrap_outward(phi[rows], raw[rows], mask[rows])
+    _walk(phi.T[bj:, row], across[bj:, row], mask.T[bj:, row])
+    _walk(phi.T[bj::-1, row], _increments(raw.T[bj::-1, row]), mask.T[bj::-1, row])
+    # seeded columns, from the basepoint row, downwards and upwards
+    seeded = np.flatnonzero(~np.isnan(phi[bi]))
+    cols = slice(seeded[0], seeded[-1] + 1)
+    _walk(phi[bi:, cols], down[bi:, cols], mask[bi:, cols])
+    _walk(phi[bi::-1, cols], _increments(raw[bi::-1, cols]), mask[bi::-1, cols])
 
     # breadth-first fill for masks the row/column passes missed
     pending = mask & np.isnan(phi)
@@ -394,11 +432,12 @@ def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
         borders[:, 1:] |= pending[:, :-1]
         borders[:, :-1] |= pending[:, 1:]
         queue = deque(map(tuple, np.argwhere(borders & mask & ~pending)))
+        rows_w, cols_w = mask.shape
         while queue:
             i, j = queue.popleft()
             for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                 a, b = i + di, j + dj
-                if 0 <= a < n and 0 <= b < n and pending[a, b]:
+                if 0 <= a < rows_w and 0 <= b < cols_w and pending[a, b]:
                     phi[a, b] = phi[i, j] + _principal(raw[a, b] - raw[i, j])
                     pending[a, b] = False
                     queue.append((a, b))
@@ -407,24 +446,23 @@ def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
 
     # every masked edge must agree with the principal increment
     worst = 0.0
-    for axis in (0, 1):
-        a = phi if axis == 0 else phi.T
-        r = raw if axis == 0 else raw.T
-        m = mask if axis == 0 else mask.T
-        both = m[1:, :] & m[:-1, :]
+    for a, steps, m in ((phi, down, mask), (phi.T, across, mask.T)):
+        both = m[1:] & m[:-1]
         if both.any():
-            d_unwrapped = (a[1:, :] - a[:-1, :])[both]
-            d_principal = _principal((r[1:, :] - r[:-1, :])[both])
-            worst = max(worst, float(np.max(np.abs(d_unwrapped - d_principal))))
+            d_unwrapped = (a[1:] - a[:-1])[both]
+            worst = max(worst, float(np.max(np.abs(d_unwrapped - steps[both]))))
     if worst > UNWRAP_TOL:
         raise PhaseUnwrapError(
             f"unwrap inconsistency {worst:.3e} rad exceeds {UNWRAP_TOL:.0e}; "
             "a zero of the field is enclosed by the mask"
         )
 
-    phi = np.where(mask, phi, 0.0)
-    rho = RealField(spec, np.where(mask, rho_vals, 1.0), g.margin, mask)
-    return PolarField(rho, RealField(spec, phi, g.margin, mask))
+    phi_full = np.zeros((n, n))
+    phi_full[win] = np.where(mask, phi, 0.0)
+    rho_full = np.ones((n, n))
+    rho_full[win] = np.where(mask, rho_vals, 1.0)
+    rho = RealField(spec, rho_full, g.margin, g.mask)
+    return PolarField(rho, RealField(spec, phi_full, g.margin, g.mask))
 
 
 def _is_disc_masked(field) -> bool:

@@ -158,6 +158,12 @@ class TestInvalidConfigRefused:
         ("certify", {"basepoint": None}),
         ("certify", {"basepoint": [0.0]}),
         ("certify", {"input": [1]}),
+        ("certify", {"standoff_cells": -3}),
+        ("certify", {"delta0": -1.0}),
+        ("certify", {"delta0": 0.0}),
+        ("certify", {"delta0": float("inf")}),
+        ("certify", {"kappa": -1.0}),
+        ("certify", {"kappa": float("nan")}),
         ("solve-dbar", {"resolution": 17, "max_iter": 2.5}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
@@ -165,7 +171,9 @@ class TestInvalidConfigRefused:
         ("kr-scan", {"b_list": [[0.1, 0.0]], "radii": [0.25]}),
         ("selftest", {"criteria": [9], "scan_resolution": 17.9}),
         ("ode", {"steps": 10.7}),
-    ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list", "max-iter-float",
+    ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list",
+            "standoff-negative", "delta0-negative", "delta0-zero", "delta0-infinite",
+            "kappa-negative", "kappa-nan", "max-iter-float",
             "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "selftest-resolution-float", "ode-steps-float"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):

@@ -14,7 +14,6 @@ from dbarlab.grid import (
     VanishingFieldError,
     central_dx,
     central_dy,
-    laplacian5,
     load_complex_field,
     make_grid,
     polar_decompose,
@@ -22,6 +21,7 @@ from dbarlab.grid import (
     sup_norm,
     wirtinger_dzbar,
 )
+from dbarlab.grid import _lap5
 
 
 def test_make_grid_spacing():
@@ -90,6 +90,27 @@ def test_mask_four_fold_symmetry():
     assert np.array_equal(m, m.T)
 
 
+@pytest.mark.parametrize("n", [17, 33, 65, 129, 257])
+def test_disc_mask_matches_meshgrid_formula(n):
+    for radius in (0.25, 0.758, 1.0, 1.3, 2.0):
+        g = make_grid(radius, n)
+        X, Y = np.meshgrid(g.coords(), g.coords())
+        for cells in (0, 1, 2, 3, 5):
+            rr = radius - cells * g.spacing
+            assert np.array_equal(g.disc_mask(cells * g.spacing), X * X + Y * Y <= rr * rr)
+
+
+def test_disc_mask_keeps_on_circle_nodes():
+    # at N=65 the two-cell disc has radius 30 cells; 30^2 + 0^2 = 18^2 + 24^2 = 30^2
+    g = make_grid(1.0, 65)
+    m = g.disc_mask(g.default_margin())
+    c = g.center
+    for dx, dy in ((30, 0), (0, 30), (18, 24), (24, 18), (-18, -24)):
+        assert m[c + dy, c + dx]
+    for dx, dy in ((31, 0), (18, 25), (19, 24)):
+        assert not m[c + dy, c + dx]
+
+
 def test_field_rejects_nan_on_mask():
     g = make_grid(1.0, 17)
     vals = np.zeros((17, 17), dtype=complex)
@@ -150,14 +171,19 @@ def test_wirtinger_second_order_refinement():
     assert 0.8 * 0.25 <= ratio <= 1.2 * 0.25
 
 
+def _stencil_interior(g):
+    """Nodes one spacing inside the default disc: every stencil there reads masked nodes."""
+    return g.disc_mask(g.default_margin() + g.spacing)
+
+
 def test_laplacian_quadratic_exact():
     g = make_grid(1.0, 33)
-    u = RealField.from_function(g, lambda x, y: x * x + y * y)
-    L = laplacian5(u)
-    assert np.abs(L.values[L.mask] - 4.0).max() < 1e-11
-    v = RealField.from_function(g, lambda x, y: x * x - y * y)
-    Lv = laplacian5(v)
-    assert np.abs(Lv.values[Lv.mask]).max() < 1e-11
+    X, Y = g.mesh()
+    inner = _stencil_interior(g)
+    L = _lap5(X * X + Y * Y, g.spacing)
+    assert np.abs(L[inner] - 4.0).max() < 1e-11
+    Lv = _lap5(X * X - Y * Y, g.spacing)
+    assert np.abs(Lv[inner]).max() < 1e-11
 
 
 def test_laplacian_second_order_refinement():
@@ -165,11 +191,10 @@ def test_laplacian_second_order_refinement():
     errs = []
     for n in (65, 129):
         g = make_grid(1.0, n)
-        u = RealField.from_function(g, lambda x, y: (x + 2.0) ** 1.5)
-        L = laplacian5(u)
         X, _ = g.mesh()
+        L = _lap5((X + 2.0) ** 1.5, g.spacing)
         exact = 0.75 / np.sqrt(X + 2.0)
-        errs.append(np.abs(L.values - exact)[L.mask].max())
+        errs.append(np.abs(L - exact)[_stencil_interior(g)].max())
     assert errs[0] < 1e-4
     ratio = errs[1] / errs[0]
     assert 0.8 * 0.25 <= ratio <= 1.2 * 0.25
