@@ -1,3 +1,4 @@
+import cmath
 import json
 from dataclasses import replace
 
@@ -194,6 +195,28 @@ class TestPicard:
         d = np.max(np.abs((rich.f.values - plain.f.values)[plain.f.mask]))
         assert d > 1e-3
         assert rich.residual_sup <= 0.2
+
+
+class TestFixedPointPin:
+    # (radius, N, b) -> (iterations, sup_f, residual_sup), recorded from the
+    # solver before its step was rewritten to run in set-up buffers; a
+    # per-iteration rewrite may move the last digits, never the count
+    CASES = [
+        ((1.0, 33, 0.05), (236, 0.6003116711049495, 0.10131731277622646)),
+        ((1.0, 65, 0.05 * cmath.exp(0.7j)), (263, 0.6841857869588406, 0.1037838753238437)),
+        ((1.0, 65, 0.001), (305, 0.4155545308391009, 0.08441047123037149)),
+        ((0.5, 33, -0.02 + 0.01j), (222, 0.1773097304975548, 0.05393748271671437)),
+    ]
+
+    @pytest.mark.parametrize("case, pinned", CASES)
+    def test_solve_is_pinned(self, case, pinned):
+        radius, n, b = case
+        iterations, sup_f, residual_sup = pinned
+        sol = picard_solve(DbarProblem(make_grid(radius, n), b=b))
+        assert sol.converged
+        assert sol.iterations == iterations
+        assert sol.sup_f == pytest.approx(sup_f, rel=1e-10, abs=0)
+        assert sol.residual_sup == pytest.approx(residual_sup, rel=1e-10, abs=0)
 
 
 class TestCertifiedGate:
