@@ -13,13 +13,17 @@ but the data sit on the mask, so the kernel needs only the offsets from a
 masked row or column to the far edge of the window; with R the largest such
 offset, a circular length m >= 2R+1 per axis keeps wrap-around out of the
 window.  R = N-1 when the mask touches the edge of the grid, and R = N-3 for
-the solver's discs with a two-cell margin.  The input is real in the solver, so
-the fast path convolves it with Re k and Im k separately through real FFTs,
-and it transforms only the N rows and columns that carry data (a pruned FFT,
-see http://www.fftw.org/pruned.html).  Both convolutions are real, so one
-complex inverse FFT of their packed spectra gives conv(Re k) + i conv(Im k)
-at once.  Both paths must agree to 1e-10 relative; tests and the acceptance
-suite enforce that.
+the solver's discs with a two-cell margin.  The input is real in the solver,
+so the fast path runs real FFTs and transforms only the N rows and columns
+that carry data (a pruned FFT, see http://www.fftw.org/pruned.html).  The
+kernel is cached as two spectra, K+ and K-, of Re k + i Im k and
+Re k - i Im k, with h^2/pi and the 1/m^2 of both inverse passes folded in.
+The forward rfft writes into a zero-padded product buffer and its fft runs
+in place; one product with each of K+ and K- and one inverse FFT along the
+rows then give the column spectrum of conv(Re k) + i conv(Im k) as a copy
+and a conjugate, and one complex inverse FFT down the columns yields both
+real convolutions at once.  Both paths must agree to 1e-10 relative; tests
+and the acceptance suite enforce that.
 
 The FFTs are numpy.fft's (pocketfft, as in scipy.fft), so importing this
 module loads no scipy; of the package, only certify.sqrt_branch uses scipy,
@@ -48,74 +52,99 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
+def _kernel_spectra(m: int, reach: int, h: float) -> np.ndarray:
+    """K+ on rows 0..m/2 and K- on rows m/2+1..m-1 of one m x m array.
+
+    With S the rfft down y and then the fft along x of a real m x m array,
+    K+ = S(Re k) + i S(Im k) and K- = S(Re k) - i S(Im k), scaled by
+    h^2/(pi m^2); K- keeps only its rows 1..m-m/2-1.  k = 1/(x + iy) is
+    sampled on the wrapped offsets with |offset| <= reach and zero
+    elsewhere, through the real arrays x/(x^2+y^2) and -y/(x^2+y^2).
+    """
+    top = m // 2 + 1
+    idx = np.arange(m)
+    # wrapped signed offsets; slots that no data pair can reach stay zero
+    off = np.where(idx <= reach, idx, idx - m)
+    live = np.abs(off) <= reach
+    ox = (off * h)[np.newaxis, :]
+    oy = (off * h)[:, np.newaxis]
+    r2 = ox * ox + oy * oy
+    nonzero = (r2 != 0) & live[:, np.newaxis] & live[np.newaxis, :]
+    kernel = np.empty((m, m), dtype=np.complex128)
+    plus, minus = kernel[:top], kernel[top:]
+    part = np.zeros((m, m))
+    np.divide(-oy, r2, out=part, where=nonzero)
+    np.fft.rfft(part, axis=0, out=plus)
+    plus *= 1j
+    np.divide(ox, r2, out=part, where=nonzero)
+    # S is linear, so the y half spectra combine before the fft along x
+    re_k = np.fft.rfft(part, axis=0)
+    np.subtract(re_k[1 : m - top + 1], plus[1 : m - top + 1], out=minus)
+    plus += re_k
+    np.fft.fft(kernel, axis=1, out=kernel)
+    kernel *= h * h / (np.pi * m * m)
+    return kernel
+
+
 class CauchyTransform:
     """Pruned real-FFT evaluator bound to one (grid, mask) pair.
 
     The padded length is m = _next_fast_len(2R+1), where the reach R is the
     largest distance, in nodes, from the mask's first or last row or column
     to the opposite edge of the grid; kernel offsets beyond R stay zero.
-    Set-up caches the half spectra of Re k and Im k, halved along y and
-    scaled by h^2/pi, so the length-m passes along x run over contiguous
-    rows.  It also binds the buffers an apply works in: an m x N real input
-    whose unmasked nodes and rows past N stay zero, the two kernel products,
-    and an m x N packed column spectrum.  An apply to real values copies
-    them onto the mask, does one rfft down the N data columns, one fft along
-    the m/2+1 half-spectrum rows and, in place, one ifft along those rows
-    per kernel part.  Both products are y half spectra of real convolutions,
-    with Re k and with Im k, so their first N columns pack, with the rows
-    above m/2 taken from the mirrored conjugates, into the full spectrum of
-    conv(Re k) + i conv(Im k); one complex ifft down the columns inverts it.
-    Complex values go through the same path as T(Re u) + i T(Im u).  The
-    buffers make an instance unsafe to share across threads; every apply
-    returns a fresh array.
+    Set-up caches the kernel spectra K+ and K- of _kernel_spectra, with
+    1/m^2 folded in so that both inverse passes run unnormalised, and binds
+    the buffers an apply works in: an m x N real input whose unmasked nodes
+    and rows past N stay zero, an m x m product buffer and an m x N packed
+    column spectrum.
+
+    An apply to real values copies them onto the mask, does one rfft down
+    the N data columns into the first N columns of the product buffer's top
+    m/2+1 rows, zeroes the rest of those rows and runs one fft along them in
+    place.  That spectrum U times K+ stays on top, its rows 1..m-m/2-1 times
+    K- fill the bottom, and one in-place ifft along x runs over all m rows.
+    With A and B the y half spectra of conv(Re k) and conv(Im k), the top
+    now holds A + iB and the bottom A - iB, whose conjugates, rows reversed,
+    are rows m/2+1..m-1 of the full spectrum of conv(Re k) + i conv(Im k).
+    The packed spectrum is therefore one copy and one conjugate, and one
+    complex ifft down the columns inverts it.  Complex values go through
+    the same path as T(Re u) + i T(Im u).  The buffers make an instance
+    unsafe to share across threads; every apply returns a fresh array.
     """
 
     def __init__(self, spec, mask: np.ndarray):
         self.spec = spec
         self.mask = np.asarray(mask, dtype=bool)
         n = spec.resolution
-        h = spec.spacing
         rows, cols = mask_window(self.mask, 0)
         # data rows r0..r1 reach output rows 0..n-1 through offsets in
         # [-r1, n-1-r0], likewise for columns; an empty mask has the empty
         # window 0:0, carries no data and keeps the full-square padding
         reach = max(rows.stop - 1, n - 1 - rows.start, cols.stop - 1, n - 1 - cols.start)
         m = _next_fast_len(2 * reach + 1)
-        idx = np.arange(m)
-        # wrapped signed offsets; slots that no data pair can reach stay zero
-        off = np.where(idx <= reach, idx, idx - m)
-        live = np.abs(off) <= reach
-        ox = (off * h)[np.newaxis, :]
-        oy = (off * h)[:, np.newaxis]
-        d = ox + 1j * oy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.where(d == 0, 0.0 + 0.0j, 1.0 / d)
-        k = np.where(live[:, np.newaxis] & live[np.newaxis, :], k, 0.0 + 0.0j)
         self._m = m
-        # (2, m//2+1, m): rfft over y, then fft over x, of h^2/pi [Re k, Im k]
-        self._kernel_rfft = np.stack([np.fft.rfft2(part, axes=(1, 0)) for part in (k.real, k.imag)])
-        self._kernel_rfft *= h * h / np.pi
+        self._kernel = _kernel_spectra(m, reach, spec.spacing)
         self._pad = np.zeros((m, n))
-        self._products = np.empty((2, m // 2 + 1, m), dtype=np.complex128)
+        self._products = np.empty((m, m), dtype=np.complex128)
         self._packed = np.empty((m, n), dtype=np.complex128)
 
     def _convolve_real(self, values: np.ndarray) -> np.ndarray:
         n, m = self.spec.resolution, self._m
-        pad, prod, packed = self._pad, self._products, self._packed
+        top = m // 2 + 1
+        pad, prod, packed, kernel = self._pad, self._products, self._packed, self._kernel
         np.copyto(pad[:n], values, where=self.mask)
-        np.fft.fft(np.fft.rfft(pad, axis=0), n=m, axis=1, out=prod[0])
-        np.multiply(prod[0], self._kernel_rfft[1], out=prod[1])
-        prod[0] *= self._kernel_rfft[0]
-        np.fft.ifft(prod, axis=2, out=prod)
-        # rows 0..m/2 hold A + iB; row m-k holds conj(A_k) + i conj(B_k)
-        a, b = prod[0, :, :n], prod[1, :, :n]
-        top, bottom = packed[: m // 2 + 1], packed[m // 2 + 1 :]
-        np.subtract(a.real, b.imag, out=top.real)
-        np.add(a.imag, b.real, out=top.imag)
-        a, b = a[len(bottom) : 0 : -1], b[len(bottom) : 0 : -1]
-        np.add(a.real, b.imag, out=bottom.real)
-        np.subtract(b.real, a.imag, out=bottom.imag)
-        np.fft.ifft(packed, axis=0, out=packed)
+        up, down = prod[:top], prod[top:]
+        np.fft.rfft(pad, axis=0, out=up[:, :n])
+        up[:, n:] = 0.0
+        np.fft.fft(up, axis=1, out=up)
+        np.multiply(up[1 : m - top + 1], kernel[top:], out=down)
+        up *= kernel[:top]
+        np.fft.ifft(prod, axis=1, norm="forward", out=prod)
+        # row k of the top holds A_k + iB_k, row m-k of the spectrum needs
+        # conj(A_k) + i conj(B_k) = conj(A_k - iB_k), the bottom's row k-1
+        packed[:top] = up[:, :n]
+        np.conjugate(down[::-1, :n], out=packed[top:])
+        np.fft.ifft(packed, axis=0, norm="forward", out=packed)
         return packed[:n].copy()
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:

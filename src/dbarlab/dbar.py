@@ -1,11 +1,16 @@
 """Regularized Picard solver for df/dzbar = |f|^(1/2) with f(0) anchored.
 
 The fixed-point map is f -> (1 - theta) f + theta [ T(rhs) + (b - T(rhs)(0)) ],
-where T is the solid Cauchy transform and rhs = (|f|^2 + eps^2)^(1/4).  The
-regularization eps decreases geometrically over the continuation schedule and
-the final sweep runs at eps = 0, where the right side is the non-Lipschitz
-|f|^(1/2) itself.  Non-convergence (max_iter exhausted, or the update supremum
-stalling) is reported data, never an exception; only NaN is a hard error.
+where T is the solid Cauchy transform and rhs = (|f|^2 + eps^2)^(1/4).  A step
+runs it as f <- f + theta d with d = T(rhs) + (b - T(rhs)(0)) - f, built in
+the array the transform returns and set to zero at the anchor, so f(0) = b
+stays exact; the update is max |theta d| on the mask.  f is updated in place
+and the right side is written into one real buffer per solve, which also
+takes |theta d|.  The regularization eps
+decreases geometrically over the continuation schedule and the final sweep
+runs at eps = 0, where the right side is the non-Lipschitz |f|^(1/2) itself.
+Non-convergence (max_iter exhausted, or the update supremum stalling) is
+reported data, never an exception; only NaN is a hard error.
 
 b = 0 is special-cased: the zero field is an exact fixed point at eps = 0 but
 is repulsive under the regularized sweep (sqrt(eps) kicks the iterate off
@@ -20,6 +25,7 @@ equation because the added part is holomorphic).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,16 +70,18 @@ class DbarProblem:
             object.__setattr__(self, name, int(value))
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        # a non-finite tol or epsilon would be met or run by any iterate, so
+        # each must be finite; the checks are also false for NaN
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.continuation_steps < 1:
             raise ValueError("continuation_steps must be >= 1")
-        if self.margin_cells < 0:
-            raise ValueError("margin_cells must be >= 0")
+        if not (self.margin_cells >= 0 and math.isfinite(self.margin_cells)):
+            raise ValueError("margin_cells must be finite and >= 0")
 
     @property
     def margin(self) -> float:
@@ -225,14 +233,16 @@ def load_solution(json_path) -> DbarSolution:
     return DbarSolution(problem=problem, f=f, **scalars)
 
 
-def _rhs_values(values: np.ndarray, eps: float) -> np.ndarray:
-    if eps == 0.0:
-        return np.sqrt(np.abs(values))
-    a = values.real * values.real + values.imag * values.imag
-    a += eps * eps
-    # the quarter power as two square roots: cheaper than pow
-    np.sqrt(a, out=a)
-    return np.sqrt(a, out=a)
+def _rhs_values(values: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(|f|^2 + eps^2)^(1/4) at every node, written into out if given."""
+    out = np.abs(values, out=out)
+    if eps != 0.0:
+        # |f|^2 overflows to inf for a huge iterate, which the solver reports
+        out *= out
+        out += eps * eps
+        # the quarter power as two square roots: cheaper than pow
+        np.sqrt(out, out=out)
+    return np.sqrt(out, out=out)
 
 
 def profile_exact(c: float, spec: GridSpec) -> ComplexField:
@@ -297,38 +307,36 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
     transform = CauchyTransform(spec, mask)
     theta = problem.theta
     b = problem.b
-    new = np.empty_like(f)
+    rhs = np.empty(f.shape)
     iterations = 0
     stage_converged = False
 
-    for eps in problem.epsilon_schedule():
-        stage_history: list = []
-        stage_converged = False
-        for _ in range(problem.max_iter):
-            # overflow here is diagnosed by the finiteness check, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = _rhs_values(f, eps)
-                target = transform.apply_values(g)
-                target += b - target[c, c]
+    # overflow here is diagnosed by the finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps in problem.epsilon_schedule():
+            stage_history: list = []
+            stage_converged = False
+            for _ in range(problem.max_iter):
+                # d = T(rhs) + (b - T(rhs)(0)) + holo - f, zero at the anchor
+                d = transform.apply_values(_rhs_values(f, eps, out=rhs))
+                d += b - d[c, c]
                 if holo is not None:
-                    target += holo
-                target[c, c] = b
-                target *= theta
-                np.multiply(f, 1.0 - theta, out=new)
-                new += target
-                new[c, c] = b
-                update = float(np.max(np.abs((new - f)[mask])))
-            # f is finite on the mask, so a non-finite update means a non-finite iterate there
-            if not np.isfinite(update):
-                raise NanEncountered("non-finite iterate on the mask")
-            stage_history.append(update)
-            iterations += 1
-            f, new = new, f
-            if update <= problem.tol:
-                stage_converged = True
-                break
-            if _stalled(stage_history):
-                break
+                    d += holo
+                d -= f
+                d[c, c] = 0.0
+                d *= theta
+                f += d
+                update = float(np.max(np.abs(d, out=rhs), where=mask, initial=0.0))
+                # f was finite on the mask, so a non-finite update means a non-finite iterate there
+                if not np.isfinite(update):
+                    raise NanEncountered("non-finite iterate on the mask")
+                stage_history.append(update)
+                iterations += 1
+                if update <= problem.tol:
+                    stage_converged = True
+                    break
+                if _stalled(stage_history):
+                    break
 
     field_out = ComplexField(spec, f, margin, mask)
     _, res_sup = residual_dbar(field_out)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, _next_fast_len, cauchy_transform
+from dbarlab.dbar import DbarProblem, picard_solve
 from dbarlab.grid import ComplexField, RealField, make_grid, sup_norm, wirtinger_dzbar
 
 
@@ -105,17 +106,42 @@ def test_real_and_complex_input_identical():
     assert np.array_equal(t.apply_values(u.values), t.apply_values(u.values + 0j))
 
 
-def test_applies_return_independent_arrays():
-    # the transform reuses its buffers across applies; its results must not
+@pytest.mark.parametrize("phase", [1.0, 1.0 + 0.5j], ids=["real", "complex"])
+def test_applies_return_independent_arrays(phase):
+    # the transform reuses its buffers across applies, and a complex input
+    # runs through them twice; the results must not share them
     g = make_grid(1.0, 33)
-    u = _real_field(g, 13)
-    t = CauchyTransform(g, u.mask)
-    first = t.apply_values(u.values)
+    field = _real_field(g, 13)
+    u = field.values * phase
+    t = CauchyTransform(g, field.mask)
+    first = t.apply_values(u)
     kept = first.copy()
-    second = t.apply_values(2.0 * u.values)
+    second = t.apply_values(2.0 * u)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
-    assert np.array_equal(t.apply_values(u.values), kept)
+    assert np.array_equal(second, 2.0 * kept)
+    assert np.array_equal(t.apply_values(u), kept)
+
+
+def test_solver_applies_the_public_transform_once_per_iteration(monkeypatch):
+    # a tracer that counts CauchyTransform.apply_values must see one apply per
+    # Picard iteration and one set-up per solve
+    calls = {"init": 0, "apply": 0}
+    init, apply_values = CauchyTransform.__init__, CauchyTransform.apply_values
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_apply(self, values):
+        calls["apply"] += 1
+        return apply_values(self, values)
+
+    monkeypatch.setattr(CauchyTransform, "__init__", counted_init)
+    monkeypatch.setattr(CauchyTransform, "apply_values", counted_apply)
+    sol = picard_solve(DbarProblem(make_grid(1.0, 33), b=0.05 + 0.02j))
+    assert sol.iterations > 0
+    assert calls == {"init": 1, "apply": sol.iterations}
 
 
 def test_next_fast_len_matches_scipy():

@@ -165,6 +165,10 @@ class TestInvalidConfigRefused:
         ("certify", {"kappa": -1.0}),
         ("certify", {"kappa": float("nan")}),
         ("solve-dbar", {"resolution": 17, "max_iter": 2.5}),
+        ("solve-dbar", {"resolution": 17, "tol": float("inf")}),
+        ("solve-dbar", {"resolution": 17, "epsilon": float("nan")}),
+        ("solve-dbar", {"resolution": 17, "epsilon": float("inf")}),
+        ("solve-dbar", {"resolution": 17, "margin_cells": float("nan")}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
         ("kr-scan", {"b_list": [[0.0, 0.0]], "radii": [0.25]}),
@@ -174,6 +178,7 @@ class TestInvalidConfigRefused:
     ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list",
             "standoff-negative", "delta0-negative", "delta0-zero", "delta0-infinite",
             "kappa-negative", "kappa-nan", "max-iter-float",
+            "tol-infinite", "epsilon-nan", "epsilon-infinite", "margin-cells-nan",
             "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "selftest-resolution-float", "ode-steps-float"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):

@@ -120,6 +120,19 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             DbarProblem(unit(), b=0.1, epsilon=-1e-3)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tol", float("inf")),
+        ("tol", float("nan")),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("margin_cells", float("nan")),
+        ("margin_cells", float("inf")),
+    ])
+    def test_non_finite_refused(self, key, value):
+        # an infinite tol would certify a solve after one step per stage
+        with pytest.raises(ValueError, match="finite"):
+            DbarProblem(unit(), b=0.1, **{key: value})
+
     def test_schedule_shape(self):
         p = DbarProblem(unit(), b=0.05)
         sched = p.epsilon_schedule()
