@@ -6,9 +6,9 @@ runs it as f <- f + theta d with d = T(rhs) + (b - T(rhs)(0)) - f, built in
 the array the transform returns and set to zero at the anchor, so f(0) = b
 stays exact; the update is max |theta d| on the mask.  f is updated in place
 and the right side is written into one real buffer per solve, which also
-takes |theta d|.  The regularization eps
-decreases geometrically over the continuation schedule and the final sweep
-runs at eps = 0, where the right side is the non-Lipschitz |f|^(1/2) itself.
+takes |theta d|.  The regularization eps decreases geometrically over the
+continuation schedule and the final sweep runs at eps = 0, where the right
+side is the non-Lipschitz |f|^(1/2) itself.
 Non-convergence (max_iter exhausted, or the update supremum stalling) is
 reported data, never an exception; only NaN is a hard error.
 
@@ -25,6 +25,7 @@ equation because the added part is holomorphic).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -70,8 +71,10 @@ class DbarProblem:
             object.__setattr__(self, name, int(value))
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
-        # a non-finite tol or epsilon would be met or run by any iterate, so
-        # each must be finite; the checks are also false for NaN
+        if not cmath.isfinite(self.b):
+            raise ValueError("b must be finite")
+        # an infinite tol is met by any update, and a non-finite epsilon or
+        # margin poisons the solve; the comparisons are also false for NaN
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):

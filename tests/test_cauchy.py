@@ -106,21 +106,20 @@ def test_real_and_complex_input_identical():
     assert np.array_equal(t.apply_values(u.values), t.apply_values(u.values + 0j))
 
 
-@pytest.mark.parametrize("phase", [1.0, 1.0 + 0.5j], ids=["real", "complex"])
-def test_applies_return_independent_arrays(phase):
+def test_applies_return_independent_arrays():
     # the transform reuses its buffers across applies, and a complex input
     # runs through them twice; the results must not share them
     g = make_grid(1.0, 33)
     field = _real_field(g, 13)
-    u = field.values * phase
     t = CauchyTransform(g, field.mask)
-    first = t.apply_values(u)
-    kept = first.copy()
-    second = t.apply_values(2.0 * u)
-    assert not np.shares_memory(first, second)
-    assert np.array_equal(first, kept)
-    assert np.array_equal(second, 2.0 * kept)
-    assert np.array_equal(t.apply_values(u), kept)
+    for u in (field.values, field.values * (1.0 + 0.5j)):
+        first = t.apply_values(u)
+        kept = first.copy()
+        second = t.apply_values(2.0 * u)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, 2.0 * kept)
+        assert np.array_equal(t.apply_values(u), kept)
 
 
 def test_solver_applies_the_public_transform_once_per_iteration(monkeypatch):

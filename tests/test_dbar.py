@@ -121,6 +121,8 @@ class TestProblemValidation:
             DbarProblem(unit(), b=0.1, epsilon=-1e-3)
 
     @pytest.mark.parametrize("key, value", [
+        ("b", complex(float("inf"), 0.0)),
+        ("b", complex(0.0, float("nan"))),
         ("tol", float("inf")),
         ("tol", float("nan")),
         ("epsilon", float("nan")),
@@ -131,7 +133,7 @@ class TestProblemValidation:
     def test_non_finite_refused(self, key, value):
         # an infinite tol would certify a solve after one step per stage
         with pytest.raises(ValueError, match="finite"):
-            DbarProblem(unit(), b=0.1, **{key: value})
+            DbarProblem(unit(), **{"b": 0.1, key: value})
 
     def test_schedule_shape(self):
         p = DbarProblem(unit(), b=0.05)
@@ -211,9 +213,9 @@ class TestPicard:
 
 
 class TestFixedPointPin:
-    # (radius, N, b) -> (iterations, sup_f, residual_sup), recorded from the
-    # solver before its step was rewritten to run in set-up buffers; a
-    # per-iteration rewrite may move the last digits, never the count
+    # (radius, N, b) -> (iterations, sup_f, residual_sup) of the fixed point;
+    # rewriting the step or the transform may move the last digits of the
+    # floats, never the iteration count
     CASES = [
         ((1.0, 33, 0.05), (236, 0.6003116711049495, 0.10131731277622646)),
         ((1.0, 65, 0.05 * cmath.exp(0.7j)), (263, 0.6841857869588406, 0.1037838753238437)),
@@ -221,7 +223,7 @@ class TestFixedPointPin:
         ((0.5, 33, -0.02 + 0.01j), (222, 0.1773097304975548, 0.05393748271671437)),
     ]
 
-    @pytest.mark.parametrize("case, pinned", CASES)
+    @pytest.mark.parametrize("case, pinned", CASES, ids=["n33-real", "n65-phase", "n65-small", "r-half-n33"])
     def test_solve_is_pinned(self, case, pinned):
         radius, n, b = case
         iterations, sup_f, residual_sup = pinned
