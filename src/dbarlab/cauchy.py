@@ -25,9 +25,8 @@ and a conjugate, and one complex inverse FFT down the columns yields both
 real convolutions at once.  Both paths must agree to 1e-10 relative; tests
 and the acceptance suite enforce that.
 
-The FFTs are numpy.fft's (pocketfft, as in scipy.fft), so importing this
-module loads no scipy; of the package, only certify.sqrt_branch uses scipy,
-and it imports scipy.ndimage when called.
+The FFTs are numpy.fft's (pocketfft, as in scipy.fft); no module of the
+package imports scipy, so numpy is its only runtime dependency.
 """
 
 from __future__ import annotations

@@ -29,8 +29,11 @@ one-node stencil halo and clipped at the grid edge (grid.mask_window).
 Stencils, residuals and transcendentals are evaluated on window slices, and
 witnesses map window indices back to grid nodes; row-major order inside a
 window is row-major order in the grid, so the WITNESS_RTOL tie rule picks
-the node a full-grid evaluation would.  polar_decompose likewise unwraps on
-the mask's window and takes each forward principal increment once.
+the node a full-grid evaluation would.  The unwrap behind polar_decompose
+and sqrt_branch likewise runs on the mask's window and takes each forward
+principal increment once.  sqrt_branch finds its component with that same
+unwrap, so no scipy is needed, and an identity chain unwraps once:
+eq_chain_check reuses the polar form sqrt_branch built the branch from.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .grid import (
     mask_window,
     polar_decompose,
 )
-from .grid import _dx, _dy, _dzbar, _lap5, _shrunk
+from .grid import _dx, _dy, _dzbar, _lap5, _shrunk, _unwrap
 
 DELTA0_DEFAULT = 1e-3
 KAPPA_DEFAULT = 10.0
@@ -83,6 +86,19 @@ class CertificateReport:
                 "details": self.details,
             }
         )
+
+
+@dataclass(frozen=True)
+class _Branch(ComplexField):
+    """A sqrt_branch result, carrying the polar form it was built from.
+
+    rho = sqrt|h| and phi = half the unwrapped argument of h on the mask, 1
+    and 0 off it, as polar_decompose fills them; basepoint fixed the branch.
+    """
+
+    rho: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    basepoint: complex = 0j
 
 
 def _witness(spec, win: tuple, mask: np.ndarray, values: np.ndarray, pick) -> tuple:
@@ -209,8 +225,18 @@ def eq_chain_check(
     discrete form of the subharmonicity that powers the sup bound.  All
     violations are maxima of |LHS - RHS| over nodes whose full stencil stays
     inside the branch mask; hypothesis_ok gates the first line at kappa * h.
+
+    A branch from sqrt_branch at the same basepoint is not unwrapped again:
+    rho and phi are the sqrt|h| and half argument it was built from.  Its
+    edge check would add nothing, since each increment of phi is at most
+    pi/2 + UNWRAP_TOL/2 and so is its own principal value.  Any other field
+    is split by polar_decompose, which unwraps and checks it.
     """
-    polar = polar_decompose(g, basepoint)
+    if isinstance(g, _Branch) and complex(basepoint) == g.basepoint:
+        rho_all, phi_all = g.rho, g.phi
+    else:
+        polar = polar_decompose(g, basepoint)
+        rho_all, phi_all = polar.rho.values, polar.phi.values
     spec = g.spec
     h = spec.spacing
 
@@ -219,8 +245,8 @@ def eq_chain_check(
         raise MaskError("branch mask too thin for stencil checks")
     win = mask_window(inner, 1)
     inner = inner[win]
-    rho = polar.rho.values[win]
-    phi = polar.phi.values[win]
+    rho = rho_all[win]
+    phi = phi_all[win]
 
     gz = _dzbar(g.values[win], h)
     viol1 = np.abs(gz - 0.5 * np.exp(-1j * phi))
@@ -265,30 +291,41 @@ def sqrt_branch(
 ) -> ComplexField:
     """A continuous square root of h on the component of {|h| > delta0} at basepoint.
 
-    Off the component the branch is 1, the square root of the polar fill
-    rho = 1, phi = 0; only the component's window is computed.
+    One unwrap of h over {|h| > delta0} on the mask's window finds the branch
+    and its component at once: the component is the set of nodes the unwrap
+    reaches from the basepoint (4-connected), and only its edges are
+    checked, so a zero of h enclosed by another component does not matter,
+    while one enclosed by this component raises PhaseUnwrapError.  Off the
+    component the branch is 1, the square root of the polar fill rho = 1,
+    phi = 0; only the component's window is computed.  The result keeps the
+    branch's polar form (sqrt|h| and half the argument of h) for
+    eq_chain_check.
     """
+    if delta0 < 0:
+        raise ValueError("delta0 must be >= 0, so that h has no zero on the branch")
     spec = h.spec
+    n = spec.resolution
     win = mask_window(h.mask, 0)
-    region = np.zeros_like(h.mask)
-    region[win] = h.mask[win] & (np.abs(h.values[win]) > delta0)
-
-    node = basepoint_node(spec, basepoint, region)
-    if node is None:
+    values = h.values[win]
+    region = h.mask[win] & (np.abs(values) > delta0)
+    node = basepoint_node(spec, basepoint, h.mask)
+    if node is None or not region[node[0] - win[0].start, node[1] - win[1].start]:
         raise MaskError("basepoint is not inside {|h| > delta0}")
 
-    # connected component of the basepoint; label's default structure is 4-connectivity
-    from scipy import ndimage
-
-    labels, _ = ndimage.label(region[win])
-    comp = np.zeros_like(region)
-    comp[win] = labels == labels[node[0] - win[0].start, node[1] - win[1].start]
-
-    polar = polar_decompose(h.restrict(comp), basepoint)
+    phi = np.full((n, n), np.nan)
+    phi[win] = _unwrap(values, region, (node[0] - win[0].start, node[1] - win[1].start))
+    comp = ~np.isnan(phi)
     cw = mask_window(comp, 0)
-    vals = np.ones(comp.shape, dtype=np.complex128)
-    vals[cw] = np.sqrt(polar.rho.values[cw]) * np.exp(0.5j * polar.phi.values[cw])
-    return ComplexField(spec, vals, h.margin, comp)
+    on = comp[cw]
+    arg = np.where(on, phi[cw], 0.0)
+    rho = np.ones((n, n))
+    rho[cw] = np.sqrt(np.where(on, np.abs(h.values[cw]), 1.0))
+    half = np.zeros((n, n))
+    half[cw] = 0.5 * arg
+    vals = np.ones((n, n), dtype=np.complex128)
+    vals[cw] = rho[cw] * np.exp(0.5j * arg)
+    rho.flags.writeable = half.flags.writeable = False
+    return _Branch(spec, vals, h.margin, comp, rho, half, complex(basepoint))
 
 
 def lemma2_check(

@@ -10,7 +10,8 @@ plus command-specific files (solution fields, PGM heatmaps, CSV tables).
 summary.json is the file to diff across machines and thread counts; the
 run record is the provenance trail.  Exit codes: 0 for a completed run,
 including declared non-convergence; 1 for selftest criteria failures;
-2 for invalid configs, unreadable inputs, or bad flags.
+2 for invalid configs (a solve that turns non-finite included),
+unreadable inputs, or bad flags.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import certify as cert
 from . import util
 from .dbar import (
     DbarProblem,
+    NanEncountered,
     load_solution,
     picard_solve,
     rescaled_solution_record,
@@ -132,8 +134,11 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> int:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid solve config: {exc}") from exc
     started = _utcnow()
+    try:
+        sol = picard_solve(problem)
+    except NanEncountered as exc:
+        raise ConfigError(f"solve failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    sol = picard_solve(problem)
     paths = sol.save(out_dir)
     res_field, _ = residual_dbar(sol.f)
     util.write_pgm(os.path.join(out_dir, "abs_f.pgm"), np.abs(sol.f.values))

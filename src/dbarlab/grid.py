@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -371,61 +372,47 @@ def _walk(phi: np.ndarray, steps: np.ndarray, mask: np.ndarray) -> None:
     phi[1:][reached] = walked[reached]
 
 
-def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
-    """Split a nonvanishing field into modulus and a continuous argument branch.
+def _unwrap(values: np.ndarray, mask: np.ndarray, node: tuple[int, int]) -> np.ndarray:
+    """A continuous argument of values on the 4-connected component of mask at node.
 
-    The branch is fixed by the principal argument at the basepoint node.  All
-    the work runs on the mask's window (its bounding box), since the walks
-    stop at the mask and every checked edge joins two masked nodes.  The
-    argument is unwrapped outwards along the basepoint's row, then from every
-    seeded row node up and down its column, all seeded columns at once; each
-    walk is a cumulative sum of principal increments that stops before the
-    first unmasked node.  The forward increments (down axis 0, along axis 1)
-    are taken once and serve the downward and rightward walks and the edge
-    check; the upward and leftward walks difference in the opposite sign,
-    which rounds differently, so they take their own.  Masked nodes the
-    passes miss (non-disc restrictions) are reached by a breadth-first fill
-    seeded, in row-major order, with the set nodes that border them.
-    Afterwards every masked edge is checked: the unwrapped increment must
-    match the principal increment to UNWRAP_TOL, otherwise no continuous
-    branch exists (a zero of g is enclosed) and PhaseUnwrapError is raised.
-    Off the mask, phi is 0 and rho is 1.
+    values and mask are window arrays and node indexes them; off the
+    component the result is NaN.  The branch is fixed by the principal
+    argument at node.  The argument is unwrapped outwards along the node's
+    row, then from every seeded row node up and down its column, all seeded
+    columns at once; each walk is a cumulative sum of principal increments
+    that stops before the first unmasked node, so no walk leaves the
+    component.  The forward increments (down axis 0, along axis 1) are taken
+    once and serve the downward and rightward walks and the edge check; the
+    upward and leftward walks difference in the opposite sign, which rounds
+    differently, so they take their own.  Component nodes the passes miss
+    (non-disc masks) are reached by a breadth-first fill seeded, in row-major
+    order, with the set nodes that border them.  Afterwards every edge with
+    both ends reached is checked (an edge with a NaN end would turn np.max
+    into NaN and pass): the unwrapped increment must match the principal
+    increment to UNWRAP_TOL, otherwise no continuous branch exists (a zero of
+    the field is enclosed by the component) and PhaseUnwrapError is raised.
     """
-    spec = g.spec
-    n = spec.resolution
-    win = mask_window(g.mask, 0)
-    mask = g.mask[win]
-    values = g.values[win]
-    rho_vals = np.abs(values)
-    if np.min(rho_vals[mask]) <= 0.0:
-        raise VanishingFieldError("field vanishes on its mask")
-
-    node = basepoint_node(spec, basepoint, g.mask)
-    if node is None:
-        raise ValueError("basepoint is not a masked grid node")
-    bi, bj = node[0] - win[0].start, node[1] - win[1].start
-
+    bi, bj = node
     raw = np.angle(values)
     down = _increments(raw)
     across = _increments(raw.T)
     phi = np.full(mask.shape, np.nan)
     phi[bi, bj] = raw[bi, bj]
 
-    # basepoint row, outwards in both directions
+    # the node's row, outwards in both directions
     row = slice(bi, bi + 1)
     _walk(phi.T[bj:, row], across[bj:, row], mask.T[bj:, row])
     _walk(phi.T[bj::-1, row], _increments(raw.T[bj::-1, row]), mask.T[bj::-1, row])
-    # seeded columns, from the basepoint row, downwards and upwards
+    # seeded columns, from the node's row, downwards and upwards
     seeded = np.flatnonzero(~np.isnan(phi[bi]))
     cols = slice(seeded[0], seeded[-1] + 1)
     _walk(phi[bi:, cols], down[bi:, cols], mask[bi:, cols])
     _walk(phi[bi::-1, cols], _increments(raw[bi::-1, cols]), mask[bi::-1, cols])
 
-    # breadth-first fill for masks the row/column passes missed
+    # breadth-first fill for component nodes the row/column passes missed;
+    # a set node borders only nodes of its own component
     pending = mask & np.isnan(phi)
     if pending.any():
-        from collections import deque
-
         borders = np.zeros_like(pending)
         borders[1:] |= pending[:-1]
         borders[:-1] |= pending[1:]
@@ -441,12 +428,11 @@ def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
                     phi[a, b] = phi[i, j] + _principal(raw[a, b] - raw[i, j])
                     pending[a, b] = False
                     queue.append((a, b))
-        if pending.any():
-            raise PhaseUnwrapError("mask is not connected to the basepoint")
 
-    # every masked edge must agree with the principal increment
+    # every edge of the component must agree with the principal increment
+    reached = ~np.isnan(phi)
     worst = 0.0
-    for a, steps, m in ((phi, down, mask), (phi.T, across, mask.T)):
+    for a, steps, m in ((phi, down, reached), (phi.T, across, reached.T)):
         both = m[1:] & m[:-1]
         if both.any():
             d_unwrapped = (a[1:] - a[:-1])[both]
@@ -456,6 +442,34 @@ def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
             f"unwrap inconsistency {worst:.3e} rad exceeds {UNWRAP_TOL:.0e}; "
             "a zero of the field is enclosed by the mask"
         )
+    return phi
+
+
+def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
+    """Split a nonvanishing field into modulus and a continuous argument branch.
+
+    The branch is fixed by the principal argument at the basepoint node and
+    unwrapped by _unwrap on the mask's window (its bounding box), since the
+    walks stop at the mask and every checked edge joins two masked nodes.
+    The mask must be connected to the basepoint, and no zero of g may be
+    enclosed by it; otherwise no continuous branch exists on the mask and
+    PhaseUnwrapError is raised.  Off the mask, phi is 0 and rho is 1.
+    """
+    spec = g.spec
+    n = spec.resolution
+    win = mask_window(g.mask, 0)
+    mask = g.mask[win]
+    values = g.values[win]
+    rho_vals = np.abs(values)
+    if np.min(rho_vals[mask]) <= 0.0:
+        raise VanishingFieldError("field vanishes on its mask")
+
+    node = basepoint_node(spec, basepoint, g.mask)
+    if node is None:
+        raise ValueError("basepoint is not a masked grid node")
+    phi = _unwrap(values, mask, (node[0] - win[0].start, node[1] - win[1].start))
+    if (mask & np.isnan(phi)).any():
+        raise PhaseUnwrapError("mask is not connected to the basepoint")
 
     phi_full = np.zeros((n, n))
     phi_full[win] = np.where(mask, phi, 0.0)

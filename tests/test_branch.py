@@ -1,18 +1,24 @@
 """Branch extraction against a node-by-node oracle.
 
-polar_decompose and sqrt_branch unwrap with array passes and label
-components with scipy.ndimage.  The functions below are the loop versions
-they replaced, kept here only as the oracle: every output must match them bit
-for bit, including on masks where the breadth-first fallback fires.
+polar_decompose and sqrt_branch share one unwrap with array passes, and
+sqrt_branch takes the nodes that unwrap reaches as its component, with no
+separate labelling.  The functions below are the loop versions they
+replaced, kept here only as the oracle: every output must match them bit for
+bit, including on masks where the breadth-first fallback fires.  The last
+tests pin that an identity chain unwraps once: eq_chain_check reuses the
+polar form of a sqrt_branch result and matches a second unwrap.
 """
 
+import json
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from dbarlab.certify import sqrt_branch
-from dbarlab.dbar import profile_exact
+from dbarlab import certify, cli, grid
+from dbarlab.certify import eq_chain_check, sqrt_branch
+from dbarlab.dbar import DbarProblem, picard_solve, profile_exact
 from dbarlab.grid import (
     UNWRAP_TOL,
     ComplexField,
@@ -24,6 +30,7 @@ from dbarlab.grid import (
     basepoint_node,
     make_grid,
     polar_decompose,
+    save_field,
 )
 
 SIZES = (17, 33, 65)
@@ -232,3 +239,88 @@ def test_basepoint_node():
     assert basepoint_node(spec, 1.0 + 1.0j, full) == (16, 16)
     assert basepoint_node(spec, 1.2 + 0j, full) is None
     assert basepoint_node(spec, 0j, ~full) is None
+
+
+def split_with_zero(spec, z0=0.703125 + 0.015625j):
+    """|h| vanishes on x = +-0.4 and at z0, which lies in the strip x > 0.4, between nodes."""
+    X, _ = spec.mesh()
+    z = spec.nodes()
+    h = winding_free(spec)
+    return ComplexField(spec, h.values / np.abs(h.values) * (z - z0) * (X * X - 0.16) ** 2,
+                        h.margin, h.mask)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_zero_in_another_component_is_ignored(n):
+    spec = make_grid(1.0, n)
+    h = split_with_zero(spec)
+    X, _ = spec.mesh()
+    for bp in (0j, -0.625 + 0.125j):
+        want, _ = loop_sqrt_branch(h, 2e-3, bp)
+        got = sqrt_branch(h, delta0=2e-3, basepoint=bp)
+        assert_same_field(got, want)
+        assert not (got.mask & (X > 0.4)).any()
+
+
+@pytest.mark.parametrize("n", SIZES[1:])  # at N=17 the two-cell margin opens the hole to x = 0.4
+def test_zero_in_the_basepoint_component_raises(n):
+    h = split_with_zero(make_grid(1.0, n))
+    with pytest.raises(PhaseUnwrapError):
+        sqrt_branch(h, delta0=2e-3, basepoint=0.6875 - 0.25j)
+
+
+def _solution_input(tmp_path):
+    sol = picard_solve(DbarProblem(make_grid(1.0, 33), b=0.2 - 0.15j))
+    return sol.save(tmp_path)["json"]
+
+
+def _field_input(tmp_path):
+    path = tmp_path / "p.f64"
+    save_field(profile_exact(-0.25, make_grid(1.0, 33)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("make_input", [_solution_input, _field_input])
+def test_identity_chain_unwraps_once(tmp_path, monkeypatch, make_input):
+    calls = []
+    unwrap = grid._unwrap
+
+    def counted(*args):
+        calls.append(args)
+        return unwrap(*args)
+
+    monkeypatch.setattr(grid, "_unwrap", counted)
+    monkeypatch.setattr(certify, "_unwrap", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": make_input(tmp_path)}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+    certs = json.loads((out / "certificates.json").read_text(encoding="utf-8"))["certificates"]
+    assert certs["identity_chain"]["available"]
+    assert len(calls) == 1
+
+
+@lru_cache(maxsize=None)
+def solved_257():
+    return picard_solve(DbarProblem(make_grid(1.0, 257), b=0.2 - 0.15j)).f
+
+
+@pytest.mark.parametrize("field, bp", [
+    (solved_257, 0j),
+    (solved_257, 0.25 - 0.375j),
+    (lambda: profile_exact(0.25, make_grid(1.0, 257)), 0.5 + 0.125j),
+    (lambda: profile_exact(-0.25, make_grid(1.0, 257)), -0.0625 - 0.125j),
+], ids=["solve", "solve-off-centre", "kink+", "kink-"])
+def test_reused_polar_matches_a_second_unwrap(field, bp):
+    # the fields certify runs on; on a kink given a phase, slack8 is rounding
+    # noise everywhere and the two paths' witnesses need not agree
+    branch = sqrt_branch(field(), basepoint=bp)
+    plain = ComplexField(branch.spec, branch.values, branch.margin, branch.mask)
+    got = eq_chain_check(branch, basepoint=bp)
+    want = eq_chain_check(plain, basepoint=bp)
+    assert got.witness == want.witness
+    assert got.checked_nodes == want.checked_nodes
+    assert got.hypothesis_ok == want.hypothesis_ok
+    assert got.min_slack == pytest.approx(want.min_slack, rel=0, abs=1e-12)
+    for key, value in want.details["violations"].items():
+        assert got.details["violations"][key] == pytest.approx(value, rel=0, abs=1e-12)

@@ -151,6 +151,11 @@ class TestSqrtBranch:
         with pytest.raises(MaskError):
             sqrt_branch(profile_exact(0.5, spec))  # f(0) = 0 there
 
+    def test_negative_delta0_refused(self):
+        # {|h| > delta0} would take in the zeros of h, where no branch exists
+        with pytest.raises(ValueError):
+            sqrt_branch(profile_exact(-1.0, make_grid(1.0, 33)), delta0=-1e-3)
+
 
 class TestLemma2:
     def test_quadratic_with_offset(self):

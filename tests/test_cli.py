@@ -170,6 +170,7 @@ class TestInvalidConfigRefused:
         ("solve-dbar", {"resolution": 17, "epsilon": float("inf")}),
         ("solve-dbar", {"resolution": 17, "margin_cells": float("nan")}),
         ("solve-dbar", {"resolution": 17, "b": [float("inf"), 0.0]}),
+        ("solve-dbar", {"resolution": 17, "b": [1e250, 0.0]}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
         ("kr-scan", {"b_list": [[0.0, 0.0]], "radii": [0.25]}),
@@ -180,7 +181,7 @@ class TestInvalidConfigRefused:
             "standoff-negative", "delta0-negative", "delta0-zero", "delta0-infinite",
             "kappa-negative", "kappa-nan", "max-iter-float",
             "tol-infinite", "epsilon-nan", "epsilon-infinite", "margin-cells-nan",
-            "anchor-infinite",
+            "anchor-infinite", "anchor-overflow",
             "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "selftest-resolution-float", "ode-steps-float"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):

@@ -5,21 +5,27 @@ module, and every top-level function or class, and every method of a
 package class other than a dunder, is referenced somewhere in the package
 (a name only its own tests call is reached by no pipeline).  A third keeps
 the benchmark tracer's targets in step with the package.  A fourth keeps
-scipy off the import path: it may be imported only inside a function, and
-importing the command-line module must leave it unloaded.
+the runtime dependencies honest: no module imports scipy (the tests use it
+only as an oracle), a certify run leaves it unloaded, and the dependencies
+pyproject.toml declares are exactly the third-party packages the sources
+import.
 """
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dbarlab
 
 PACKAGE = Path(dbarlab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _parse(path):
@@ -124,15 +130,10 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
-def _module_level_imports(tree) -> list:
-    """(module, line) for every import that runs when the module itself is imported."""
-    deferred = {id(node) for fn in ast.walk(tree)
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for node in ast.walk(fn)}
+def _absolute_imports(tree) -> list:
+    """(module, line) for every absolute import, deferred ones inside functions included."""
     found = []
     for node in ast.walk(tree):
-        if id(node) in deferred:
-            continue
         if isinstance(node, ast.Import):
             found += [(alias.name, node.lineno) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -140,11 +141,24 @@ def _module_level_imports(tree) -> list:
     return found
 
 
-def test_no_module_level_scipy_import():
-    eager = [f"{path.name}:{line} {module}"
-             for path in SOURCES for module, line in _module_level_imports(_parse(path))
+def _third_party_imports() -> set:
+    return {module.split(".")[0]
+            for path in SOURCES for module, _ in _absolute_imports(_parse(path))
+            if module.split(".")[0] not in sys.stdlib_module_names | {"dbarlab"}}
+
+
+def test_no_module_imports_scipy():
+    found = [f"{path.name}:{line} {module}"
+             for path in SOURCES for module, line in _absolute_imports(_parse(path))
              if module.split(".")[0] == "scipy"]
-    assert eager == []
+    assert found == []
+
+
+def test_runtime_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+    assert declared == _third_party_imports() == {"numpy"}
 
 
 def test_cli_import_loads_no_scipy():
@@ -153,3 +167,21 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_certify_run_loads_no_scipy(tmp_path):
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); out = sys.argv[2]\n"
+        "from dbarlab import cli\n"
+        "from dbarlab.dbar import profile_exact\n"
+        "from dbarlab.grid import make_grid, save_field\n"
+        "save_field(profile_exact(-0.25, make_grid(1.0, 33)), out + '/p.f64')\n"
+        "with open(out + '/cfg.json', 'w') as fh: json.dump({'input': out + '/p.f64'}, fh)\n"
+        "code = cli.main(['certify', '--config', out + '/cfg.json', '--out', out + '/run'])\n"
+        "with open(out + '/run/certificates.json') as fh: certs = json.load(fh)['certificates']\n"
+        "print(code, certs['identity_chain']['available'],\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "0 True []"
