@@ -38,7 +38,7 @@ from .dbar import (
 from .grid import MaskError, PhaseUnwrapError, load_complex_field, make_grid
 from .kr import DEFAULT_B_SWEEP, check_anchor, scan_radii, usc_report
 from .ode import exact_forward, family_trajectory, lower_bound_check, rk4_integrate
-from .selftest import SELFTEST_DEFAULTS, format_table, merge_config, run_selftest
+from .selftest import SELFTEST_DEFAULTS, check_criteria, format_table, run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -304,6 +304,7 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
 
 
 def cmd_selftest(cfg: dict, out_dir, threads: int) -> int:
+    check_criteria(cfg["criteria"])
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
     summary = run_selftest(config=cfg, threads=threads, out_dir=out_dir)
@@ -362,10 +363,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     try:
         overrides = _load_overrides(args.config) if args.config else None
-        if args.command == "selftest":
-            merged = merge_config(overrides)
-        else:
-            merged = util.merge_config(COMMAND_DEFAULTS[args.command], overrides)
+        merged = util.merge_config(COMMAND_DEFAULTS[args.command], overrides)
         if args.print_config:
             sys.stdout.write(util.json_dumps(merged))
             return EXIT_OK

@@ -43,6 +43,15 @@ class PhaseUnwrapError(ValueError):
     """No single-valued continuous argument branch exists on the mask."""
 
 
+def check_radius(radius) -> float:
+    """The disc radius as a float; ValueError unless positive with 2 * radius**2 finite."""
+    radius = float(radius)
+    # disc_mask compares x^2 + y^2, up to 2 radius^2, against radius^2
+    if not (radius > 0 and math.isfinite(2.0 * radius * radius)):
+        raise ValueError("radius must be positive, with 2 * radius**2 finite")
+    return radius
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Square N x N lattice covering the closed disc |z| <= radius.
@@ -58,10 +67,7 @@ class GridSpec:
         if not (isinstance(self.resolution, (int, np.integer)) and not isinstance(self.resolution, bool)):
             raise ValueError("resolution must be an integer")
         object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "radius", float(self.radius))
-        # disc_mask compares x^2 + y^2, up to 2 radius^2, against radius^2
-        if not (self.radius > 0 and math.isfinite(2.0 * self.radius * self.radius)):
-            raise ValueError("radius must be positive, with 2 * radius**2 finite")
+        object.__setattr__(self, "radius", check_radius(self.radius))
         if self.resolution < MIN_RESOLUTION:
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         if self.resolution % 2 == 0:

@@ -40,7 +40,7 @@ from .dbar import (
     picard_solve,
     rescaled_solution_record,
 )
-from .grid import ComplexField, make_grid
+from .grid import ComplexField, check_radius, make_grid
 from .util import (
     SCHEMA_VERSION,
     as_complex_pair,
@@ -66,30 +66,23 @@ def default_radii() -> np.ndarray:
 
 
 def check_anchor(b: complex) -> complex:
-    """The anchor as a complex number; ValueError unless 0 < |b| < 1/10."""
+    """The anchor as a complex number; ValueError unless 0 < |b| < 1/10, which NaN fails."""
     b = complex(b)
     if b == 0:
         raise ValueError("anchor must be nonzero; the zero graph is trivial")
-    if abs(b) >= Z2_RADIUS - MEMBERSHIP_SLACK:
+    if not abs(b) < Z2_RADIUS - MEMBERSHIP_SLACK:
         raise ValueError("anchor must lie strictly inside the radius-1/10 disc")
     return b
-
-
-def _check_radius(r) -> float:
-    r = float(r)
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("radius must be positive and finite")
-    return r
 
 
 def scan_radii(radii=None) -> list:
     """The sorted radii a scan visits, default_radii() when radii is None.
 
-    ValueError for an empty list or a radius that is not positive and finite.
+    ValueError for an empty list or a radius grid.check_radius refuses.
     """
     if radii is None:
         radii = default_radii()
-    radii = sorted(_check_radius(r) for r in radii)
+    radii = sorted(check_radius(r) for r in radii)
     if not radii:
         raise ValueError("radius scan needs at least one radius")
     return radii
@@ -253,7 +246,6 @@ def graph_feasibility(
     certified solve, the theorem chain runs on the unit-disc rescale of the
     solution and rides along.
     """
-    r = _check_radius(r)
     b = check_anchor(b)
     try:
         sol = picard_solve(DbarProblem(make_grid(r, resolution), b=b))

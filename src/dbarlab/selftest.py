@@ -1,13 +1,17 @@
 """Self-check battery: every shipped guarantee exercised in one pass.
 
 Each criterion function runs one guarantee end to end and returns a
-CriterionResult with the measured numbers in its details.  run_selftest
-aggregates them into a summary dict that intentionally contains no
-timestamps, paths, or timing figures: two runs with the same config must
-produce byte-identical canonical JSON regardless of thread count, and the
-last criterion checks exactly that property on a reduced workload.  Wall
-clock budgets are enforced where a guarantee includes one, but only the
-boolean verdict lands in the summary.
+CriterionResult with the measured numbers in its details.  The only
+config key is criteria, the indices to run; the workload of each
+criterion (grid resolutions, sample counts, anchors, wall clock budgets)
+is fixed by the constants below, or by the scan and integrator defaults
+it shares with kr and ode.  run_selftest aggregates the results into a
+summary dict that intentionally contains no timestamps, paths, or timing
+figures: two runs with the same config must produce byte-identical
+canonical JSON regardless of thread count, and the last criterion checks
+exactly that property on a reduced workload.  Wall clock budgets are
+enforced where a guarantee includes one, but only the boolean verdict
+lands in the summary.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .certify import (
 )
 from .dbar import DbarProblem, picard_solve, profile_exact, residual_dbar
 from .grid import ComplexField, RealField, make_grid
-from .kr import radius_scan, upper_bound_origin, usc_report
+from .kr import DEFAULT_RESOLUTION, radius_scan, upper_bound_origin, usc_report
 from .ode import (
     exact_forward,
     family_trajectory,
@@ -41,27 +45,25 @@ from .ode import (
 )
 from .util import SCHEMA_VERSION, config_digest, json_dumps, parallel_map
 
-SELFTEST_DEFAULTS = {
-    "criteria": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-    "random_field_count": 20,
-    "random_field_resolution": 129,
-    "reduction_budget_seconds": 10.0,
-    "family_kink": 0.0,
-    "family_resolutions": [129, 257],
-    "sharpness_resolution": 257,
-    "chain_resolution": 257,
-    "max_principle_resolution": 257,
-    "sweep_resolution": 257,
-    "sweep_magnitudes": [0.001, 0.01, 0.05, 0.1],
-    "sweep_phases": [[1.0, 0.0], [0.7071067811865476, 0.7071067811865476]],
-    "sweep_budget_seconds": 1800.0,
-    "transform_resolutions": [129, 257],
-    "transform_agreement_resolution": 65,
-    "ode_steps": 1000,
-    "structure_sample_count": 1000000,
-    "scan_anchor": [0.05, 0.0],
-    "scan_resolution": 65,
-}
+SELFTEST_DEFAULTS = {"criteria": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]}
+
+# the workload; scans run at kr.DEFAULT_RESOLUTION, the integrator at its default steps
+RANDOM_FIELD_COUNT = 20
+RANDOM_FIELD_RESOLUTION = 129
+REDUCTION_BUDGET_SECONDS = 10.0
+FAMILY_KINK = 0.0
+FAMILY_RESOLUTIONS = (129, 257)
+SHARPNESS_RESOLUTION = 257
+CHAIN_RESOLUTION = 257
+MAX_PRINCIPLE_RESOLUTION = 257
+SWEEP_RESOLUTION = 257
+SWEEP_MAGNITUDES = (0.001, 0.01, 0.05, 0.1)
+SWEEP_PHASES = (complex(1.0, 0.0), complex(0.7071067811865476, 0.7071067811865476))
+SWEEP_BUDGET_SECONDS = 1800.0
+TRANSFORM_RESOLUTIONS = (129, 257)
+TRANSFORM_AGREEMENT_RESOLUTION = 65
+STRUCTURE_SAMPLE_COUNT = 1_000_000
+SCAN_ANCHOR = complex(0.05, 0.0)
 
 CRITERION_NAMES = {
     1: "reduction_identity",
@@ -94,14 +96,13 @@ class CriterionResult:
         }
 
 
-def merge_config(overrides: dict | None) -> dict:
-    """Defaults plus overrides under util.merge_config's rules; unknown criteria are errors."""
-    cfg = util.merge_config(SELFTEST_DEFAULTS, overrides, "selftest config")
+def check_criteria(criteria) -> list:
+    """The requested criteria, sorted and deduplicated; ValueError for an unknown one."""
     known = list(CRITERION_NAMES)  # compared by ==, so an unhashable entry is refused, not a crash
-    bad = [c for c in cfg["criteria"] if c not in known]
+    bad = [c for c in criteria if c not in known]
     if bad:
         raise ValueError(f"unknown criteria requested: {bad}")
-    return cfg
+    return sorted(set(criteria))
 
 
 def _random_small_field(spec, seed: int) -> ComplexField:
@@ -115,25 +116,24 @@ def _random_small_field(spec, seed: int) -> ComplexField:
     return ComplexField(spec, vals, spec.default_margin())
 
 
-def criterion_01(cfg: dict, threads: int) -> CriterionResult:
+def criterion_01(threads: int) -> CriterionResult:
     """Graph system and scalar equation agree to rounding on random fields."""
-    spec = make_grid(1.0, cfg["random_field_resolution"])
-    count = cfg["random_field_count"]
+    spec = make_grid(1.0, RANDOM_FIELD_RESOLUTION)
     start = time.monotonic()
     gaps = parallel_map(
         lambda i: reduction_identity(_random_small_field(spec, 1000 + i)),
-        range(count),
+        range(RANDOM_FIELD_COUNT),
         threads=threads,
     )
     elapsed = time.monotonic() - start
     worst = float(max(gaps))
-    runtime_ok = elapsed < float(cfg["reduction_budget_seconds"])
+    runtime_ok = elapsed < REDUCTION_BUDGET_SECONDS
     return CriterionResult(
         1,
         CRITERION_NAMES[1],
         worst <= 1e-10 and runtime_ok,
         {
-            "fields": count,
+            "fields": RANDOM_FIELD_COUNT,
             "resolution": spec.resolution,
             "max_discrepancy": worst,
             "tolerance": 1e-10,
@@ -142,17 +142,16 @@ def criterion_01(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_02(cfg: dict, threads: int) -> CriterionResult:
+def criterion_02(threads: int) -> CriterionResult:
     """Closed-form family: kink-line residual scale and its halving."""
-    c = float(cfg["family_kink"])
     sups = []
     away = []
     spacings = []
-    for n in cfg["family_resolutions"]:
+    for n in FAMILY_RESOLUTIONS:
         spec = make_grid(1.0, n)
-        res_field, sup = residual_dbar(profile_exact(c, spec))
+        res_field, sup = residual_dbar(profile_exact(FAMILY_KINK, spec))
         X, _ = spec.mesh()
-        off_kink = res_field.mask & (np.abs(X - c) >= 3 * spec.spacing)
+        off_kink = res_field.mask & (np.abs(X - FAMILY_KINK) >= 3 * spec.spacing)
         sups.append(sup)
         away.append(float(np.max(res_field.values[off_kink])))
         spacings.append(spec.spacing)
@@ -164,8 +163,8 @@ def criterion_02(cfg: dict, threads: int) -> CriterionResult:
         CRITERION_NAMES[2],
         away_ok and halves,
         {
-            "kink": c,
-            "resolutions": list(cfg["family_resolutions"]),
+            "kink": FAMILY_KINK,
+            "resolutions": list(FAMILY_RESOLUTIONS),
             "residual_sup": sups,
             "residual_sup_off_kink": away,
             "constant_bound": 2.0,
@@ -174,9 +173,9 @@ def criterion_02(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_03(cfg: dict, threads: int) -> CriterionResult:
+def criterion_03(threads: int) -> CriterionResult:
     """Sharpness: the smoothness inequality is an equality on the profile."""
-    spec = make_grid(1.0, cfg["sharpness_resolution"])
+    spec = make_grid(1.0, SHARPNESS_RESOLUTION)
     X, _ = spec.mesh()
     rep = lemma1_check(profile_exact(-1.0, spec).restrict(X > -0.5))
     tol = 10.0 * spec.spacing ** 2
@@ -195,9 +194,9 @@ def criterion_03(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_04(cfg: dict, threads: int) -> CriterionResult:
+def criterion_04(threads: int) -> CriterionResult:
     """Identity chain on the explicit branch of the profile."""
-    spec = make_grid(1.0, cfg["chain_resolution"])
+    spec = make_grid(1.0, CHAIN_RESOLUTION)
     branch = sqrt_branch(profile_exact(-1.0, spec))
     rep = eq_chain_check(branch)
     tol = 10.0 * spec.spacing
@@ -216,9 +215,9 @@ def criterion_04(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_05(cfg: dict, threads: int) -> CriterionResult:
+def criterion_05(threads: int) -> CriterionResult:
     """Discrete maximum principle calibration on the exact quadratic."""
-    spec = make_grid(1.0, cfg["max_principle_resolution"])
+    spec = make_grid(1.0, MAX_PRINCIPLE_RESOLUTION)
     u = RealField.from_function(
         spec, lambda X, Y: 0.25 * (X * X + Y * Y) + 0.01, margin=0.0
     )
@@ -246,18 +245,14 @@ def criterion_05(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_06(cfg: dict, threads: int) -> CriterionResult:
+def criterion_06(threads: int) -> CriterionResult:
     """No gate-passing solve with nonzero anchor undercuts the sup floor."""
-    n = cfg["sweep_resolution"]
-    anchors = []
-    for mag in cfg["sweep_magnitudes"]:
-        for ph in cfg["sweep_phases"]:
-            anchors.append(float(mag) * complex(ph[0], ph[1]))
+    anchors = [mag * ph for mag in SWEEP_MAGNITUDES for ph in SWEEP_PHASES]
 
     floor = SUP_FLOOR - FD_TOLERANCE
 
     def run(b: complex) -> dict:
-        sol = picard_solve(DbarProblem(make_grid(1.0, n), b=b))
+        sol = picard_solve(DbarProblem(make_grid(1.0, SWEEP_RESOLUTION), b=b))
         return {
             "b": [b.real, b.imag],
             "converged": sol.converged,
@@ -271,14 +266,14 @@ def criterion_06(cfg: dict, threads: int) -> CriterionResult:
     start = time.monotonic()
     rows = parallel_map(run, anchors, threads=threads)
     elapsed = time.monotonic() - start
-    runtime_ok = elapsed < float(cfg["sweep_budget_seconds"])
+    runtime_ok = elapsed < SWEEP_BUDGET_SECONDS
     none_undercut = not any(row["undercuts_floor"] for row in rows)
     return CriterionResult(
         6,
         CRITERION_NAMES[6],
         none_undercut and runtime_ok,
         {
-            "resolution": n,
+            "resolution": SWEEP_RESOLUTION,
             "floor": floor,
             "rows": rows,
             "runtime_ok": runtime_ok,
@@ -286,18 +281,17 @@ def criterion_06(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_07(cfg: dict, threads: int) -> CriterionResult:
+def criterion_07(threads: int) -> CriterionResult:
     """Transform accuracy on the disc indicator plus path agreement."""
     errs = []
-    for n in cfg["transform_resolutions"]:
+    for n in TRANSFORM_RESOLUTIONS:
         spec = make_grid(1.0, n)
         chi = ComplexField.constant(spec, 1.0)
         out = cauchy_transform(chi)
         zz = spec.nodes()
         inner = chi.mask & (np.abs(zz) <= 0.8)
         errs.append(float(np.max(np.abs(out.values - np.conj(zz))[inner])))
-    na = cfg["transform_agreement_resolution"]
-    spec_a = make_grid(1.0, na)
+    spec_a = make_grid(1.0, TRANSFORM_AGREEMENT_RESOLUTION)
     chi_a = ComplexField.constant(spec_a, 1.0)
     fast = cauchy_transform(chi_a, method="fft")
     direct = cauchy_transform(chi_a, method="direct")
@@ -308,7 +302,7 @@ def criterion_07(cfg: dict, threads: int) -> CriterionResult:
         CRITERION_NAMES[7],
         ok,
         {
-            "resolutions": list(cfg["transform_resolutions"]),
+            "resolutions": list(TRANSFORM_RESOLUTIONS),
             "indicator_errors": errs,
             "error_bound": 0.05,
             "path_agreement": agreement,
@@ -317,12 +311,11 @@ def criterion_07(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_08(cfg: dict, threads: int) -> CriterionResult:
+def criterion_08(threads: int) -> CriterionResult:
     """Scalar analogue: integrator accuracy, family validity, bound slack."""
-    steps = cfg["ode_steps"]
     rk_errs = {}
     for g0 in (0.01, 1.0):
-        traj = rk4_integrate(g0, steps=steps)
+        traj = rk4_integrate(g0)
         rk_errs[repr(g0)] = abs(traj.value_at_end() - exact_forward(g0, 1.0))
     rk_ok = all(e <= 1e-6 for e in rk_errs.values())
 
@@ -357,14 +350,14 @@ def criterion_08(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_09(cfg: dict, threads: int) -> CriterionResult:
+def criterion_09(threads: int) -> CriterionResult:
     """Structure matrix algebra and the certified origin witness."""
-    count = cfg["structure_sample_count"]
+    count = STRUCTURE_SAMPLE_COUNT
     rng = np.random.default_rng(0)
     z1 = 1.999 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     z2 = 0.0999 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     dev = j_squared_deviation(z1, z2)
-    origin = upper_bound_origin(cfg["scan_resolution"])
+    origin = upper_bound_origin()
     ok = dev <= 1e-14 and origin.witness_residual_sup == 0.0 and origin.bound == 0.5
     return CriterionResult(
         9,
@@ -380,15 +373,13 @@ def criterion_09(cfg: dict, threads: int) -> CriterionResult:
     )
 
 
-def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
+def criterion_10(threads: int, out_dir=None) -> CriterionResult:
     """Strict gap between origin bound and nearby empirical lower bounds."""
-    b = complex(cfg["scan_anchor"][0], cfg["scan_anchor"][1])
-    resolution = cfg["scan_resolution"]
     if out_dir is None:
         with tempfile.TemporaryDirectory() as tmp:
-            report = usc_report([b], tmp, resolution=resolution, threads=threads)
+            report = usc_report([SCAN_ANCHOR], tmp, threads=threads)
     else:
-        report = usc_report([b], out_dir, resolution=resolution, threads=threads)
+        report = usc_report([SCAN_ANCHOR], out_dir, threads=threads)
     summary = report["summary"]
     est = report["scans"][0]
     gap_ok = est.a_observed < 2.0 and est.lower_bound() > 0.5
@@ -403,7 +394,7 @@ def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
         CRITERION_NAMES[10],
         ok,
         {
-            "anchor": [b.real, b.imag],
+            "anchor": util.as_complex_pair(SCAN_ANCHOR),
             "origin_upper_bound": summary["origin_upper_bound"],
             "empirical": summary["empirical"],
             "all_gaps_positive": summary["all_gaps_positive"],
@@ -412,13 +403,12 @@ def criterion_10(cfg: dict, threads: int, out_dir=None) -> CriterionResult:
     )
 
 
-def criterion_11(cfg: dict, threads: int) -> CriterionResult:
+def criterion_11(threads: int) -> CriterionResult:
     """Reduced workload rerun across thread counts; outputs byte-compared."""
-    b = complex(cfg["scan_anchor"][0], cfg["scan_anchor"][1])
-    spec = make_grid(1.0, cfg["scan_resolution"])
+    spec = make_grid(1.0, DEFAULT_RESOLUTION)
 
     def workload(t: int) -> str:
-        est = radius_scan(b, radii=[0.25, 0.5, 1.0], threads=t)
+        est = radius_scan(SCAN_ANCHOR, radii=[0.25, 0.5, 1.0], threads=t)
         gaps = parallel_map(
             lambda i: reduction_identity(_random_small_field(spec, 2000 + i)),
             range(6),
@@ -478,15 +468,15 @@ def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> 
     count.  out_dir, when given, receives the report files criterion 10
     emits; the summary itself never references them.
     """
-    cfg = merge_config(config)
+    cfg = util.merge_config(SELFTEST_DEFAULTS, config, "selftest config")
     results = []
-    for idx in sorted(set(cfg["criteria"])):
+    for idx in check_criteria(cfg["criteria"]):
         fn = _CRITERIA[idx]
         try:
             if idx == 10:
-                res = fn(cfg, threads, out_dir=out_dir)
+                res = fn(threads, out_dir=out_dir)
             else:
-                res = fn(cfg, threads)
+                res = fn(threads)
         except Exception as exc:  # a crashed criterion is a failed criterion
             res = CriterionResult(
                 idx,

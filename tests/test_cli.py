@@ -52,6 +52,11 @@ class TestPrintConfig:
         merged = json.loads(capsys.readouterr().out)
         assert merged["g0"] == 0.5 and merged["steps"] == base["steps"]
 
+    def test_selftest_prints_only_criteria(self, capsys):
+        assert cli.main(["selftest", "--print-config"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert dumped == {"criteria": list(range(1, 12))}
+
 
 class TestSolveCommand:
     def test_run_writes_record_figures_and_summary(self, tmp_path):
@@ -175,7 +180,10 @@ class TestInvalidConfigRefused:
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
         ("kr-scan", {"b_list": [[0.0, 0.0]], "radii": [0.25]}),
         ("kr-scan", {"b_list": [[0.1, 0.0]], "radii": [0.25]}),
-        ("selftest", {"criteria": [9], "scan_resolution": 17.9}),
+        ("kr-scan", {"b_list": [[float("nan"), 0.0]], "radii": [0.5], "resolution": 17}),
+        ("kr-scan", {"radii": [0.5, 1e200]}),
+        ("selftest", {"criteria": [9], "scan_resolution": 65}),
+        ("selftest", {"criteria": [12]}),
         ("ode", {"steps": 10.7}),
     ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list",
             "standoff-negative", "delta0-negative", "delta0-zero", "delta0-infinite",
@@ -183,7 +191,8 @@ class TestInvalidConfigRefused:
             "tol-infinite", "epsilon-nan", "epsilon-infinite", "margin-cells-nan",
             "anchor-infinite", "anchor-overflow",
             "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
-            "scan-anchor-outside", "selftest-resolution-float", "ode-steps-float"])
+            "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
+            "selftest-removed-key", "selftest-criterion-unknown", "ode-steps-float"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
         if command == "certify":
             field = tmp_path / "p.f64"

@@ -8,7 +8,8 @@ the benchmark tracer's targets in step with the package.  A fourth keeps
 the runtime dependencies honest: no module imports scipy (the tests use it
 only as an oracle), a certify run leaves it unloaded, and the dependencies
 pyproject.toml declares are exactly the third-party packages the sources
-import.
+import.  A fifth pins the number of settable values, so a new knob shows
+up in the diff that adds it.
 """
 
 import ast
@@ -26,6 +27,9 @@ PACKAGE = Path(dbarlab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# COMMAND_DEFAULTS keys + defaulted parameters + dataclass fields; a change
+# that adds a knob raises this in its own diff and says why
+SETTABLE_VALUES = 120
 
 
 def _parse(path):
@@ -185,3 +189,37 @@ def test_certify_run_loads_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent), str(tmp_path)],
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "0 True []"
+
+
+def _is_dataclass(cls) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _settable_values() -> dict:
+    """Counts of the values a caller can set, read from the sources with ast."""
+    counts = {"config_keys": 0, "parameters": 0, "fields": 0}
+    dicts = {}
+    for path in SOURCES:
+        tree = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                counts["parameters"] += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                counts["fields"] += sum(isinstance(n, ast.AnnAssign) for n in node.body)
+        dicts.update((target.id, node.value) for node in tree.body
+                     if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                     for target in node.targets if isinstance(target, ast.Name))
+    counts["config_keys"] = sum(len(dicts[name.id].keys)
+                                for name in dicts["COMMAND_DEFAULTS"].values)
+    return counts
+
+
+def test_settable_values_pinned():
+    from dbarlab.cli import COMMAND_DEFAULTS
+
+    counts = _settable_values()
+    assert counts["config_keys"] == sum(map(len, COMMAND_DEFAULTS.values())) == 23
+    assert sum(counts.values()) == SETTABLE_VALUES, counts

@@ -13,6 +13,7 @@ from dbarlab.kr import (
     default_radii,
     graph_feasibility,
     radius_scan,
+    scan_radii,
     upper_bound_origin,
     usc_report,
 )
@@ -34,6 +35,8 @@ class TestGraphFeasibility:
             graph_feasibility(1.0, 0.2)
         with pytest.raises(ValueError):
             graph_feasibility(-1.0, 0.05)
+        with pytest.raises(ValueError, match="radius-1/10"):
+            graph_feasibility(1.0, complex(float("nan"), 0.0))
 
     def test_unit_disc_anchor_is_infeasible(self):
         # a certified solve exists but its sup exceeds the target factor;
@@ -120,6 +123,8 @@ class TestRadiusScan:
             radius_scan(0.0)
         with pytest.raises(ValueError):
             radius_scan(0.01, radii=[])
+        with pytest.raises(ValueError, match="2 \\* radius\\*\\*2 finite"):
+            scan_radii([0.5, 1e200])  # refused before any radius is solved
 
 
 class TestScanConsistency:

@@ -1,45 +1,58 @@
 """Config handling and summary shape of the self-check battery.
 
 The criteria themselves get their full workout in test_acceptance; here
-we pin the merge rules, the deterministic summary layout, and the
-crashed-criterion path.
+we pin the config rules (criteria is the only key), the deterministic
+summary layout, and the crashed-criterion path.
 """
 
 import pytest
 
 from dbarlab import selftest
-from dbarlab.util import json_dumps
+from dbarlab.util import config_digest, json_dumps
+
+
+def _stub_battery(monkeypatch):
+    """Replace every criterion by an instant pass so the config path runs alone."""
+    for idx, name in selftest.CRITERION_NAMES.items():
+        def stub(threads, out_dir=None, idx=idx, name=name):
+            return selftest.CriterionResult(idx, name, True, {})
+
+        monkeypatch.setitem(selftest._CRITERIA, idx, stub)
 
 
 class TestMergeConfig:
-    def test_defaults_returned_on_none(self):
-        cfg = selftest.merge_config(None)
-        assert cfg == selftest.SELFTEST_DEFAULTS
-        assert cfg is not selftest.SELFTEST_DEFAULTS
+    def test_defaults_returned_on_none(self, monkeypatch):
+        assert selftest.SELFTEST_DEFAULTS == {"criteria": sorted(selftest.CRITERION_NAMES)}
+        _stub_battery(monkeypatch)
+        summary = selftest.run_selftest(None)
+        assert [c["index"] for c in summary["criteria"]] == list(range(1, 12))
+        assert summary["config_digest"] == config_digest(selftest.SELFTEST_DEFAULTS)
 
-    def test_override_applied(self):
-        cfg = selftest.merge_config({"ode_steps": 500})
-        assert cfg["ode_steps"] == 500
-        assert cfg["random_field_count"] == selftest.SELFTEST_DEFAULTS["random_field_count"]
+    def test_override_applied(self, monkeypatch):
+        _stub_battery(monkeypatch)
+        summary = selftest.run_selftest({"criteria": [9, 3, 9]})
+        assert [c["index"] for c in summary["criteria"]] == [3, 9]
+        assert summary["config_digest"] == config_digest({"criteria": [9, 3, 9]})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown selftest config key"):
-            selftest.merge_config({"extra_knob": 1})
+        for key in ("extra_knob", "ode_steps", "scan_resolution"):
+            with pytest.raises(ValueError, match="unknown selftest config key"):
+                selftest.run_selftest({key: 1})
 
     def test_list_scalar_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must be a list"):
-            selftest.merge_config({"criteria": 3})
-        with pytest.raises(ValueError, match="must be a scalar"):
-            selftest.merge_config({"ode_steps": [1000]})
+            selftest.run_selftest({"criteria": 3})
 
     def test_unknown_criterion_rejected(self):
-        for criteria in ([1, 12], [[1]]):
+        for criteria in ([1, 12], [[1]], [{"a": 1}]):
             with pytest.raises(ValueError, match="unknown criteria"):
-                selftest.merge_config({"criteria": criteria})
+                selftest.check_criteria(criteria)
+            with pytest.raises(ValueError, match="unknown criteria"):
+                selftest.run_selftest({"criteria": criteria})
 
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError):
-            selftest.merge_config([1, 2])
+            selftest.run_selftest([1, 2])
 
 
 class TestRunSelftest:
@@ -56,7 +69,7 @@ class TestRunSelftest:
         assert one == many
 
     def test_crashed_criterion_reports_failure(self, monkeypatch):
-        def boom(cfg, threads):
+        def boom(threads):
             raise RuntimeError("synthetic fault")
 
         monkeypatch.setitem(selftest._CRITERIA, 8, boom)
