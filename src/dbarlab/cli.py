@@ -17,6 +17,7 @@ unreadable inputs, or bad flags.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -48,13 +49,6 @@ SOLVE_DEFAULTS = {
     "radius": 1.0,
     "resolution": 129,
     "b": [0.25, 0.0],
-    "epsilon": 0.01,
-    "theta": 0.5,
-    "tol": 1e-8,
-    "max_iter": 500,
-    "continuation_steps": 8,
-    "margin_cells": 2.0,
-    "holo_coeffs": [],
 }
 
 CERTIFY_DEFAULTS = {
@@ -182,6 +176,8 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
     for key, value in (("delta0", delta0), ("kappa", kappa)):
         if not (value > 0 and math.isfinite(value)):
             raise ConfigError(f"invalid certify config: {key} must be positive and finite")
+    if not cmath.isfinite(basepoint):
+        raise ConfigError("invalid certify config: basepoint must be finite")
     standoff = cfg["standoff_cells"]
     if standoff < 0:
         raise ConfigError("invalid certify config: standoff_cells must be >= 0")
@@ -276,6 +272,8 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
         traj = rk4_integrate(g0, steps=cfg["steps"])
         kinks = [float(c) for c in cfg["family_kinks"]]
         fams = [family_trajectory(c, samples=cfg["samples"]) for c in kinks]
+        exact = exact_forward(g0, 1.0)
+        bound = lower_bound_check(g0) if g0 > 0 else None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid ode config: {exc}") from exc
     started = _utcnow()
@@ -286,7 +284,6 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
         name = f"family_{i:02d}.csv"
         fam.to_csv(os.path.join(out_dir, name))
         outputs.append(name)
-    exact = exact_forward(g0, 1.0)
     summary = {
         "config_digest": util.config_digest(cfg),
         "g0": g0,
@@ -295,10 +292,9 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
         "abs_error": abs(traj.value_at_end() - exact),
         "family_kinks": kinks,
     }
-    if g0 > 0:
-        res = lower_bound_check(g0)
-        summary["lower_bound_holds"] = res.holds
-        summary["lower_bound_slack"] = res.slack
+    if bound is not None:
+        summary["lower_bound_holds"] = bound.holds
+        summary["lower_bound_slack"] = bound.slack
     _write_outputs(out_dir, "ode", cfg, started, outputs, summary)
     return EXIT_OK
 

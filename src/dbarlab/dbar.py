@@ -9,25 +9,26 @@ and the right side is written into one real buffer per solve, which also
 takes |theta d|.  The regularization eps decreases geometrically over the
 continuation schedule and the final sweep runs at eps = 0, where the right
 side is the non-Lipschitz |f|^(1/2) itself.
-Non-convergence (max_iter exhausted, or the update supremum stalling) is
+Non-convergence (MAX_ITER exhausted, or the update supremum stalling) is
 reported data, never an exception; only NaN is a hard error.
+
+A problem is a grid and an anchor b.  The solver's settings are the module
+constants EPSILON (the first eps), EPSILON_DECAY, CONTINUATION_STEPS (stages,
+the eps = 0 sweep included), THETA (the damping), TOL (the update that ends a
+stage), MAX_ITER (steps per stage), STALL_WINDOW and STALL_RATIO; picard_solve
+reads them when it runs.  The mask is the grid's disc less its default margin
+(grid.DEFAULT_MARGIN_CELLS).
 
 b = 0 is special-cased: the zero field is an exact fixed point at eps = 0 but
 is repulsive under the regularized sweep (sqrt(eps) kicks the iterate off
 zero), so the schedule collapses to the single eps = 0 stage and every
 iterate stays exactly zero.
-
-The additive anchor is the only holomorphic freedom used by default; richer
-holomorphic parts can be pinned explicitly through holo_coeffs (coefficients
-of z, z^2, ... added to the Picard target; the fixed point still solves the
-equation because the added part is holomorphic).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,12 @@ from .grid import ComplexField, GridSpec, RealField, make_grid, sup_norm
 from .grid import _dzbar, _shrunk
 from . import util
 
+EPSILON = 1e-2
 EPSILON_DECAY = 0.2
+CONTINUATION_STEPS = 8
+THETA = 0.5
+TOL = 1e-8
+MAX_ITER = 500
 STALL_WINDOW = 50
 STALL_RATIO = 0.9
 # a solve is certified when its dbar residual is within this many grid spacings
@@ -53,77 +59,32 @@ class DbarProblem:
 
     grid: GridSpec
     b: complex
-    epsilon: float = 1e-2
-    theta: float = 0.5
-    tol: float = 1e-8
-    max_iter: int = 500
-    continuation_steps: int = 8
-    margin_cells: float = 2.0
-    holo_coeffs: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "holo_coeffs", tuple(complex(c) for c in self.holo_coeffs))
-        for name in ("max_iter", "continuation_steps"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError("theta must lie in (0, 1]")
         if not cmath.isfinite(self.b):
             raise ValueError("b must be finite")
-        # an infinite tol is met by any update, and a non-finite epsilon or
-        # margin poisons the solve; the comparisons are also false for NaN
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be finite and >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.continuation_steps < 1:
-            raise ValueError("continuation_steps must be >= 1")
-        if not (self.margin_cells >= 0 and math.isfinite(self.margin_cells)):
-            raise ValueError("margin_cells must be finite and >= 0")
-
-    @property
-    def margin(self) -> float:
-        return self.margin_cells * self.grid.spacing
 
     def epsilon_schedule(self) -> list:
-        """Geometric decrease from epsilon down to the final eps = 0 sweep."""
-        if self.b == 0 or self.epsilon == 0.0:
+        """Geometric decrease from EPSILON down to the final eps = 0 sweep."""
+        if self.b == 0:
             return [0.0]
-        stages = [self.epsilon * EPSILON_DECAY ** k for k in range(self.continuation_steps - 1)]
-        return stages + [0.0]
+        return [EPSILON * EPSILON_DECAY ** k for k in range(CONTINUATION_STEPS - 1)] + [0.0]
 
     def to_json_dict(self) -> dict:
         return {
             "radius": self.grid.radius,
             "resolution": self.grid.resolution,
             "b": util.as_complex_pair(self.b),
-            "epsilon": self.epsilon,
-            "theta": self.theta,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "continuation_steps": self.continuation_steps,
-            "margin_cells": self.margin_cells,
-            "holo_coeffs": [util.as_complex_pair(c) for c in self.holo_coeffs],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DbarProblem":
-        return cls(
-            grid=make_grid(d["radius"], d["resolution"]),
-            b=util.from_complex_pair(d["b"]),
-            epsilon=d["epsilon"],
-            theta=d["theta"],
-            tol=d["tol"],
-            max_iter=d["max_iter"],
-            continuation_steps=d["continuation_steps"],
-            margin_cells=d["margin_cells"],
-            holo_coeffs=tuple(util.from_complex_pair(c) for c in d.get("holo_coeffs", [])),
-        )
+        """Read to_json_dict's keys; any other key is refused with ValueError."""
+        extra = set(d) - {"radius", "resolution", "b"}
+        if extra:
+            raise ValueError(f"unknown problem keys: {sorted(extra)}")
+        return cls(grid=make_grid(d["radius"], d["resolution"]), b=util.from_complex_pair(d["b"]))
 
 
 @dataclass(frozen=True)
@@ -286,29 +247,17 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
     """Run the damped Picard iteration through the continuation schedule.
 
     Starts from f identically b.  Each stage iterates until the sup-norm
-    update falls below tol, max_iter is exhausted, or the update stalls;
-    converged reports whether the final eps = 0 stage met tol.  The anchor f(0) = b holds exactly at every iterate.
+    update falls below TOL, MAX_ITER is exhausted, or the update stalls;
+    converged reports whether the final eps = 0 stage met TOL.  The anchor
+    f(0) = b holds exactly at every iterate.
     """
     spec = problem.grid
-    margin = problem.margin
+    margin = spec.default_margin()
+    # GridSpec's MIN_RESOLUTION keeps the origin inside the default margin
     mask = spec.disc_mask(margin)
-    if not mask.any():
-        raise ValueError("margin leaves no interior nodes")
     c = spec.center
-    if not mask[c, c]:
-        raise ValueError("origin node must be masked to anchor f(0)")
-
     f = np.full((spec.resolution, spec.resolution), problem.b, dtype=np.complex128)
-
-    holo = None
-    if problem.holo_coeffs:
-        zz = spec.nodes()
-        holo = np.zeros_like(zz)
-        for k, ck in enumerate(problem.holo_coeffs, start=1):
-            holo = holo + ck * zz ** k
-
     transform = CauchyTransform(spec, mask)
-    theta = problem.theta
     b = problem.b
     rhs = np.empty(f.shape)
     iterations = 0
@@ -319,15 +268,13 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
         for eps in problem.epsilon_schedule():
             stage_history: list = []
             stage_converged = False
-            for _ in range(problem.max_iter):
-                # d = T(rhs) + (b - T(rhs)(0)) + holo - f, zero at the anchor
+            for _ in range(MAX_ITER):
+                # d = T(rhs) + (b - T(rhs)(0)) - f, zero at the anchor
                 d = transform.apply_values(_rhs_values(f, eps, out=rhs))
                 d += b - d[c, c]
-                if holo is not None:
-                    d += holo
                 d -= f
                 d[c, c] = 0.0
-                d *= theta
+                d *= THETA
                 f += d
                 update = float(np.max(np.abs(d, out=rhs), where=mask, initial=0.0))
                 # f was finite on the mask, so a non-finite update means a non-finite iterate there
@@ -335,7 +282,7 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
                     raise NanEncountered("non-finite iterate on the mask")
                 stage_history.append(update)
                 iterations += 1
-                if update <= problem.tol:
+                if update <= TOL:
                     stage_converged = True
                     break
                 if _stalled(stage_history):
@@ -378,14 +325,8 @@ def rescaled_solution_record(sol: DbarSolution) -> DbarSolution:
     """Relabel a solve from D_r onto the unit disc and re-measure residual and sup there."""
     F = rescale_solution(sol.f)
     _, res = residual_dbar(F)
-    problem = replace(
-        sol.problem,
-        grid=F.spec,
-        b=F.at_origin(),
-        margin_cells=F.margin / F.spec.spacing,
-    )
     return DbarSolution(
-        problem=problem,
+        problem=DbarProblem(F.spec, F.at_origin()),
         f=F,
         residual_sup=res,
         sup_f=sup_norm(F),

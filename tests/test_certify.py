@@ -8,6 +8,7 @@ from dbarlab.certify import (
     sqrt_branch,
     theorem2_chain,
 )
+from dbarlab import dbar
 from dbarlab.dbar import DbarProblem, picard_solve, profile_exact
 from dbarlab.grid import (
     ComplexField,
@@ -231,9 +232,11 @@ class TestChain:
         rep = theorem2_chain(solved_65(b=0.0))
         assert rep.details["verdict"] == "not_applicable"
 
-    def test_gate_rejects_unconverged(self):
-        prob = DbarProblem(make_grid(1.0, 65), b=0.05, max_iter=2, tol=1e-15)
-        sol = picard_solve(prob)
+    def test_gate_rejects_unconverged(self, monkeypatch):
+        monkeypatch.setattr(dbar, "MAX_ITER", 2)
+        monkeypatch.setattr(dbar, "TOL", 1e-15)
+        sol = picard_solve(DbarProblem(make_grid(1.0, 65), b=0.05))
+        assert not sol.converged
         with pytest.raises(ValueError):
             theorem2_chain(sol)
 

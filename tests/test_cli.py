@@ -41,6 +41,7 @@ class TestPrintConfig:
         assert cli.main(["solve-dbar", "--print-config"]) == 0
         dumped = json.loads(capsys.readouterr().out)
         assert dumped == cli.SOLVE_DEFAULTS
+        assert sorted(dumped) == ["b", "radius", "resolution"]
 
     def test_overrides_merged(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"resolution": 65})
@@ -90,7 +91,7 @@ class TestSolveCommand:
         assert not out.exists()
 
     def test_bad_value_refused_before_writing(self, tmp_path):
-        code, out = run_solve(tmp_path, {"theta": 5.0})
+        code, out = run_solve(tmp_path, {"resolution": 18})
         assert code == 2
         assert not out.exists()
 
@@ -151,6 +152,20 @@ class TestCertifyCommand:
         assert err.startswith("error: cannot load solution")
         assert "Traceback" not in err
 
+    def test_solver_key_in_problem_refused(self, tmp_path, capsys):
+        # records from before the solver settings became constants carry them
+        _, sol_out = run_solve(tmp_path, {"resolution": 17, "b": [0.05, 0.0]})
+        path = sol_out / "solution.json"
+        record = json.loads(path.read_text())
+        record["problem"]["tol"] = 1e-8
+        path.write_text(json.dumps(record))
+        cfg = write_config(tmp_path, {"input": str(path)}, "cert.json")
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load solution") and "tol" in err
+        assert not out.exists()
+
     def test_wrong_suffix(self, tmp_path):
         (tmp_path / "data.bin").write_bytes(b"\x00")
         cfg = write_config(tmp_path, {"input": str(tmp_path / "data.bin")})
@@ -169,6 +184,8 @@ class TestInvalidConfigRefused:
         ("certify", {"delta0": float("inf")}),
         ("certify", {"kappa": -1.0}),
         ("certify", {"kappa": float("nan")}),
+        ("certify", {"basepoint": [float("nan"), 0.0]}),
+        ("certify", {"basepoint": [0.0, float("inf")]}),
         ("solve-dbar", {"resolution": 17, "max_iter": 2.5}),
         ("solve-dbar", {"resolution": 17, "tol": float("inf")}),
         ("solve-dbar", {"resolution": 17, "epsilon": float("nan")}),
@@ -185,14 +202,17 @@ class TestInvalidConfigRefused:
         ("selftest", {"criteria": [9], "scan_resolution": 65}),
         ("selftest", {"criteria": [12]}),
         ("ode", {"steps": 10.7}),
+        ("ode", {"g0": -0.5}),
     ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list",
             "standoff-negative", "delta0-negative", "delta0-zero", "delta0-infinite",
-            "kappa-negative", "kappa-nan", "max-iter-float",
+            "kappa-negative", "kappa-nan", "certify-basepoint-nan",
+            "certify-basepoint-infinite", "max-iter-float",
             "tol-infinite", "epsilon-nan", "epsilon-infinite", "margin-cells-nan",
             "anchor-infinite", "anchor-overflow",
             "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
-            "selftest-removed-key", "selftest-criterion-unknown", "ode-steps-float"])
+            "selftest-removed-key", "selftest-criterion-unknown", "ode-steps-float",
+            "ode-g0-negative"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
         if command == "certify":
             field = tmp_path / "p.f64"

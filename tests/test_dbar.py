@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbarlab import dbar
 from dbarlab.dbar import (
     DbarProblem,
     DbarSolution,
@@ -97,48 +98,17 @@ class TestProfile:
 
 
 class TestProblemValidation:
-    def test_bad_theta(self):
-        for theta in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                DbarProblem(unit(), b=0.1, theta=theta)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            DbarProblem(unit(), b=0.1, tol=0.0)
-
-    def test_bad_steps(self):
-        for steps in (0, 2.5, True):
-            with pytest.raises(ValueError):
-                DbarProblem(unit(), b=0.1, continuation_steps=steps)
-
-    def test_bad_max_iter(self):
-        for max_iter in (0, 2.5, True):
-            with pytest.raises(ValueError):
-                DbarProblem(unit(), b=0.1, max_iter=max_iter)
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            DbarProblem(unit(), b=0.1, epsilon=-1e-3)
-
     @pytest.mark.parametrize("key, value", [
         ("b", complex(float("inf"), 0.0)),
         ("b", complex(0.0, float("nan"))),
-        ("tol", float("inf")),
-        ("tol", float("nan")),
-        ("epsilon", float("nan")),
-        ("epsilon", float("inf")),
-        ("margin_cells", float("nan")),
-        ("margin_cells", float("inf")),
     ])
     def test_non_finite_refused(self, key, value):
-        # an infinite tol would certify a solve after one step per stage
         with pytest.raises(ValueError, match="finite"):
             DbarProblem(unit(), **{"b": 0.1, key: value})
 
     def test_schedule_shape(self):
-        p = DbarProblem(unit(), b=0.05)
-        sched = p.epsilon_schedule()
-        assert len(sched) == p.continuation_steps
+        sched = DbarProblem(unit(), b=0.05).epsilon_schedule()
+        assert len(sched) == dbar.CONTINUATION_STEPS
         assert sched[0] == 1e-2 and sched[-1] == 0.0
         for a, b_ in zip(sched, sched[1:-1]):
             assert b_ == pytest.approx(0.2 * a)
@@ -162,14 +132,14 @@ class TestPicard:
             assert sol.f.at_origin() == complex(b)
 
     def test_converged_final_update_below_tol(self):
-        prob = DbarProblem(unit(65), b=0.05)
-        sol = picard_solve(prob)
+        sol = picard_solve(DbarProblem(unit(65), b=0.05))
         assert sol.converged
-        assert sol.final_update <= prob.tol
+        assert sol.final_update <= dbar.TOL
 
-    def test_non_convergence_is_data(self):
-        prob = DbarProblem(unit(65), b=0.05, max_iter=3, tol=1e-15)
-        sol = picard_solve(prob)
+    def test_non_convergence_is_data(self, monkeypatch):
+        monkeypatch.setattr(dbar, "MAX_ITER", 3)
+        monkeypatch.setattr(dbar, "TOL", 1e-15)
+        sol = picard_solve(DbarProblem(unit(65), b=0.05))
         assert not sol.converged
         assert np.isfinite(sol.residual_sup)
 
@@ -200,16 +170,6 @@ class TestPicard:
             sol = picard_solve(DbarProblem(spec, b=mag))
             if sol.converged and sol.residual_sup <= 5 * h:
                 assert sol.sup_f >= 0.1 - 0.02
-
-    def test_holo_coeffs_shift_the_fixed_point(self):
-        spec = unit(65)
-        plain = picard_solve(DbarProblem(spec, b=0.05))
-        rich = picard_solve(DbarProblem(spec, b=0.05, holo_coeffs=(0.1,)))
-        assert rich.converged
-        assert rich.f.at_origin() == 0.05
-        d = np.max(np.abs((rich.f.values - plain.f.values)[plain.f.mask]))
-        assert d > 1e-3
-        assert rich.residual_sup <= 0.2
 
 
 class TestFixedPointPin:
@@ -415,8 +375,7 @@ class TestLoadSolutionFuzz:
         where=st.sampled_from(["top", "problem"]),
         key=st.sampled_from(
             ["schema_version", "problem", "field", "residual_sup", "sup_f", "converged",
-             "iterations", "radius", "resolution", "b", "epsilon", "theta", "tol",
-             "max_iter", "continuation_steps", "margin_cells", "holo_coeffs"]
+             "iterations", "radius", "resolution", "b"]
         ),
         value=JSON_VALUES | st.just(_DELETE),
     )
