@@ -172,6 +172,56 @@ class TestCertifyCommand:
         assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+# per certificate: hypothesis_ok, min_slack, checked_nodes, tolerance_used,
+# and the delta0 / standoff_cells details it records (None where it records none)
+CERTIFY_PINS = {
+    "solution": {
+        "smoothness": (True, 0.2684674843027699, 377, 0.0390625, 0.001, 3),
+        "identity_chain": (True, 0.3416011780541399, 377, 0.625, None, None),
+        "max_principle": (True, 0.765598787119784, 377, 0.0390625, 0.005623413251903491, None),
+        "sup_bound": (True, 0.940852268191979, 377, 0.02, None, None),
+    },
+    "profile": {
+        "smoothness": (True, 2.1873266562777438e-05, 1888, 0.009765625, 0.001, 3),
+        "identity_chain": (True, 0.0, 1841, 0.3125, None, None),
+        "max_principle": (False, 1.4735019536905085, 2289, 0.009765625, 0.005623413251903491, None),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFY_PINS))
+def test_certify_reports_pinned(tmp_path, case):
+    # an N=33 solve read back from solution.json, and an exact profile field
+    # certified at an off-origin basepoint
+    if case == "solution":
+        _, sol_out = run_solve(tmp_path, {"resolution": 33, "b": [0.25, 0.0]})
+        overrides = {"input": str(sol_out / "solution.json")}
+    else:
+        save_field(profile_exact(-0.5, make_grid(1.0, 65)), tmp_path / "p.f64")
+        overrides = {"input": str(tmp_path / "p.f64"), "basepoint": [0.25, -0.125]}
+    cfg = write_config(tmp_path, overrides, "cert.json")
+    out = tmp_path / "cert"
+    assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    certs = json.loads((out / "certificates.json").read_text())["certificates"]
+    assert set(certs) == set(CERTIFY_PINS[case])
+    for name, (ok, slack, nodes, tol, delta0, cells) in CERTIFY_PINS[case].items():
+        assert certs[name]["available"] is True, name
+        report = certs[name]["report"]
+        assert report["hypothesis_ok"] is ok, name
+        assert report["min_slack"] == pytest.approx(slack, rel=1e-10, abs=0.0), name
+        assert report["checked_nodes"] == nodes, name
+        assert report["tolerance_used"] == tol, name
+        assert report["details"].get("delta0") == delta0, name
+        assert report["details"].get("standoff_cells") == cells, name
+    if case == "solution":
+        chain = certs["sup_bound"]["report"]["details"]
+        assert chain["lemma1"]["details"]["delta0"] == 0.001
+        assert chain["lemma1"]["details"]["standoff_cells"] == 3
+        assert chain["lemma2_on_u"]["details"]["delta0"] == 0.005623413251903491
+    else:
+        assert certs["identity_chain"]["report"]["details"]["basepoint"] == [0.25, -0.125]
+
+
 class TestInvalidConfigRefused:
     @pytest.mark.parametrize("command, overrides", [
         ("certify", {"delta0": None}),
