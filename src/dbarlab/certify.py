@@ -11,12 +11,17 @@ Three layers, composed bottom-up:
                   sup u > 1/4.
   theorem2_chain  the composition, confronted with the measured sup|f|.
 
+delta0 is DELTA0_DEFAULT, the standoff STANDOFF_CELLS and the tolerance
+scale KAPPA_DEFAULT: module constants that every check reads when it runs.
+Only lemma2_check takes delta0 and a standoff, because its callers pass two
+values of each.
+
 Every check reports the minimum slack and its witness node rather than a bare
 boolean.  Inequalities are judged against tolerances proportional to h^2
 times the local derivative scale of the quantity involved; the equation
 hypothesis itself is gated by the dbar residual, against the 5h gate that
 DbarSolution.certified applies to a whole solve.  Checks stand off the mask
-edge by a few cells (standoff_cells): transform-produced solutions carry an
+edge by STANDOFF_CELLS cells: transform-produced solutions carry an
 O(1) differentiation artifact in the outermost stencil rows, because the
 integration density is chopped at the mask boundary and the transform's
 tangential derivative is log-singular across that circle.  The interior is
@@ -140,11 +145,7 @@ def abs_power_34(f: ComplexField) -> RealField:
     return RealField(f.spec, _power_34(np.abs(f.values)), f.margin, f.mask)
 
 
-def lemma1_check(
-    h: ComplexField,
-    delta0: float = DELTA0_DEFAULT,
-    standoff_cells: int = STANDOFF_CELLS,
-) -> CertificateReport:
+def lemma1_check(h: ComplexField) -> CertificateReport:
     """Check Delta(|h|^(3/4)) >= (3/4)|h|^(-1/4) on {|h| > delta0}.
 
     The inequality is sharp on the translated profile family (x - c)_+^2,
@@ -153,16 +154,15 @@ def lemma1_check(
     equation is gated by the dbar residual on the same eligible set, at 5h.
     Pointwise tolerances are KAPPA_DEFAULT * h^2 * max(1, |h|^(-5/4)): fourth
     derivatives of |h|^(3/4) grow like |h|^(-5/4) near the zero set, which is
-    also why nodes with |h| <= delta0 are excluded.
+    also why nodes with |h| <= delta0 are excluded.  delta0 is DELTA0_DEFAULT,
+    and the check stands STANDOFF_CELLS off the mask edge.
     """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
     spec = h.spec
     hh = spec.spacing
     _, stencil = _shrunk(h)
     absh = np.abs(h.values)
-    eligible = stencil & h.mask & (absh > delta0)
-    eligible &= _standoff_mask(h, standoff_cells)
+    eligible = stencil & h.mask & (absh > DELTA0_DEFAULT)
+    eligible &= _standoff_mask(h, STANDOFF_CELLS)
     if not eligible.any():
         raise MaskError("no eligible nodes: |h| <= delta0 on the whole interior")
 
@@ -197,18 +197,13 @@ def lemma1_check(
             "residual_sup_eligible": res_sup,
             "residual_gate": gate,
             "inequality_ok": inequality_ok,
-            "delta0": delta0,
-            "standoff_cells": standoff_cells,
+            "delta0": DELTA0_DEFAULT,
+            "standoff_cells": STANDOFF_CELLS,
         },
     )
 
 
-def eq_chain_check(
-    g: ComplexField,
-    kappa: float = KAPPA_DEFAULT,
-    basepoint: complex = 0j,
-    standoff_cells: int = STANDOFF_CELLS,
-) -> CertificateReport:
+def eq_chain_check(g: ComplexField, basepoint: complex = 0j) -> CertificateReport:
     """Verify the identity chain for a branch g = h^(1/2) = rho e^(i phi).
 
     With first derivatives written as subscripts, the chain is:
@@ -224,7 +219,8 @@ def eq_chain_check(
     The last line's slack (LHS - 1) is the reported min_slack; it is the
     discrete form of the subharmonicity that powers the sup bound.  All
     violations are maxima of |LHS - RHS| over nodes whose full stencil stays
-    inside the branch mask; hypothesis_ok gates the first line at kappa * h.
+    inside the branch mask, STANDOFF_CELLS off its edge; hypothesis_ok gates
+    the first line at KAPPA_DEFAULT * h.
 
     A branch from sqrt_branch at the same basepoint is not unwrapped again:
     rho and phi are the sqrt|h| and half argument it was built from.  Its
@@ -240,7 +236,7 @@ def eq_chain_check(
     spec = g.spec
     h = spec.spacing
 
-    inner = erode4(g.mask) & _standoff_mask(g, standoff_cells)
+    inner = erode4(g.mask) & _standoff_mask(g, STANDOFF_CELLS)
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
     win = mask_window(inner, 1)
@@ -275,39 +271,33 @@ def eq_chain_check(
 
     return CertificateReport(
         kind="eq_chain",
-        hypothesis_ok=violations["sqrt_equation"] <= kappa * h,
+        hypothesis_ok=violations["sqrt_equation"] <= KAPPA_DEFAULT * h,
         min_slack=min_slack,
         witness=witness,
         checked_nodes=int(inner.sum()),
-        tolerance_used=kappa * h,
+        tolerance_used=KAPPA_DEFAULT * h,
         details={"violations": violations, "basepoint": util.as_complex_pair(basepoint)},
     )
 
 
-def sqrt_branch(
-    h: ComplexField,
-    delta0: float = DELTA0_DEFAULT,
-    basepoint: complex = 0j,
-) -> ComplexField:
+def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> ComplexField:
     """A continuous square root of h on the component of {|h| > delta0} at basepoint.
 
-    One unwrap of h over {|h| > delta0} on the mask's window finds the branch
-    and its component at once: the component is the set of nodes the unwrap
-    reaches from the basepoint (4-connected), and only its edges are
-    checked, so a zero of h enclosed by another component does not matter,
-    while one enclosed by this component raises PhaseUnwrapError.  Off the
-    component the branch is 1, the square root of the polar fill rho = 1,
-    phi = 0; only the component's window is computed.  The result keeps the
-    branch's polar form (sqrt|h| and half the argument of h) for
-    eq_chain_check.
+    delta0 is DELTA0_DEFAULT.  One unwrap of h over {|h| > delta0} on the
+    mask's window finds the branch and its component at once: the component
+    is the set of nodes the unwrap reaches from the basepoint (4-connected),
+    and only its edges are checked, so a zero of h enclosed by another
+    component does not matter, while one enclosed by this component raises
+    PhaseUnwrapError.  Off the component the branch is 1, the square root of
+    the polar fill rho = 1, phi = 0; only the component's window is
+    computed.  The result keeps the branch's polar form (sqrt|h| and half
+    the argument of h) for eq_chain_check.
     """
-    if delta0 < 0:
-        raise ValueError("delta0 must be >= 0, so that h has no zero on the branch")
     spec = h.spec
     n = spec.resolution
     win = mask_window(h.mask, 0)
     values = h.values[win]
-    region = h.mask[win] & (np.abs(values) > delta0)
+    region = h.mask[win] & (np.abs(values) > DELTA0_DEFAULT)
     node = basepoint_node(spec, basepoint, h.mask)
     if node is None or not region[node[0] - win[0].start, node[1] - win[1].start]:
         raise MaskError("basepoint is not inside {|h| > delta0}")
@@ -415,11 +405,13 @@ def lemma2_check(
     )
 
 
-def theorem2_chain(
-    sol: DbarSolution,
-    delta0: float = DELTA0_DEFAULT,
-    standoff_cells: int = STANDOFF_CELLS,
-) -> CertificateReport:
+def max_principle_check(f: ComplexField) -> CertificateReport:
+    """lemma2_check on u = |f|^(3/4), at delta0^(3/4) and STANDOFF_CELLS off the edge."""
+    return lemma2_check(abs_power_34(f), delta0=DELTA0_DEFAULT ** 0.75,
+                        standoff_cells=STANDOFF_CELLS)
+
+
+def theorem2_chain(sol: DbarSolution) -> CertificateReport:
     """Compose the certificates into the sup-bound verdict for one solve.
 
     Applies only to DbarSolution.certified solves.  With f(0) = 0 the bound
@@ -457,9 +449,8 @@ def theorem2_chain(
             details={"verdict": "not_applicable", "reason": "f(0) = 0", "sup_f": sol.sup_f},
         )
 
-    lemma1 = lemma1_check(sol.f, delta0=delta0, standoff_cells=standoff_cells)
-    lemma2 = lemma2_check(abs_power_34(sol.f), delta0=delta0 ** 0.75,
-                          standoff_cells=standoff_cells)
+    lemma1 = lemma1_check(sol.f)
+    lemma2 = max_principle_check(sol.f)
 
     min_slack = sol.sup_f - (SUP_FLOOR - FD_TOLERANCE)
     spec, mask = sol.f.spec, sol.f.mask

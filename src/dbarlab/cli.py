@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -37,8 +36,8 @@ from .dbar import (
     residual_dbar,
 )
 from .grid import MaskError, PhaseUnwrapError, load_complex_field, make_grid
-from .kr import DEFAULT_B_SWEEP, check_anchor, scan_radii, usc_report
-from .ode import exact_forward, family_trajectory, lower_bound_check, rk4_integrate
+from .kr import DEFAULT_B_SWEEP, check_anchors, scan_radii, usc_report
+from .ode import FAMILY_KINKS, exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 from .selftest import SELFTEST_DEFAULTS, check_criteria, format_table, run_selftest
 
 EXIT_OK = 0
@@ -53,9 +52,6 @@ SOLVE_DEFAULTS = {
 
 CERTIFY_DEFAULTS = {
     "input": None,
-    "delta0": cert.DELTA0_DEFAULT,
-    "kappa": cert.KAPPA_DEFAULT,
-    "standoff_cells": cert.STANDOFF_CELLS,
     "basepoint": [0.0, 0.0],
 }
 
@@ -67,9 +63,6 @@ KR_DEFAULTS = {
 
 ODE_DEFAULTS = {
     "g0": 0.01,
-    "steps": 1000,
-    "family_kinks": [0.0, 0.3, 0.9],
-    "samples": 2001,
 }
 
 COMMAND_DEFAULTS = {
@@ -169,18 +162,10 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
         raise ConfigError(f"input not found: {path}")
     try:
         basepoint = util.from_complex_pair(cfg["basepoint"])
-        delta0 = float(cfg["delta0"])
-        kappa = float(cfg["kappa"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid certify config: {exc}") from exc
-    for key, value in (("delta0", delta0), ("kappa", kappa)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"invalid certify config: {key} must be positive and finite")
     if not cmath.isfinite(basepoint):
         raise ConfigError("invalid certify config: basepoint must be finite")
-    standoff = cfg["standoff_cells"]
-    if standoff < 0:
-        raise ConfigError("invalid certify config: standoff_cells must be >= 0")
 
     sol = None
     if str(path).endswith(".json"):
@@ -203,21 +188,15 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     def branch_chain():
-        branch = cert.sqrt_branch(f, delta0=delta0, basepoint=basepoint)
-        return cert.eq_chain_check(
-            branch, kappa=kappa, basepoint=basepoint, standoff_cells=standoff
-        )
+        return cert.eq_chain_check(cert.sqrt_branch(f, basepoint), basepoint)
 
     certs = {
-        "smoothness": _guarded(cert.lemma1_check, f, delta0=delta0, standoff_cells=standoff),
+        "smoothness": _guarded(cert.lemma1_check, f),
         "identity_chain": _guarded(branch_chain),
-        "max_principle": _guarded(cert.lemma2_check, cert.abs_power_34(f),
-                                  delta0=delta0 ** 0.75, standoff_cells=standoff),
+        "max_principle": _guarded(cert.max_principle_check, f),
     }
     if sol is not None:
-        certs["sup_bound"] = _guarded(
-            cert.theorem2_chain, sol, delta0=delta0, standoff_cells=standoff
-        )
+        certs["sup_bound"] = _guarded(cert.theorem2_chain, sol)
 
     util.write_json(os.path.join(out_dir, "certificates.json"),
                     {"schema_version": util.SCHEMA_VERSION, "certificates": certs})
@@ -243,7 +222,7 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
 
 def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
     try:
-        b_list = [check_anchor(util.from_complex_pair(p)) for p in cfg["b_list"]]
+        b_list = check_anchors(util.from_complex_pair(p) for p in cfg["b_list"])
         radii = scan_radii(cfg["radii"])
         make_grid(1.0, cfg["resolution"])  # refuse a bad resolution before writing
     except (ValueError, TypeError) as exc:
@@ -269,9 +248,8 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
 def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
     try:
         g0 = float(cfg["g0"])
-        traj = rk4_integrate(g0, steps=cfg["steps"])
-        kinks = [float(c) for c in cfg["family_kinks"]]
-        fams = [family_trajectory(c, samples=cfg["samples"]) for c in kinks]
+        traj = rk4_integrate(g0)
+        fams = [family_trajectory(c) for c in FAMILY_KINKS]
         exact = exact_forward(g0, 1.0)
         bound = lower_bound_check(g0) if g0 > 0 else None
     except (ValueError, TypeError) as exc:
@@ -290,7 +268,7 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
         "g_at_one": traj.value_at_end(),
         "exact_g_at_one": exact,
         "abs_error": abs(traj.value_at_end() - exact),
-        "family_kinks": kinks,
+        "family_kinks": list(FAMILY_KINKS),
     }
     if bound is not None:
         summary["lower_bound_holds"] = bound.holds

@@ -75,6 +75,14 @@ def check_anchor(b: complex) -> complex:
     return b
 
 
+def check_anchors(b_list) -> list:
+    """The anchors as complex numbers; ValueError for an empty list or one check_anchor refuses."""
+    b_list = [check_anchor(b) for b in b_list]
+    if not b_list:
+        raise ValueError("scan needs at least one anchor")
+    return b_list
+
+
 def scan_radii(radii=None) -> list:
     """The sorted radii a scan visits, default_radii() when radii is None.
 
@@ -308,11 +316,11 @@ def usc_report(
     Writes usc_report.json (summary), usc_table.csv (one row per scanned
     radius), and one heatmap of |f| per solve that produced a field.  The
     headline flag all_gaps_positive records whether every tested
-    basepoint's empirical lower bound exceeded the origin's exact 1/2;
-    with no basepoints it is null.  Values that would be infinite are
-    encoded as null plus the no_feasible_disc flag.
+    basepoint's empirical lower bound exceeded the origin's exact 1/2.
+    Values that would be infinite are encoded as null plus the
+    no_feasible_disc flag.
     """
-    b_list = [check_anchor(b) for b in b_list]
+    b_list = check_anchors(b_list)
     os.makedirs(out_dir, exist_ok=True)
     origin = upper_bound_origin()
 
@@ -349,9 +357,7 @@ def usc_report(
         "origin_witness_residual": origin.witness_residual_sup,
         "empirical": True,
         "rows": rows,
-        "all_gaps_positive": None
-        if not rows
-        else all(row["gap_positive"] for row in rows),
+        "all_gaps_positive": all(row["gap_positive"] for row in rows),
     }
     json_path = write_json(os.path.join(out_dir, "usc_report.json"), summary)
     csv_path = os.path.join(out_dir, "usc_table.csv")

@@ -21,6 +21,11 @@ from math import sqrt
 
 import numpy as np
 
+# the ode command's workload, shared with selftest criterion 8
+RK4_STEPS = 1000
+FAMILY_SAMPLES = 2001
+FAMILY_KINKS = (0.0, 0.3, 0.9)
+
 
 @dataclass(frozen=True)
 class OdeTrajectory:
@@ -71,10 +76,9 @@ def exact_forward(g0: float, x: float) -> float:
     return root * root
 
 
-def rk4_integrate(g0: float, steps: int = 1000) -> OdeTrajectory:
-    """Classical fourth-order march of g' = |g|^(1/2) across [0, 1]."""
-    if steps < 10:
-        raise ValueError("steps must be >= 10")
+def rk4_integrate(g0: float) -> OdeTrajectory:
+    """Classical fourth-order march of g' = |g|^(1/2) across [0, 1] in RK4_STEPS steps."""
+    steps = RK4_STEPS
     g0 = float(g0)
     h = 1.0 / steps
     xs = np.linspace(0.0, 1.0, steps + 1)
@@ -112,11 +116,9 @@ def nonuniq_family(c: float, x):
     return out
 
 
-def family_trajectory(c: float, samples: int = 2001) -> OdeTrajectory:
-    """nonuniq_family(c) sampled uniformly on [-1, 1]."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    xs = np.linspace(-1.0, 1.0, samples)
+def family_trajectory(c: float) -> OdeTrajectory:
+    """nonuniq_family(c) sampled at FAMILY_SAMPLES uniform points of [-1, 1]."""
+    xs = np.linspace(-1.0, 1.0, FAMILY_SAMPLES)
     return OdeTrajectory(xs, nonuniq_family(c, xs), 0.0, f"family({c!r})")
 
 

@@ -4,7 +4,7 @@ Each criterion function runs one guarantee end to end and returns a
 CriterionResult with the measured numbers in its details.  The only
 config key is criteria, the indices to run; the workload of each
 criterion (grid resolutions, sample counts, anchors, wall clock budgets)
-is fixed by the constants below, or by the scan and integrator defaults
+is fixed by the constants below, or by the scan and integrator constants
 it shares with kr and ode.  run_selftest aggregates the results into a
 summary dict that intentionally contains no timestamps, paths, or timing
 figures: two runs with the same config must produce byte-identical
@@ -37,6 +37,7 @@ from .dbar import DbarProblem, picard_solve, profile_exact, residual_dbar
 from .grid import ComplexField, RealField, make_grid
 from .kr import DEFAULT_RESOLUTION, radius_scan, upper_bound_origin, usc_report
 from .ode import (
+    FAMILY_KINKS,
     exact_forward,
     family_trajectory,
     lower_bound_check,
@@ -47,7 +48,8 @@ from .util import SCHEMA_VERSION, config_digest, json_dumps, parallel_map
 
 SELFTEST_DEFAULTS = {"criteria": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]}
 
-# the workload; scans run at kr.DEFAULT_RESOLUTION, the integrator at its default steps
+# the workload; scans run at kr.DEFAULT_RESOLUTION, the integrator and the
+# family at the ode command's ode.RK4_STEPS, FAMILY_KINKS and FAMILY_SAMPLES
 RANDOM_FIELD_COUNT = 20
 RANDOM_FIELD_RESOLUTION = 129
 REDUCTION_BUDGET_SECONDS = 10.0
@@ -97,11 +99,13 @@ class CriterionResult:
 
 
 def check_criteria(criteria) -> list:
-    """The requested criteria, sorted and deduplicated; ValueError for an unknown one."""
+    """The requested criteria, sorted and deduplicated; ValueError for an unknown one or none."""
     known = list(CRITERION_NAMES)  # compared by ==, so an unhashable entry is refused, not a crash
     bad = [c for c in criteria if c not in known]
     if bad:
         raise ValueError(f"unknown criteria requested: {bad}")
+    if not criteria:
+        raise ValueError("selftest needs at least one criterion")
     return sorted(set(criteria))
 
 
@@ -321,8 +325,8 @@ def criterion_08(threads: int) -> CriterionResult:
 
     fam_resid = {}
     fam_ok = True
-    for c in (0.0, 0.3, 0.9):
-        traj = family_trajectory(c, samples=2001)
+    for c in FAMILY_KINKS:
+        traj = family_trajectory(c)
         step = traj.xs[1] - traj.xs[0]
         fd = (traj.gs[2:] - traj.gs[:-2]) / (2 * step)
         resid = np.abs(fd - np.sqrt(traj.gs[1:-1]))

@@ -123,15 +123,17 @@ def test_criterion_07_cauchy_transform():
 
 
 def test_criterion_08_ode_analogue():
-    # rk4 vs closed form <= 1e-6 at 1000 steps; family residual <= 2*step;
-    # lower-bound slack equals sqrt(g0) + g0 to 1e-12
+    # rk4 vs closed form <= 1e-6 at RK4_STEPS = 1000 steps; family residual
+    # <= 2*step at FAMILY_SAMPLES = 2001; lower-bound slack equals sqrt(g0) + g0 to 1e-12
+    from dbarlab import ode
     from dbarlab.ode import exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 
+    assert (ode.RK4_STEPS, ode.FAMILY_SAMPLES, ode.FAMILY_KINKS) == (1000, 2001, (0.0, 0.3, 0.9))
     for g0 in (0.01, 1.0):
-        traj = rk4_integrate(g0, steps=1000)
+        traj = rk4_integrate(g0)
         assert abs(traj.value_at_end() - exact_forward(g0, 1.0)) <= 1e-6
-    for c in (0.0, 0.3, 0.9):
-        traj = family_trajectory(c, samples=2001)
+    for c in ode.FAMILY_KINKS:
+        traj = family_trajectory(c)
         step = traj.xs[1] - traj.xs[0]
         fd = (traj.gs[2:] - traj.gs[:-2]) / (2 * step)
         resid = np.abs(fd - np.sqrt(traj.gs[1:-1]))

@@ -176,7 +176,7 @@ def test_half_disc_profile_matches_loops(n, kink):
     bp = complex(kink + 0.3, 0.45)
     want, filled = loop_sqrt_branch(h, 1e-3, bp)
     assert filled > 0
-    assert_same_field(sqrt_branch(h, delta0=1e-3, basepoint=bp), want)
+    assert_same_field(sqrt_branch(h, basepoint=bp), want)
     restricted = h.restrict(want.mask)
     assert_same_polar(polar_decompose(restricted, bp), loop_polar(restricted, bp)[0])
 
@@ -193,15 +193,16 @@ def test_c_shaped_mask_matches_loops(n, bp):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("bp", [0j, 0.625 + 0.125j])
-def test_branch_keeps_only_the_basepoint_component(n, bp):
+def test_branch_keeps_only_the_basepoint_component(n, bp, monkeypatch):
     # |h| vanishes on x = +-0.4, splitting {|h| > delta0} into three strips
     spec = make_grid(1.0, n)
     X, _ = spec.mesh()
     h = winding_free(spec)
     h = ComplexField(spec, h.values / np.abs(h.values) * (X * X - 0.16) ** 2, h.margin, h.mask)
     delta0 = 2e-3
+    monkeypatch.setattr(certify, "DELTA0_DEFAULT", delta0)
     want, _ = loop_sqrt_branch(h, delta0, bp)
-    got = sqrt_branch(h, delta0=delta0, basepoint=bp)
+    got = sqrt_branch(h, basepoint=bp)
     assert_same_field(got, want)
     region = h.mask & (np.abs(h.values) > delta0)
     assert got.mask.sum() < region.sum()
@@ -216,7 +217,7 @@ def test_branch_components_are_four_connected(n):
     h = winding_free(spec).restrict(((X >= 0) & (Y >= 0)) | ((X < 0) & (Y < 0)))
     bp = 0.25 + 0.25j
     want, _ = loop_sqrt_branch(h, 1e-3, bp)
-    got = sqrt_branch(h, delta0=1e-3, basepoint=bp)
+    got = sqrt_branch(h, basepoint=bp)
     assert_same_field(got, want)
     assert not (got.mask & (X < 0)).any()
 
@@ -251,22 +252,24 @@ def split_with_zero(spec, z0=0.703125 + 0.015625j):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_zero_in_another_component_is_ignored(n):
+def test_zero_in_another_component_is_ignored(n, monkeypatch):
+    monkeypatch.setattr(certify, "DELTA0_DEFAULT", 2e-3)
     spec = make_grid(1.0, n)
     h = split_with_zero(spec)
     X, _ = spec.mesh()
     for bp in (0j, -0.625 + 0.125j):
         want, _ = loop_sqrt_branch(h, 2e-3, bp)
-        got = sqrt_branch(h, delta0=2e-3, basepoint=bp)
+        got = sqrt_branch(h, basepoint=bp)
         assert_same_field(got, want)
         assert not (got.mask & (X > 0.4)).any()
 
 
 @pytest.mark.parametrize("n", SIZES[1:])  # at N=17 the two-cell margin opens the hole to x = 0.4
-def test_zero_in_the_basepoint_component_raises(n):
+def test_zero_in_the_basepoint_component_raises(n, monkeypatch):
+    monkeypatch.setattr(certify, "DELTA0_DEFAULT", 2e-3)
     h = split_with_zero(make_grid(1.0, n))
     with pytest.raises(PhaseUnwrapError):
-        sqrt_branch(h, delta0=2e-3, basepoint=0.6875 - 0.25j)
+        sqrt_branch(h, basepoint=0.6875 - 0.25j)
 
 
 def _solution_input(tmp_path):

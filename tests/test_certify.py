@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dbarlab import certify
 from dbarlab.certify import (
     eq_chain_check,
     lemma1_check,
@@ -102,22 +103,25 @@ class TestEqChain:
         assert rep.details["violations"]["sqrt_equation"] == pytest.approx(0.5, abs=1e-14)
         assert not rep.hypothesis_ok
 
-    def test_solution_branch_violations_are_small(self):
+    def test_solution_branch_violations_are_small(self, monkeypatch):
+        monkeypatch.setattr(certify, "DELTA0_DEFAULT", 0.05)
         sol = solved_65()
         h = sol.f.spec.spacing
-        rep = eq_chain_check(sqrt_branch(sol.f, delta0=0.05))
+        rep = eq_chain_check(sqrt_branch(sol.f))
         assert rep.hypothesis_ok
         assert all(v <= 10 * h for v in rep.details["violations"].values())
         assert rep.min_slack >= -10 * h
 
-    def test_solution_branch_violations_shrink_at_fixed_depth(self):
+    def test_solution_branch_violations_shrink_at_fixed_depth(self, monkeypatch):
         # second derivatives of the transform blow up toward the rim where
         # the density is chopped, so the comparison has to hold the physical
         # standoff fixed (3 cells at N=65 equals 6 cells at N=129)
+        monkeypatch.setattr(certify, "DELTA0_DEFAULT", 0.05)
         worst = []
         for n, cells in ((65, 3), (129, 6)):
             sol = picard_solve(DbarProblem(make_grid(1.0, n), b=0.25))
-            rep = eq_chain_check(sqrt_branch(sol.f, delta0=0.05), standoff_cells=cells)
+            monkeypatch.setattr(certify, "STANDOFF_CELLS", cells)
+            rep = eq_chain_check(sqrt_branch(sol.f))
             worst.append(max(rep.details["violations"].values()))
         assert worst[1] < 0.25 * worst[0]
 
@@ -142,20 +146,16 @@ class TestSqrtBranch:
         d = np.max(np.abs((br.values - (X + 1.0))[br.mask]))
         assert d <= 1e-13
 
-    def test_mask_stays_above_delta0(self):
+    def test_mask_stays_above_delta0(self, monkeypatch):
+        monkeypatch.setattr(certify, "DELTA0_DEFAULT", 0.05)
         sol = solved_65()
-        br = sqrt_branch(sol.f, delta0=0.05)
+        br = sqrt_branch(sol.f)
         assert np.all(np.abs(sol.f.values[br.mask]) > 0.05)
 
     def test_basepoint_must_be_in_region(self):
         spec = make_grid(1.0, 65)
         with pytest.raises(MaskError):
             sqrt_branch(profile_exact(0.5, spec))  # f(0) = 0 there
-
-    def test_negative_delta0_refused(self):
-        # {|h| > delta0} would take in the zeros of h, where no branch exists
-        with pytest.raises(ValueError):
-            sqrt_branch(profile_exact(-1.0, make_grid(1.0, 33)), delta0=-1e-3)
 
 
 class TestLemma2:

@@ -51,7 +51,12 @@ class TestPrintConfig:
         cfg = write_config(tmp_path, {"g0": 0.5})
         assert cli.main(["ode", "--config", cfg, "--print-config"]) == 0
         merged = json.loads(capsys.readouterr().out)
-        assert merged["g0"] == 0.5 and merged["steps"] == base["steps"]
+        assert merged == {**base, "g0": 0.5}
+
+    def test_certify_and_ode_take_only_inputs(self):
+        # the method values are module constants, not config keys
+        assert set(cli.COMMAND_DEFAULTS["certify"]) == {"input", "basepoint"}
+        assert set(cli.COMMAND_DEFAULTS["ode"]) == {"g0"}
 
     def test_selftest_prints_only_criteria(self, capsys):
         assert cli.main(["selftest", "--print-config"]) == 0
@@ -249,8 +254,10 @@ class TestInvalidConfigRefused:
         ("kr-scan", {"b_list": [[0.1, 0.0]], "radii": [0.25]}),
         ("kr-scan", {"b_list": [[float("nan"), 0.0]], "radii": [0.5], "resolution": 17}),
         ("kr-scan", {"radii": [0.5, 1e200]}),
+        ("kr-scan", {"b_list": []}),
         ("selftest", {"criteria": [9], "scan_resolution": 65}),
         ("selftest", {"criteria": [12]}),
+        ("selftest", {"criteria": []}),
         ("ode", {"steps": 10.7}),
         ("ode", {"g0": -0.5}),
     ], ids=["delta0-null", "basepoint-null", "basepoint-short", "input-list",
@@ -261,7 +268,8 @@ class TestInvalidConfigRefused:
             "anchor-infinite", "anchor-overflow",
             "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
-            "selftest-removed-key", "selftest-criterion-unknown", "ode-steps-float",
+            "scan-b-list-empty", "selftest-removed-key", "selftest-criterion-unknown",
+            "selftest-criteria-empty", "ode-steps-float",
             "ode-g0-negative"])
     def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
         if command == "certify":

@@ -29,7 +29,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # COMMAND_DEFAULTS keys + defaulted parameters + dataclass fields; a change
 # that adds a knob raises this in its own diff and says why
-SETTABLE_VALUES = 106
+SETTABLE_VALUES = 91
 
 
 def _parse(path):
@@ -221,5 +221,5 @@ def test_settable_values_pinned():
     from dbarlab.cli import COMMAND_DEFAULTS
 
     counts = _settable_values()
-    assert counts["config_keys"] == sum(map(len, COMMAND_DEFAULTS.values())) == 16
+    assert counts["config_keys"] == sum(map(len, COMMAND_DEFAULTS.values())) == 10
     assert sum(counts.values()) == SETTABLE_VALUES, counts

@@ -182,13 +182,11 @@ class TestUscReport:
             head = open(tmp_path / name, "rb").read(2)
             assert head == b"P5"
 
-    def test_empty_list_header_only(self, tmp_path):
-        out = usc_report([], tmp_path)
-        assert out["summary"]["rows"] == []
-        assert out["summary"]["all_gaps_positive"] is None
-        lines = open(out["paths"]["csv"]).read().strip().split("\n")
-        assert lines == ["b,r,feasible,sup_f,residual"]
-        assert out["paths"]["heatmaps"] == []
+    def test_empty_list_refused(self, tmp_path):
+        # no anchor, no verdict: refused before anything is written
+        with pytest.raises(ValueError, match="at least one anchor"):
+            usc_report([], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_zero_anchor_rejected(self, tmp_path):
         with pytest.raises(ValueError):

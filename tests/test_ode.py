@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbarlab import ode
 from dbarlab.ode import (
+    FAMILY_KINKS,
     OdeTrajectory,
     exact_forward,
     family_trajectory,
@@ -37,7 +39,7 @@ class TestExactForward:
 class TestRk4:
     def test_matches_closed_form(self):
         for g0 in (0.01, 1.0):
-            traj = rk4_integrate(g0, steps=1000)
+            traj = rk4_integrate(g0)
             exact = np.array([exact_forward(g0, x) for x in traj.xs])
             assert np.max(np.abs(traj.gs - exact)) <= 1e-6
 
@@ -51,10 +53,10 @@ class TestRk4:
         end = rk4_integrate(0.0).value_at_end()
         assert 0.0 <= end <= 0.25
 
-    def test_step_floor(self):
-        with pytest.raises(ValueError):
-            rk4_integrate(0.1, steps=9)
-        assert rk4_integrate(0.1, steps=10).xs.size == 11
+    def test_steps_read_when_run(self, monkeypatch):
+        assert rk4_integrate(0.1).xs.size == ode.RK4_STEPS + 1 == 1001
+        monkeypatch.setattr(ode, "RK4_STEPS", 10)
+        assert rk4_integrate(0.1).xs.size == 11
 
 
 class TestFamily:
@@ -73,9 +75,10 @@ class TestFamily:
         with pytest.raises(ValueError):
             nonuniq_family(-0.2, 0.0)
 
-    @pytest.mark.parametrize("c", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("c", FAMILY_KINKS)
     def test_fd_residual(self, c):
-        traj = family_trajectory(c, samples=2001)
+        traj = family_trajectory(c)
+        assert traj.xs.size == ode.FAMILY_SAMPLES
         step = traj.xs[1] - traj.xs[0]
         fd = (traj.gs[2:] - traj.gs[:-2]) / (2 * step)
         mid = traj.xs[1:-1]
@@ -116,8 +119,9 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             OdeTrajectory(np.array([0.0, 1.0]), np.array([0.0, np.nan]), 0.0, "exact")
 
-    def test_csv(self, tmp_path):
-        traj = rk4_integrate(0.01, steps=10)
+    def test_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ode, "RK4_STEPS", 10)
+        traj = rk4_integrate(0.01)
         path = traj.to_csv(tmp_path / "traj.csv")
         lines = open(path).read().strip().split("\n")
         assert lines[0] == "x,g"

@@ -9,13 +9,14 @@ array must hold the same bits.
 """
 
 import json
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbarlab import certify
 from dbarlab.certify import (
     DELTA0_DEFAULT,
     FD_TOLERANCE,
@@ -331,15 +332,27 @@ def outcome(fn, *args, **kwargs):
     )
 
 
+def at_standoff_zero(fn):
+    """fn run with certify.STANDOFF_CELLS set to 0 for the length of each call."""
+    def call(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "STANDOFF_CELLS", 0)
+            return fn(*args, **kwargs)
+
+    call.__name__ = f"{fn.__name__}[standoff 0]"
+    return call
+
+
 def assert_all_match(field, basepoint, tag=""):
     """Every windowed certificate on field agrees with its full-grid form, bit for bit."""
     pairs = [
         (polar_decompose, full_polar, (field, basepoint), {}),
         (lemma1_check, full_lemma1, (field,), {}),
-        (lemma1_check, full_lemma1, (field,), {"standoff_cells": 0}),
+        (at_standoff_zero(lemma1_check), partial(full_lemma1, standoff_cells=0), (field,), {}),
         (sqrt_branch, full_sqrt_branch, (field,), {"basepoint": basepoint}),
         (eq_chain_check, full_eq_chain, (field,), {"basepoint": basepoint}),
-        (eq_chain_check, full_eq_chain, (field,), {"basepoint": basepoint, "standoff_cells": 0}),
+        (at_standoff_zero(eq_chain_check), partial(full_eq_chain, standoff_cells=0), (field,),
+         {"basepoint": basepoint}),
         (lemma2_check, full_lemma2, (abs_power_34(field),), {}),
         (lemma2_check, full_lemma2, (abs_power_34(field),), {"standoff_cells": STANDOFF_CELLS}),
     ]
