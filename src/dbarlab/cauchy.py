@@ -18,12 +18,14 @@ so the fast path runs real FFTs and transforms only the N rows and columns
 that carry data (a pruned FFT, see http://www.fftw.org/pruned.html).  The
 kernel is cached as two spectra, K+ and K-, of Re k + i Im k and
 Re k - i Im k, with h^2/pi and the 1/m^2 of both inverse passes folded in.
-The forward rfft writes into a zero-padded product buffer and its fft runs
-in place; one product with each of K+ and K- and one inverse FFT along the
-rows then give the column spectrum of conv(Re k) + i conv(Im k) as a copy
-and a conjugate, and one complex inverse FFT down the columns yields both
-real convolutions at once.  Both paths must agree to 1e-10 relative; tests
-and the acceptance suite enforce that.
+The zero-padded real input borrows the memory of the packed column
+spectrum, which is idle until the last pass.  The forward rfft writes into
+a zero-padded product buffer and its fft runs in place; one product with
+each of K+ and K- and one inverse FFT along the rows then give the column
+spectrum of conv(Re k) + i conv(Im k) as a copy and a conjugate, and one
+complex inverse FFT down the columns yields both real convolutions at
+once.  Both paths must agree to 1e-10 relative; tests and the acceptance
+suite enforce that.
 
 The FFTs are numpy.fft's (pocketfft, as in scipy.fft); no module of the
 package imports scipy, so numpy is its only runtime dependency.
@@ -93,22 +95,24 @@ class CauchyTransform:
     to the opposite edge of the grid; kernel offsets beyond R stay zero.
     Set-up caches the kernel spectra K+ and K- of _kernel_spectra, with
     1/m^2 folded in so that both inverse passes run unnormalised, and binds
-    the buffers an apply works in: an m x N real input whose unmasked nodes
-    and rows past N stay zero, an m x m product buffer and an m x N packed
-    column spectrum.
+    the two buffers an apply works in: an m x m product buffer and an m x N
+    packed column spectrum.
 
-    An apply to real values copies them onto the mask, does one rfft down
-    the N data columns into the first N columns of the product buffer's top
-    m/2+1 rows, zeroes the rest of those rows and runs one fft along them in
-    place.  That spectrum U times K+ stays on top, its rows 1..m-m/2-1 times
-    K- fill the bottom, and one in-place ifft along x runs over all m rows.
-    With A and B the y half spectra of conv(Re k) and conv(Im k), the top
-    now holds A + iB and the bottom A - iB, whose conjugates, rows reversed,
-    are rows m/2+1..m-1 of the full spectrum of conv(Re k) + i conv(Im k).
-    The packed spectrum is therefore one copy and one conjugate, and one
-    complex ifft down the columns inverts it.  Complex values go through
+    An apply to real values zeroes an m x N real view of the packed
+    spectrum's memory, copies the values onto the mask in it, does one rfft
+    down the N data columns into the first N columns of the product
+    buffer's top m/2+1 rows, zeroes the rest of those rows and runs one fft
+    along them in place.  That spectrum U times K+ stays on top, its rows
+    1..m-m/2-1 times K- fill the bottom, and one in-place ifft along x runs
+    over all m rows.  With A and B the y half spectra of conv(Re k) and
+    conv(Im k), the top now holds A + iB and the bottom A - iB, whose
+    conjugates, rows reversed, are rows m/2+1..m-1 of the full spectrum of
+    conv(Re k) + i conv(Im k).  The packed spectrum is therefore one copy
+    and one conjugate, written over the spent input, and one complex ifft
+    down the columns inverts it.  Complex values go through
     the same path as T(Re u) + i T(Im u).  The buffers make an instance
-    unsafe to share across threads; every apply returns a fresh array.
+    unsafe to share across threads; every apply returns a fresh N x N array
+    and keeps no reference to it.
     """
 
     def __init__(self, spec, mask: np.ndarray):
@@ -123,14 +127,18 @@ class CauchyTransform:
         m = _next_fast_len(2 * reach + 1)
         self._m = m
         self._kernel = _kernel_spectra(m, reach, spec.spacing)
-        self._pad = np.zeros((m, n))
         self._products = np.empty((m, m), dtype=np.complex128)
         self._packed = np.empty((m, n), dtype=np.complex128)
 
     def _convolve_real(self, values: np.ndarray) -> np.ndarray:
         n, m = self.spec.resolution, self._m
         top = m // 2 + 1
-        pad, prod, packed, kernel = self._pad, self._products, self._packed, self._kernel
+        prod, packed, kernel = self._products, self._packed, self._kernel
+        # the packed spectrum is written only after the rfft has read its
+        # input, so its memory holds the zero-padded input until then; an
+        # N x N input with rfft(n=m) doing the padding is 5-7% slower
+        pad = packed.view(np.float64)[:, :n]
+        pad.fill(0.0)
         np.copyto(pad[:n], values, where=self.mask)
         up, down = prod[:top], prod[top:]
         np.fft.rfft(pad, axis=0, out=up[:, :n])

@@ -6,9 +6,11 @@ runs it as f <- f + theta d with d = T(rhs) + (b - T(rhs)(0)) - f, built in
 the array the transform returns and set to zero at the anchor, so f(0) = b
 stays exact; the update is max |theta d| on the mask.  f is updated in place
 and the right side is written into one real buffer per solve, which also
-takes |theta d|.  The regularization eps decreases geometrically over the
-continuation schedule and the final sweep runs at eps = 0, where the right
-side is the non-Lipschitz |f|^(1/2) itself.
+takes |theta d|.  A step drops d once the update is read, so one step array
+is alive at a time, and the transform and the buffer are released before
+the closing residual is measured.  The regularization eps decreases
+geometrically over the continuation schedule and the final sweep runs at
+eps = 0, where the right side is the non-Lipschitz |f|^(1/2) itself.
 Non-convergence (MAX_ITER exhausted, or the update supremum stalling) is
 reported data, never an exception; only NaN is a hard error.
 
@@ -277,6 +279,8 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
                 d *= THETA
                 f += d
                 update = float(np.max(np.abs(d, out=rhs), where=mask, initial=0.0))
+                # the next apply allocates the next step; keep one alive at a time
+                del d
                 # f was finite on the mask, so a non-finite update means a non-finite iterate there
                 if not np.isfinite(update):
                     raise NanEncountered("non-finite iterate on the mask")
@@ -288,6 +292,8 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
                 if _stalled(stage_history):
                     break
 
+    # the residual's temporaries need not share the peak with the iteration's arrays
+    del transform, rhs
     field_out = ComplexField(spec, f, margin, mask)
     _, res_sup = residual_dbar(field_out)
     return DbarSolution(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,30 @@ def test_solver_applies_the_public_transform_once_per_iteration(monkeypatch):
     sol = picard_solve(DbarProblem(make_grid(1.0, 33), b=0.05 + 0.02j))
     assert sol.iterations > 0
     assert calls == {"init": 1, "apply": sol.iterations}
+
+
+def test_solver_peak_memory_is_the_transform_and_three_fields():
+    # besides the transform, an iteration needs f, the real right side and the
+    # step the apply returns: 2.5 complex N x N fields.  A previous step kept
+    # alive across the apply adds one field, and the transform kept through
+    # the closing residual adds about four; either breaks the bound.
+    spec = make_grid(1.0, 129)
+    n = spec.resolution
+    t = CauchyTransform(spec, spec.disc_mask(spec.default_margin()))
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    # the real input lives in the packed spectrum's memory: no real buffer
+    assert {a.dtype for a in arrays} == {np.dtype(bool), np.dtype(np.complex128)}
+    own = sum(a.nbytes for a in arrays)
+    del t
+    field = n * n * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        sol = picard_solve(DbarProblem(spec, b=0.05 + 0.02j))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak <= own + 3 * field
 
 
 def test_next_fast_len_matches_scipy():
