@@ -16,16 +16,19 @@ window.  R = N-1 when the mask touches the edge of the grid, and R = N-3 for
 the solver's discs with a two-cell margin.  The input is real in the solver,
 so the fast path runs real FFTs and transforms only the N rows and columns
 that carry data (a pruned FFT, see http://www.fftw.org/pruned.html).  The
-kernel is cached as two spectra, K+ and K-, of Re k + i Im k and
+kernel enters as two spectra, K+ and K-, of Re k + i Im k and
 Re k - i Im k, with h^2/pi and the 1/m^2 of both inverse passes folded in.
-The zero-padded real input borrows the memory of the packed column
-spectrum, which is idle until the last pass.  The forward rfft writes into
-a zero-padded product buffer and its fft runs in place; one product with
-each of K+ and K- and one inverse FFT along the rows then give the column
-spectrum of conv(Re k) + i conv(Im k) as a copy and a conjugate, and one
-complex inverse FFT down the columns yields both real convolutions at
-once.  Both paths must agree to 1e-10 relative; tests and the acceptance
-suite enforce that.
+Only one half of one of them is cached: Re k is odd in x and even in y and
+Im k the reverse, so both have purely imaginary spectra and
+K- = -conj K+, and the rows m/2+1..m-1 of the full spectrum are conjugates
+of rows 1..m-m/2-1.  The zero-padded real input borrows the memory of the
+packed column spectrum, which is idle until the last pass.  The forward
+rfft writes into the top rows of a product buffer and its fft runs in
+place; products with K+ and, a block of rows at a time, with K- and
+inverse FFTs along the rows then give the column spectrum of
+conv(Re k) + i conv(Im k) as copies and conjugates, and one complex inverse
+FFT down the columns yields both real convolutions at once.  Both paths
+must agree to 1e-10 relative; tests and the acceptance suite enforce that.
 
 The FFTs are numpy.fft's (pocketfft, as in scipy.fft); no module of the
 package imports scipy, so numpy is its only runtime dependency.
@@ -38,6 +41,8 @@ import numpy as np
 from .grid import ComplexField, mask_window
 
 AGREEMENT_RTOL = 1e-10
+# bytes one block of the lower spectrum rows may take in the product buffer
+BLOCK_BYTES = 1 << 19
 
 
 def _next_fast_len(target: int) -> int:
@@ -53,14 +58,14 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
-def _kernel_spectra(m: int, reach: int, h: float) -> np.ndarray:
-    """K+ on rows 0..m/2 and K- on rows m/2+1..m-1 of one m x m array.
+def _kernel_half(m: int, reach: int, h: float, scratch: np.ndarray) -> np.ndarray:
+    """K+ on the half spectrum rows 0..m/2, as a new (m/2+1) x m array.
 
     With S the rfft down y and then the fft along x of a real m x m array,
-    K+ = S(Re k) + i S(Im k) and K- = S(Re k) - i S(Im k), scaled by
-    h^2/(pi m^2); K- keeps only its rows 1..m-m/2-1.  k = 1/(x + iy) is
+    K+ = S(Re k) + i S(Im k), scaled by h^2/(pi m^2).  k = 1/(x + iy) is
     sampled on the wrapped offsets with |offset| <= reach and zero
-    elsewhere, through the real arrays x/(x^2+y^2) and -y/(x^2+y^2).
+    elsewhere, through the real arrays x/(x^2+y^2) and -y/(x^2+y^2).  The
+    y half spectrum of Re k goes through the first m/2+1 rows of scratch.
     """
     top = m // 2 + 1
     idx = np.arange(m)
@@ -71,20 +76,19 @@ def _kernel_spectra(m: int, reach: int, h: float) -> np.ndarray:
     oy = (off * h)[:, np.newaxis]
     r2 = ox * ox + oy * oy
     nonzero = (r2 != 0) & live[:, np.newaxis] & live[np.newaxis, :]
-    kernel = np.empty((m, m), dtype=np.complex128)
-    plus, minus = kernel[:top], kernel[top:]
+    plus = np.empty((top, m), dtype=np.complex128)
     part = np.zeros((m, m))
     np.divide(-oy, r2, out=part, where=nonzero)
     np.fft.rfft(part, axis=0, out=plus)
     plus *= 1j
     np.divide(ox, r2, out=part, where=nonzero)
     # S is linear, so the y half spectra combine before the fft along x
-    re_k = np.fft.rfft(part, axis=0)
-    np.subtract(re_k[1 : m - top + 1], plus[1 : m - top + 1], out=minus)
+    re_k = scratch[:top]
+    np.fft.rfft(part, axis=0, out=re_k)
     plus += re_k
-    np.fft.fft(kernel, axis=1, out=kernel)
-    kernel *= h * h / (np.pi * m * m)
-    return kernel
+    np.fft.fft(plus, axis=1, out=plus)
+    plus *= h * h / (np.pi * m * m)
+    return plus
 
 
 class CauchyTransform:
@@ -93,26 +97,44 @@ class CauchyTransform:
     The padded length is m = _next_fast_len(2R+1), where the reach R is the
     largest distance, in nodes, from the mask's first or last row or column
     to the opposite edge of the grid; kernel offsets beyond R stay zero.
-    Set-up caches the kernel spectra K+ and K- of _kernel_spectra, with
-    1/m^2 folded in so that both inverse passes run unnormalised, and binds
-    the two buffers an apply works in: an m x m product buffer and an m x N
-    packed column spectrum.
+
+    Set-up caches one kernel half, K+ on the spectrum rows 0..m/2 from
+    _kernel_half, with 1/m^2 folded in so that both inverse passes run
+    unnormalised.  The other half needs no storage: on the wrapped offsets
+    Re k is odd in x and even in y, and Im k is even in x and odd in y, so
+    both spectra are purely imaginary and K- = -conj K+.  Set-up also binds
+    the buffers an apply works in: a product buffer of m/2+1+B rows of
+    length m and an m x N packed column spectrum.  The lower rows
+    1..m-m/2-1 go B at a time, where B is their number or fewer if that
+    many would take more than BLOCK_BYTES.  When one block holds them all,
+    which is so up to N = 129 on the solver's discs, set-up forms that K-
+    slice once and keeps it, and an apply runs the products of the full
+    spectrum.  Otherwise set-up negates the cached half, so that each apply
+    conjugates each block's K- slice straight into the buffer's tail, and
+    negates the top rows once they are inverted; numpy forms a plain
+    conjugate far faster than a negated one.  At N = 257 (m = 512, four
+    blocks of up to 64 rows) an instance keeps about 6.8 MB, against
+    10.5 MB for the full K+/K- pair and an m x m buffer.
 
     An apply to real values zeroes an m x N real view of the packed
     spectrum's memory, copies the values onto the mask in it, does one rfft
     down the N data columns into the first N columns of the product
     buffer's top m/2+1 rows, zeroes the rest of those rows and runs one fft
-    along them in place.  That spectrum U times K+ stays on top, its rows
-    1..m-m/2-1 times K- fill the bottom, and one in-place ifft along x runs
-    over all m rows.  With A and B the y half spectra of conv(Re k) and
-    conv(Im k), the top now holds A + iB and the bottom A - iB, whose
-    conjugates, rows reversed, are rows m/2+1..m-1 of the full spectrum of
-    conv(Re k) + i conv(Im k).  The packed spectrum is therefore one copy
-    and one conjugate, written over the spent input, and one complex ifft
-    down the columns inverts it.  Complex values go through
-    the same path as T(Re u) + i T(Im u).  The buffers make an instance
-    unsafe to share across threads; every apply returns a fresh N x N array
-    and keeps no reference to it.
+    along them in place, which gives the spectrum U.  With A and B the y
+    half spectra of conv(Re k) and conv(Im k), the inverse along x of
+    U times K+ is A + iB on rows 0..m/2, and that of U times K- is A - iB
+    on rows 1..m-m/2-1, whose conjugates, rows reversed, are rows
+    m/2+1..m-1 of the full spectrum of conv(Re k) + i conv(Im k).  The
+    lower rows go B at a time through the buffer's tail: multiply the rows
+    of U by the K- slice, inverse along x, and conjugate into the packed
+    spectrum over the spent input.  The last block waits in the tail until
+    the top rows are multiplied by the kernel, and one in-place ifft along x
+    runs over both.  The packed spectrum then takes the top rows as one
+    copy and the last block as one conjugate, and one complex ifft down the
+    columns inverts it.  Complex values go through the same path as
+    T(Re u) + i T(Im u).  The buffers make an instance unsafe to share
+    across threads; every apply returns a fresh N x N array and keeps no
+    reference to it.
     """
 
     def __init__(self, spec, mask: np.ndarray):
@@ -125,9 +147,22 @@ class CauchyTransform:
         # window 0:0, carries no data and keeps the full-square padding
         reach = max(rows.stop - 1, n - 1 - rows.start, cols.stop - 1, n - 1 - cols.start)
         m = _next_fast_len(2 * reach + 1)
+        top = m // 2 + 1
+        lower = m - top
+        block = max(1, min(lower, BLOCK_BYTES // (m * np.dtype(np.complex128).itemsize)))
         self._m = m
-        self._kernel = _kernel_spectra(m, reach, spec.spacing)
-        self._products = np.empty((m, m), dtype=np.complex128)
+        # the kernel build borrows the product buffer; the rest comes after
+        self._products = np.empty((top + block, m), dtype=np.complex128)
+        self._kernel = _kernel_half(m, reach, spec.spacing, self._products)
+        # spectrum rows lo..hi-1 of the lower half, B at a time
+        self._blocks = [(lo, min(lo + block, lower + 1)) for lo in range(1, lower + 1, block)]
+        if block == lower:
+            # K- is formed once, and an apply runs the full-spectrum products
+            self._minus = -np.conjugate(self._kernel[1 : lower + 1])
+        else:
+            # a K- slice is then one conjugate, and the top rows' copy undoes the sign
+            self._minus = None
+            np.negative(self._kernel, out=self._kernel)
         self._packed = np.empty((m, n), dtype=np.complex128)
 
     def _convolve_real(self, values: np.ndarray) -> np.ndarray:
@@ -140,17 +175,34 @@ class CauchyTransform:
         pad = packed.view(np.float64)[:, :n]
         pad.fill(0.0)
         np.copyto(pad[:n], values, where=self.mask)
-        up, down = prod[:top], prod[top:]
+        up, tail = prod[:top], prod[top:]
         np.fft.rfft(pad, axis=0, out=up[:, :n])
         up[:, n:] = 0.0
         np.fft.fft(up, axis=1, out=up)
-        np.multiply(up[1 : m - top + 1], kernel[top:], out=down)
-        up *= kernel[:top]
-        np.fft.ifft(prod, axis=1, norm="forward", out=prod)
         # row k of the top holds A_k + iB_k, row m-k of the spectrum needs
-        # conj(A_k) + i conj(B_k) = conj(A_k - iB_k), the bottom's row k-1
-        packed[:top] = up[:, :n]
-        np.conjugate(down[::-1, :n], out=packed[top:])
+        # conj(A_k) + i conj(B_k) = conj(A_k - iB_k), the tail's row k-lo
+        for lo, hi in self._blocks:
+            rows = tail[: hi - lo]
+            if self._minus is None:
+                np.conjugate(kernel[lo:hi], out=rows)
+                # U first, as in the one-block product: numpy's complex
+                # product is not bitwise commutative, and in this order
+                # the block layout does not change the result
+                np.multiply(up[lo:hi], rows, out=rows)
+            else:
+                np.multiply(up[lo:hi], self._minus, out=rows)
+            if hi <= m - top:
+                np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+                np.conjugate(rows[::-1, :n], out=packed[m - hi + 1 : m - lo + 1])
+        up *= kernel
+        last = prod[: top + len(rows)]
+        np.fft.ifft(last, axis=1, norm="forward", out=last)
+        if self._minus is None:
+            # numpy's complex negative is several times slower than this product
+            np.multiply(up[:, :n], -1.0, out=packed[:top])
+        else:
+            packed[:top] = up[:, :n]
+        np.conjugate(rows[::-1, :n], out=packed[top : top + len(rows)])
         np.fft.ifft(packed, axis=0, norm="forward", out=packed)
         return packed[:n].copy()
 

@@ -244,28 +244,29 @@ def eq_chain_check(g: ComplexField, basepoint: complex = 0j) -> CertificateRepor
     rho = rho_all[win]
     phi = phi_all[win]
 
-    gz = _dzbar(g.values[win], h)
-    viol1 = np.abs(gz - 0.5 * np.exp(-1j * phi))
+    def worst(violation: np.ndarray) -> float:
+        return float(np.max(violation[inner]))
 
+    # each identity is reduced to its maximum as soon as it is formed, and
+    # every derivative is dropped after its last read
+    violations = {
+        "sqrt_equation": worst(np.abs(_dzbar(g.values[win], h) - 0.5 * np.exp(-1j * phi))),
+    }
     rx, ry = _dx(rho, h), _dy(rho, h)
     px, py = _dx(phi, h), _dy(phi, h)
-    lap_rho = _lap5(rho, h)
-
-    viol3re = np.abs(rx - rho * py - np.cos(2.0 * phi))
-    viol3im = np.abs(ry + rho * px + np.sin(2.0 * phi))
+    violations["polar_system_re"] = worst(np.abs(rx - rho * py - np.cos(2.0 * phi)))
+    violations["polar_system_im"] = worst(np.abs(ry + rho * px + np.sin(2.0 * phi)))
     grad2 = px * px + py * py
-    viol7 = np.abs(rx * rx + ry * ry + rho * rho * grad2 + 2.0 * rho * (ry * px - rx * py) - 1.0)
-    lhs8 = rx * rx + ry * ry + 2.0 * rho * lap_rho
-    viol8 = np.abs(lhs8 - 1.0 - 3.0 * rho * rho * grad2)
-    slack8 = lhs8 - 1.0
+    violations["gradient_identity"] = worst(
+        np.abs(rx * rx + ry * ry + rho * rho * grad2 + 2.0 * rho * (ry * px - rx * py) - 1.0)
+    )
+    del px, py
+    lhs8 = rx * rx + ry * ry + 2.0 * rho * _lap5(rho, h)
+    del rx, ry
+    violations["laplacian_identity"] = worst(np.abs(lhs8 - 1.0 - 3.0 * rho * rho * grad2))
+    del grad2
+    slack8 = np.subtract(lhs8, 1.0, out=lhs8)
 
-    violations = {
-        "sqrt_equation": float(np.max(viol1[inner])),
-        "polar_system_re": float(np.max(viol3re[inner])),
-        "polar_system_im": float(np.max(viol3im[inner])),
-        "gradient_identity": float(np.max(viol7[inner])),
-        "laplacian_identity": float(np.max(viol8[inner])),
-    }
     min_slack = float(np.min(slack8[inner]))
     witness = _witness(spec, win, inner, slack8, np.nanargmin)
 

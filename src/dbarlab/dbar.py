@@ -6,11 +6,13 @@ runs it as f <- f + theta d with d = T(rhs) + (b - T(rhs)(0)) - f, built in
 the array the transform returns and set to zero at the anchor, so f(0) = b
 stays exact; the update is max |theta d| on the mask.  f is updated in place
 and the right side is written into one real buffer per solve, which also
-takes |theta d|.  A step drops d once the update is read, so one step array
-is alive at a time, and the transform and the buffer are released before
-the closing residual is measured.  The regularization eps decreases
-geometrically over the continuation schedule and the final sweep runs at
-eps = 0, where the right side is the non-Lipschitz |f|^(1/2) itself.
+takes |theta d|.  The transform is built before f exists, so the kernel
+build's temporaries do not stack on the iteration's arrays.  A step drops d
+once the update is read, so one step array is alive at a time, and the
+transform and the buffer are released before the closing residual is
+measured.  The regularization eps decreases geometrically over the
+continuation schedule and the final sweep runs at eps = 0, where the right
+side is the non-Lipschitz |f|^(1/2) itself.
 Non-convergence (MAX_ITER exhausted, or the update supremum stalling) is
 reported data, never an exception; only NaN is a hard error.
 
@@ -258,8 +260,9 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
     # GridSpec's MIN_RESOLUTION keeps the origin inside the default margin
     mask = spec.disc_mask(margin)
     c = spec.center
-    f = np.full((spec.resolution, spec.resolution), problem.b, dtype=np.complex128)
+    # the kernel build's temporaries must not share the peak with f
     transform = CauchyTransform(spec, mask)
+    f = np.full((spec.resolution, spec.resolution), problem.b, dtype=np.complex128)
     b = problem.b
     rhs = np.empty(f.shape)
     iterations = 0

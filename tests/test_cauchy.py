@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from dbarlab.cauchy import AGREEMENT_RTOL, CauchyTransform, _next_fast_len, cauchy_transform
+from dbarlab import cauchy
+from dbarlab.cauchy import (
+    AGREEMENT_RTOL,
+    CauchyTransform,
+    _direct_values,
+    _next_fast_len,
+    cauchy_transform,
+)
 from dbarlab.dbar import DbarProblem, picard_solve
 from dbarlab.grid import ComplexField, RealField, make_grid, sup_norm, wirtinger_dzbar
 
@@ -145,28 +152,103 @@ def test_solver_applies_the_public_transform_once_per_iteration(monkeypatch):
     assert calls == {"init": 1, "apply": sol.iterations}
 
 
-def test_solver_peak_memory_is_the_transform_and_three_fields():
+def _block_rows(monkeypatch, n, rows):
+    # a byte budget of rows product rows on the solver's disc, whose reach is n - 3
+    m = _next_fast_len(2 * (n - 3) + 1)
+    monkeypatch.setattr(cauchy, "BLOCK_BYTES", rows * m * np.dtype(np.complex128).itemsize)
+
+
+def test_solver_peak_memory_is_the_transform_and_three_fields(monkeypatch):
     # besides the transform, an iteration needs f, the real right side and the
     # step the apply returns: 2.5 complex N x N fields.  A previous step kept
     # alive across the apply adds one field, and the transform kept through
-    # the closing residual adds about four; either breaks the bound.
+    # the closing residual adds about four; either breaks the bound.  The
+    # second pass sends the lower spectrum half through eight blocks.
     spec = make_grid(1.0, 129)
     n = spec.resolution
-    t = CauchyTransform(spec, spec.disc_mask(spec.default_margin()))
-    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray) and v.ndim == 2]
-    # the real input lives in the packed spectrum's memory: no real buffer
-    assert {a.dtype for a in arrays} == {np.dtype(bool), np.dtype(np.complex128)}
-    own = sum(a.nbytes for a in arrays)
-    del t
     field = n * n * np.dtype(np.complex128).itemsize
-    tracemalloc.start()
-    try:
-        sol = picard_solve(DbarProblem(spec, b=0.05 + 0.02j))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sol.converged
-    assert peak <= own + 3 * field
+    for blocks in (1, 8):
+        if blocks > 1:
+            _block_rows(monkeypatch, n, 16)
+        t = CauchyTransform(spec, spec.disc_mask(spec.default_margin()))
+        assert len(t._blocks) == blocks
+        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+        # the real input lives in the packed spectrum's memory: no real buffer
+        assert {a.dtype for a in arrays} == {np.dtype(bool), np.dtype(np.complex128)}
+        own = sum(a.nbytes for a in arrays)
+        del t
+        tracemalloc.start()
+        try:
+            sol = picard_solve(DbarProblem(spec, b=0.05 + 0.02j))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak <= own + 3 * field
+
+
+# (n, rows per block) -> the rows of each block of the lower spectrum half
+BLOCK_LAYOUTS = {
+    (33, None): [31],
+    (33, 8): [8, 8, 8, 7],
+    (33, 1): [1] * 31,
+    (65, None): [62],
+    (65, 31): [31, 31],
+    (65, 20): [20, 20, 20, 2],
+    (65, 1): [1] * 62,
+}
+
+
+@pytest.mark.parametrize("n, rows", sorted(BLOCK_LAYOUTS, key=str))
+def test_block_layouts_match_direct_sum(monkeypatch, n, rows):
+    if rows is not None:
+        _block_rows(monkeypatch, n, rows)
+    g = make_grid(1.0, n)
+    u = _real_field(g, 5)
+    t = CauchyTransform(g, u.mask)
+    assert [hi - lo for lo, hi in t._blocks] == BLOCK_LAYOUTS[n, rows]
+    direct = _direct_values(g, u.mask, u.values)
+    assert np.abs(t.apply_values(u.values) - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
+def test_block_layout_keeps_the_solve(monkeypatch):
+    problem = DbarProblem(make_grid(1.0, 65), b=0.05 + 0.02j)
+    one = picard_solve(problem)
+    _block_rows(monkeypatch, 65, 20)
+    several = picard_solve(problem)
+    assert several.iterations == one.iterations
+    assert several.sup_f == pytest.approx(one.sup_f, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_lower_kernel_half_is_minus_conjugate_of_upper(n):
+    # K- built as before the halving, with both FFTs here: the spectrum of
+    # Re k - i Im k on the wrapped offsets the solver's disc reaches
+    g = make_grid(1.0, n)
+    t = CauchyTransform(g, g.disc_mask(g.default_margin()))
+    m, reach, h = t._m, n - 3, g.spacing
+    idx = np.arange(m)
+    off = np.where(idx <= reach, idx, idx - m)
+    live = np.abs(off) <= reach
+    x, y = np.meshgrid(off * h, off * h)
+    r2 = x * x + y * y
+    keep = (r2 != 0) & live[:, np.newaxis] & live[np.newaxis, :]
+    r2[~keep] = 1.0
+    re_k, im_k = np.where(keep, x / r2, 0.0), np.where(keep, -y / r2, 0.0)
+    s_re, s_im = (np.fft.fft(np.fft.rfft(a, axis=0), axis=1) for a in (re_k, im_k))
+    minus = (s_re - 1j * s_im)[1 : m - m // 2] * (h * h / (np.pi * m * m))
+    assert len(t._blocks) == 1
+    parity = -np.conjugate(t._kernel[1 : m - m // 2])
+    assert np.abs(parity - minus).max() <= 1e-15 * np.abs(minus).max()
+
+
+def test_transform_at_257_caches_half_the_kernel():
+    g = make_grid(1.0, 257)
+    t = CauchyTransform(g, g.disc_mask(g.default_margin()))
+    m = t._m
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert all(a.shape != (m, m) for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 8.5e6
 
 
 def test_next_fast_len_matches_scipy():

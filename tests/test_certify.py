@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,20 @@ class TestEqChain:
             rep = eq_chain_check(sqrt_branch(sol.f))
             worst.append(max(rep.details["violations"].values()))
         assert worst[1] < 0.25 * worst[0]
+
+    def test_peak_memory_is_a_few_window_arrays(self):
+        # holding every identity's array until the end peaks at about 16 real
+        # N x N arrays here; reducing each to its maximum at once, about 9
+        spec = make_grid(1.0, 129)
+        branch = sqrt_branch(profile_exact(-1.0, spec))
+        tracemalloc.start()
+        try:
+            rep = eq_chain_check(branch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.checked_nodes > 10000
+        assert peak <= 11 * spec.resolution ** 2 * np.dtype(np.float64).itemsize
 
     def test_enclosed_zero_is_detected(self):
         spec = make_grid(1.0, 65)
