@@ -18,17 +18,19 @@ so the fast path runs real FFTs and transforms only the N rows and columns
 that carry data (a pruned FFT, see http://www.fftw.org/pruned.html).  The
 kernel enters as two spectra, K+ and K-, of Re k + i Im k and
 Re k - i Im k, with h^2/pi and the 1/m^2 of both inverse passes folded in.
-Only one half of one of them is cached: Re k is odd in x and even in y and
-Im k the reverse, so both have purely imaginary spectra and
-K- = -conj K+, and the rows m/2+1..m-1 of the full spectrum are conjugates
-of rows 1..m-m/2-1.  The zero-padded real input borrows the memory of the
-packed column spectrum, which is idle until the last pass.  The forward
-rfft writes into the top rows of a product buffer and its fft runs in
-place; products with K+ and, a block of rows at a time, with K- and
-inverse FFTs along the rows then give the column spectrum of
-conv(Re k) + i conv(Im k) as copies and conjugates, and one complex inverse
-FFT down the columns yields both real convolutions at once.  Both paths
-must agree to 1e-10 relative; tests and the acceptance suite enforce that.
+Only one half of one of them is cached, built from the real kernel arrays
+in column strips: Re k is odd in x and even in y and Im k the reverse, so
+both have purely imaginary spectra and K- = -conj K+, and the rows
+m/2+1..m-1 of the full spectrum are conjugates of rows 1..m-m/2-1.  An
+instance keeps that half and a product buffer; each apply allocates its
+m x N packed column spectrum, and the zero-padded real input borrows that
+memory, which is idle until the last pass.  The forward rfft writes into
+the top rows of the product buffer and its fft runs in place; products with
+K+ and, a block of rows at a time, with K- and inverse FFTs along the rows
+then give the column spectrum of conv(Re k) + i conv(Im k) as copies and
+conjugates, and one complex inverse FFT down the columns yields both real
+convolutions at once, whose first N rows are the result.  Both paths must
+agree to 1e-10 relative; tests and the acceptance suite enforce that.
 
 The FFTs are numpy.fft's (pocketfft, as in scipy.fft); no module of the
 package imports scipy, so numpy is its only runtime dependency.
@@ -64,27 +66,36 @@ def _kernel_half(m: int, reach: int, h: float, scratch: np.ndarray) -> np.ndarra
     With S the rfft down y and then the fft along x of a real m x m array,
     K+ = S(Re k) + i S(Im k), scaled by h^2/(pi m^2).  k = 1/(x + iy) is
     sampled on the wrapped offsets with |offset| <= reach and zero
-    elsewhere, through the real arrays x/(x^2+y^2) and -y/(x^2+y^2).  The
-    y half spectrum of Re k goes through the first m/2+1 rows of scratch.
+    elsewhere, through the real arrays x/(x^2+y^2) and -y/(x^2+y^2).  Each
+    column's rfft down y depends on that column alone, so the real arrays
+    are formed and transformed in column strips, and K+ does not depend on
+    the strip width; the y half spectrum of Re k goes through the first
+    m/2+1 rows of scratch.
     """
     top = m // 2 + 1
     idx = np.arange(m)
     # wrapped signed offsets; slots that no data pair can reach stay zero
     off = np.where(idx <= reach, idx, idx - m)
     live = np.abs(off) <= reach
-    ox = (off * h)[np.newaxis, :]
     oy = (off * h)[:, np.newaxis]
-    r2 = ox * ox + oy * oy
-    nonzero = (r2 != 0) & live[:, np.newaxis] & live[np.newaxis, :]
     plus = np.empty((top, m), dtype=np.complex128)
-    part = np.zeros((m, m))
-    np.divide(-oy, r2, out=part, where=nonzero)
-    np.fft.rfft(part, axis=0, out=plus)
-    plus *= 1j
-    np.divide(ox, r2, out=part, where=nonzero)
-    # S is linear, so the y half spectra combine before the fft along x
     re_k = scratch[:top]
-    np.fft.rfft(part, axis=0, out=re_k)
+    # columns per strip: its two real arrays, r2 and part, take at most BLOCK_BYTES
+    width = max(1, BLOCK_BYTES // (2 * m * np.dtype(np.float64).itemsize))
+    for lo in range(0, m, width):
+        cols = slice(lo, min(lo + width, m))
+        ox = (off[cols] * h)[np.newaxis, :]
+        r2 = ox * ox + oy * oy
+        nonzero = (r2 != 0) & live[:, np.newaxis] & live[np.newaxis, cols]
+        part = np.zeros(r2.shape)
+        np.divide(-oy, r2, out=part, where=nonzero)
+        np.fft.rfft(part, axis=0, out=plus[:, cols])
+        np.divide(ox, r2, out=part, where=nonzero)
+        np.fft.rfft(part, axis=0, out=re_k[:, cols])
+        # the next strip's arrays must not stack on these
+        del r2, nonzero, part
+    plus *= 1j
+    # S is linear, so the y half spectra combine before the fft along x
     plus += re_k
     np.fft.fft(plus, axis=1, out=plus)
     plus *= h * h / (np.pi * m * m)
@@ -102,39 +113,46 @@ class CauchyTransform:
     _kernel_half, with 1/m^2 folded in so that both inverse passes run
     unnormalised.  The other half needs no storage: on the wrapped offsets
     Re k is odd in x and even in y, and Im k is even in x and odd in y, so
-    both spectra are purely imaginary and K- = -conj K+.  Set-up also binds
-    the buffers an apply works in: a product buffer of m/2+1+B rows of
-    length m and an m x N packed column spectrum.  The lower rows
-    1..m-m/2-1 go B at a time, where B is their number or fewer if that
-    many would take more than BLOCK_BYTES.  When one block holds them all,
-    which is so up to N = 129 on the solver's discs, set-up forms that K-
-    slice once and keeps it, and an apply runs the products of the full
-    spectrum.  Otherwise set-up negates the cached half, so that each apply
-    conjugates each block's K- slice straight into the buffer's tail, and
-    negates the top rows once they are inverted; numpy forms a plain
-    conjugate far faster than a negated one.  At N = 257 (m = 512, four
-    blocks of up to 64 rows) an instance keeps about 6.8 MB, against
-    10.5 MB for the full K+/K- pair and an m x m buffer.
+    both spectra are purely imaginary and K- = -conj K+.  _kernel_half forms
+    the real kernel arrays in column strips whose two arrays take at most
+    BLOCK_BYTES, so the build's temporaries are one strip's, and K+ is the
+    same for every strip width.  Set-up also binds a product buffer of
+    m/2+1+B rows of length m.  The lower rows 1..m-m/2-1 go B at a time,
+    where B is their number or fewer if that many would take more than
+    BLOCK_BYTES.  When one block holds them all, which is so up to N = 129
+    on the solver's discs, set-up forms that K- slice once and keeps it, and
+    an apply runs the products of the full spectrum.  Otherwise set-up
+    negates the cached half, so that each apply conjugates each block's K-
+    slice straight into the buffer's tail, and negates the top rows once
+    they are inverted; numpy forms a plain conjugate far faster than a
+    negated one.  At N = 257 (m = 512, four blocks of up to 64 rows) an
+    instance keeps about 4.8 MB: K+ and the product buffer.
 
-    An apply to real values zeroes an m x N real view of the packed
-    spectrum's memory, copies the values onto the mask in it, does one rfft
-    down the N data columns into the first N columns of the product
-    buffer's top m/2+1 rows, zeroes the rest of those rows and runs one fft
-    along them in place, which gives the spectrum U.  With A and B the y
-    half spectra of conv(Re k) and conv(Im k), the inverse along x of
-    U times K+ is A + iB on rows 0..m/2, and that of U times K- is A - iB
-    on rows 1..m-m/2-1, whose conjugates, rows reversed, are rows
-    m/2+1..m-1 of the full spectrum of conv(Re k) + i conv(Im k).  The
-    lower rows go B at a time through the buffer's tail: multiply the rows
-    of U by the K- slice, inverse along x, and conjugate into the packed
-    spectrum over the spent input.  The last block waits in the tail until
-    the top rows are multiplied by the kernel, and one in-place ifft along x
-    runs over both.  The packed spectrum then takes the top rows as one
-    copy and the last block as one conjugate, and one complex ifft down the
-    columns inverts it.  Complex values go through the same path as
-    T(Re u) + i T(Im u).  The buffers make an instance unsafe to share
-    across threads; every apply returns a fresh N x N array and keeps no
-    reference to it.
+    The product buffer is idle between applies, and scratch is an N x N
+    real view of it that a caller may fill and pass as an apply's input:
+    the apply copies its input onto the mask before its first FFT writes
+    into the buffer.  Every apply overwrites scratch.
+
+    An apply to real values allocates the m x N packed column spectrum,
+    zeroes an m x N real view of its memory, copies the values onto the
+    mask in it, does one rfft down the N data columns into the first N
+    columns of the product buffer's top m/2+1 rows, zeroes the rest of
+    those rows and runs one fft along them in place, which gives the
+    spectrum U.  With A and B the y half spectra of conv(Re k) and
+    conv(Im k), the inverse along x of U times K+ is A + iB on rows 0..m/2,
+    and that of U times K- is A - iB on rows 1..m-m/2-1, whose conjugates,
+    rows reversed, are rows m/2+1..m-1 of the full spectrum of
+    conv(Re k) + i conv(Im k).  The lower rows go B at a time through the
+    buffer's tail: multiply the rows of U by the K- slice, inverse along x,
+    and conjugate into the packed spectrum over the spent input.  The last
+    block waits in the tail until the top rows are multiplied by the kernel,
+    and one in-place ifft along x runs over both.  The packed spectrum then
+    takes the top rows as one copy and the last block as one conjugate, and
+    one complex ifft down the columns inverts it.  The result is its first
+    N rows, returned without a copy: a view that keeps the m x N spectrum
+    alive while the caller holds it, and that no later apply touches.
+    Complex values go through the same path as T(Re u) + i T(Im u).  The
+    buffers make an instance unsafe to share across threads.
     """
 
     def __init__(self, spec, mask: np.ndarray):
@@ -163,15 +181,20 @@ class CauchyTransform:
             # a K- slice is then one conjugate, and the top rows' copy undoes the sign
             self._minus = None
             np.negative(self._kernel, out=self._kernel)
-        self._packed = np.empty((m, n), dtype=np.complex128)
+        # the product buffer is idle between applies; it holds m/2+1 >= N/2
+        # rows of m >= N complex values, room for N x N reals
+        self.scratch = self._products.view(np.float64).reshape(-1)[: n * n].reshape(n, n)
 
     def _convolve_real(self, values: np.ndarray) -> np.ndarray:
         n, m = self.spec.resolution, self._m
         top = m // 2 + 1
-        prod, packed, kernel = self._products, self._packed, self._kernel
+        prod, kernel = self._products, self._kernel
+        packed = np.empty((m, n), dtype=np.complex128)
         # the packed spectrum is written only after the rfft has read its
         # input, so its memory holds the zero-padded input until then; an
-        # N x N input with rfft(n=m) doing the padding is 5-7% slower
+        # N x N input with rfft(n=m) doing the padding is 5-7% slower.  The
+        # values are copied before the first write to the product buffer,
+        # so they may be read from scratch
         pad = packed.view(np.float64)[:, :n]
         pad.fill(0.0)
         np.copyto(pad[:n], values, where=self.mask)
@@ -204,7 +227,7 @@ class CauchyTransform:
             packed[:top] = up[:, :n]
         np.conjugate(rows[::-1, :n], out=packed[top : top + len(rows)])
         np.fft.ifft(packed, axis=0, norm="forward", out=packed)
-        return packed[:n].copy()
+        return packed[:n]
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(values):

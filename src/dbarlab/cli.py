@@ -3,7 +3,8 @@
 Each subcommand owns one JSON config whose defaults are embedded here and
 printable via --print-config.  A run writes into the output directory:
 
-  run_record.json   command, full config, digest, timestamps, output list
+  run_record.json   command, full config, digest, timestamps, output list,
+                    and the run's wall and CPU seconds and peak RSS
   summary.json      key scalars only; deterministic (no paths, no times)
 
 plus command-specific files (solution fields, PGM heatmaps, CSV tables).
@@ -20,7 +21,9 @@ import argparse
 import cmath
 import json
 import os
+import resource
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -92,7 +95,23 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _write_outputs(out_dir, command, cfg, started, outputs, summary,
+def _resources(clocks: tuple) -> dict:
+    """Wall and CPU seconds since clocks, and the peak RSS so far in MB.
+
+    clocks holds perf_counter and process_time at the start of main.
+    ru_maxrss is the process's high-water mark, in KiB on Linux and in bytes
+    on macOS.
+    """
+    wall0, cpu0 = clocks
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "wall_s": time.perf_counter() - wall0,
+        "cpu_s": time.process_time() - cpu0,
+        "peak_rss_mb": (rss if sys.platform == "darwin" else rss * 1024) / 1e6,
+    }
+
+
+def _write_outputs(out_dir, command, cfg, started, clocks, outputs, summary,
                    record_summary=None) -> None:
     """Emit summary.json and run_record.json; outputs are out_dir-relative."""
     summary_full = {"schema_version": util.SCHEMA_VERSION, "command": command}
@@ -111,11 +130,12 @@ def _write_outputs(out_dir, command, cfg, started, outputs, summary,
         "finished": _utcnow(),
         "outputs": sorted(listed),
         "summary": summary if record_summary is None else record_summary,
+        "resources": _resources(clocks),
     }
     util.write_json(os.path.join(out_dir, "run_record.json"), record)
 
 
-def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> int:
+def cmd_solve_dbar(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     try:
         problem = DbarProblem.from_json_dict(cfg)
     except (ValueError, TypeError) as exc:
@@ -142,7 +162,7 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> int:
     }
     outputs = [os.path.basename(paths["json"]), os.path.basename(paths["field"]),
                "abs_f.pgm", "residual.pgm"]
-    _write_outputs(out_dir, "solve-dbar", cfg, started, outputs, summary)
+    _write_outputs(out_dir, "solve-dbar", cfg, started, clocks, outputs, summary)
     return EXIT_OK
 
 
@@ -154,7 +174,7 @@ def _guarded(fn, *args, **kwargs) -> dict:
         return {"available": False, "reason": f"{type(exc).__name__}: {exc}"}
 
 
-def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
+def cmd_certify(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     path = cfg["input"]
     if not path or not isinstance(path, str):
         raise ConfigError("certify needs config key 'input' (solution .json or field .f64)")
@@ -216,11 +236,11 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> int:
         summary["chain_available"] = chain["available"]
         if chain["available"]:
             summary["verdict"] = chain["report"]["details"]["verdict"]
-    _write_outputs(out_dir, "certify", cfg, started, ["certificates.json"], summary)
+    _write_outputs(out_dir, "certify", cfg, started, clocks, ["certificates.json"], summary)
     return EXIT_OK
 
 
-def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
+def cmd_kr_scan(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     try:
         b_list = check_anchors(util.from_complex_pair(p) for p in cfg["b_list"])
         radii = scan_radii(cfg["radii"])
@@ -241,11 +261,11 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> int:
         "all_gaps_positive": summary["all_gaps_positive"],
         "a_observed": [row["a_observed"] for row in summary["rows"]],
     }
-    _write_outputs(out_dir, "kr-scan", cfg, started, rel, summary, record_summary)
+    _write_outputs(out_dir, "kr-scan", cfg, started, clocks, rel, summary, record_summary)
     return EXIT_OK
 
 
-def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
+def cmd_ode(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     try:
         g0 = float(cfg["g0"])
         traj = rk4_integrate(g0)
@@ -273,11 +293,11 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> int:
     if bound is not None:
         summary["lower_bound_holds"] = bound.holds
         summary["lower_bound_slack"] = bound.slack
-    _write_outputs(out_dir, "ode", cfg, started, outputs, summary)
+    _write_outputs(out_dir, "ode", cfg, started, clocks, outputs, summary)
     return EXIT_OK
 
 
-def cmd_selftest(cfg: dict, out_dir, threads: int) -> int:
+def cmd_selftest(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     check_criteria(cfg["criteria"])
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
@@ -291,7 +311,7 @@ def cmd_selftest(cfg: dict, out_dir, threads: int) -> int:
         "all_passed": summary["all_passed"],
         "failed": [c["name"] for c in summary["criteria"] if not c["passed"]],
     }
-    _write_outputs(out_dir, "selftest", cfg, started, scan_files, summary, record_summary)
+    _write_outputs(out_dir, "selftest", cfg, started, clocks, scan_files, summary, record_summary)
     return EXIT_OK if summary["all_passed"] else EXIT_SELFTEST_FAIL
 
 
@@ -331,6 +351,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    clocks = (time.perf_counter(), time.process_time())
     args = build_parser().parse_args(argv)
     if args.threads < 0:
         print("error: --threads must be >= 0", file=sys.stderr)
@@ -342,7 +363,7 @@ def main(argv=None) -> int:
             sys.stdout.write(util.json_dumps(merged))
             return EXIT_OK
         out_dir = os.environ.get("DBARLAB_OUT") or args.out or "."
-        return _RUNNERS[args.command](merged, out_dir, args.threads)
+        return _RUNNERS[args.command](merged, out_dir, args.threads, clocks)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

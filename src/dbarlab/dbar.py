@@ -5,14 +5,14 @@ where T is the solid Cauchy transform and rhs = (|f|^2 + eps^2)^(1/4).  A step
 runs it as f <- f + theta d with d = T(rhs) + (b - T(rhs)(0)) - f, built in
 the array the transform returns and set to zero at the anchor, so f(0) = b
 stays exact; the update is max |theta d| on the mask.  f is updated in place
-and the right side is written into one real buffer per solve, which also
-takes |theta d|.  The transform is built before f exists, so the kernel
-build's temporaries do not stack on the iteration's arrays.  A step drops d
-once the update is read, so one step array is alive at a time, and the
-transform and the buffer are released before the closing residual is
-measured.  The regularization eps decreases geometrically over the
-continuation schedule and the final sweep runs at eps = 0, where the right
-side is the non-Lipschitz |f|^(1/2) itself.
+and is the only array the solver allocates: the right side and |theta d| go
+through the transform's scratch, which is idle between applies.  The
+transform is built before f exists, so the kernel build's temporaries do not
+stack on the iteration's arrays.  A step drops d once the update is read, so
+one step array is alive at a time, and the transform is released before the
+closing residual is measured.  The regularization eps decreases
+geometrically over the continuation schedule and the final sweep runs at
+eps = 0, where the right side is the non-Lipschitz |f|^(1/2) itself.
 Non-convergence (MAX_ITER exhausted, or the update supremum stalling) is
 reported data, never an exception; only NaN is a hard error.
 
@@ -264,7 +264,7 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
     transform = CauchyTransform(spec, mask)
     f = np.full((spec.resolution, spec.resolution), problem.b, dtype=np.complex128)
     b = problem.b
-    rhs = np.empty(f.shape)
+    rhs = transform.scratch
     iterations = 0
     stage_converged = False
 
@@ -282,7 +282,6 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
                 d *= THETA
                 f += d
                 update = float(np.max(np.abs(d, out=rhs), where=mask, initial=0.0))
-                # the next apply allocates the next step; keep one alive at a time
                 del d
                 # f was finite on the mask, so a non-finite update means a non-finite iterate there
                 if not np.isfinite(update):

@@ -11,6 +11,7 @@ polar form of a sqrt_branch result and matches a second unwrap.
 
 import json
 from collections import deque
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -324,6 +325,22 @@ def test_reused_polar_matches_a_second_unwrap(field, bp):
     assert got.witness == want.witness
     assert got.checked_nodes == want.checked_nodes
     assert got.hypothesis_ok == want.hypothesis_ok
-    assert got.min_slack == pytest.approx(want.min_slack, rel=0, abs=1e-12)
+    # the reused branch takes rho = sqrt|h| and the plain path rho = |g|; the
+    # two differ by at most one ulp of max rho, d <= 2^-52 max rho (0.91 of
+    # that at N = 257).  The slack's 2 rho lap(rho) reads rho at five nodes
+    # with weights -4/h^2 and four times 1/h^2, so d moves lap(rho) by up to
+    # 8 d/h^2 and the term by up to 16 * 2^-52 * max rho^2 / h^2, about
+    # 7e-11 on the N = 257 solve.  The first-derivative terms move by O(d/h)
+    # and stay under the 1e-12 every other entry gets.
+    rho = branch.rho[branch.mask]
+    h = branch.spec.spacing
+    stencil = 1e-12 + 16 * 2.0**-52 * float(np.max(rho)) ** 2 / h**2
+    assert got.min_slack == pytest.approx(want.min_slack, rel=0, abs=stencil)
     for key, value in want.details["violations"].items():
-        assert got.details["violations"][key] == pytest.approx(value, rel=0, abs=1e-12)
+        tol = stencil if key == "laplacian_identity" else 1e-12
+        assert got.details["violations"][key] == pytest.approx(value, rel=0, abs=tol)
+    # a relative error of 1e-9 in the reused rho is still caught
+    scaled = eq_chain_check(replace(branch, rho=branch.rho * (1 + 1e-9)), basepoint=bp)
+    lap = "laplacian_identity"
+    assert max(abs(scaled.min_slack - want.min_slack),
+               abs(scaled.details["violations"][lap] - want.details["violations"][lap])) > stencil

@@ -5,6 +5,7 @@ test proves the module entry point works.  Output trees go to tmp_path.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -82,6 +83,11 @@ class TestSolveCommand:
         assert record["started"] <= record["finished"]
         for rel in record["outputs"]:
             assert (out / rel).exists()
+        # what the run cost goes in the record, never in the summary
+        assert set(record["resources"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
+        for value in record["resources"].values():
+            assert math.isfinite(value) and value > 0
+        assert "resources" not in summary
 
     def test_anchor_zero_solves_to_zero_residual(self, tmp_path):
         code, out = run_solve(tmp_path, {"resolution": 65, "b": [0.0, 0.0]})
