@@ -20,7 +20,11 @@ close to it.
 Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
 unless the caller passes another) with the solver's default parameters.
 Scan points are independent jobs; records are assembled in radius order
-so reports are byte-identical for every thread count.
+so reports are byte-identical for every thread count.  A record keeps what
+the reports read of its solve, the scalars and the |f| heatmap as 8-bit
+pixels (a SolveSummary), not the complex field, so a scan holds N^2 bytes
+per radius where the field takes 16 N^2; usc_report frees each anchor's
+records once its rows, CSV lines and heatmaps are written.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .grid import ComplexField, check_radius, make_grid
 from .util import (
     SCHEMA_VERSION,
     as_complex_pair,
+    heatmap_pixels,
     parallel_map,
     write_json,
     write_pgm,
@@ -97,6 +102,31 @@ def scan_radii(radii=None) -> list:
 
 
 @dataclass(frozen=True)
+class SolveSummary:
+    """What a scan record keeps of one solve: its scalars and an 8-bit |f| heatmap.
+
+    heatmap is util.heatmap_pixels of |f|, one byte per node where the
+    complex field takes sixteen; grid_radius is the radius of the grid the
+    solve ran on.  The field itself is dropped once the record is built.
+    """
+
+    grid_radius: float
+    converged: bool
+    iterations: int
+    sup_f: float
+    residual_sup: float
+    residual_gate: float
+    certified: bool
+    heatmap: np.ndarray
+
+    @classmethod
+    def of(cls, sol: DbarSolution) -> "SolveSummary":
+        return cls(sol.problem.grid.radius, sol.converged, sol.iterations, sol.sup_f,
+                   sol.residual_sup, sol.residual_gate, sol.certified,
+                   heatmap_pixels(np.abs(sol.f.values)))
+
+
+@dataclass(frozen=True)
 class FeasibilityRecord:
     """Outcome of one graph-disc attempt at one radius.
 
@@ -105,13 +135,14 @@ class FeasibilityRecord:
     converged fixed point whose equation residual misses the gate (no
     certificate either way); the sup mode means a certified solution
     exists but its graph escapes the radius-1/10 factor, which is exactly
-    what the sup lower bound demands.
+    what the sup lower bound demands.  solution is the SolveSummary of the
+    solve, None when the iteration left the floating-point range.
     """
 
     radius: float
     b: complex
     failure_mode: str
-    solution: DbarSolution | None
+    solution: SolveSummary | None
     chain: CertificateReport | None
     chain_note: str | None = None
 
@@ -119,7 +150,7 @@ class FeasibilityRecord:
         if self.failure_mode not in (FAILURE_NONE, FAILURE_SUP, FAILURE_NONCONV):
             raise ValueError(f"unknown failure mode {self.failure_mode!r}")
         if self.solution is not None:
-            got = self.solution.problem.grid.radius
+            got = self.solution.grid_radius
             if abs(got - float(self.radius)) > 1e-12 * max(1.0, abs(got)):
                 raise ValueError("record radius disagrees with the solution's grid")
         if self.feasible:
@@ -250,9 +281,10 @@ def graph_feasibility(
     The solve runs on a resolution x resolution grid of the disc.  A solve
     that is not certified (divergence, non-convergence, residual above the
     gate) is recorded as non_convergence; a certified solution whose sup
-    leaves the radius-1/10 factor is recorded as sup_bound_violated.  Infeasible records are data, not errors.  For a
-    certified solve, the theorem chain runs on the unit-disc rescale of the
-    solution and rides along.
+    leaves the radius-1/10 factor is recorded as sup_bound_violated.
+    Infeasible records are data, not errors.  For a certified solve, the
+    theorem chain runs on the unit-disc rescale of the solution and rides
+    along.  The record keeps the solve's SolveSummary; the field is dropped.
     """
     b = check_anchor(b)
     try:
@@ -272,12 +304,14 @@ def graph_feasibility(
         chain_note = "no certificate: solve missed the residual gate"
 
     if not sol.certified:
-        return FeasibilityRecord(r, b, FAILURE_NONCONV, sol, chain, chain_note)
-    if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
-        return FeasibilityRecord(r, b, FAILURE_SUP, sol, chain, chain_note)
-    # construct the graph to re-validate the range through the map type
-    graph_map(sol.f)
-    return FeasibilityRecord(r, b, FAILURE_NONE, sol, chain, chain_note)
+        mode = FAILURE_NONCONV
+    elif sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
+        mode = FAILURE_SUP
+    else:
+        # construct the graph to re-validate the range through the map type
+        graph_map(sol.f)
+        mode = FAILURE_NONE
+    return FeasibilityRecord(r, b, mode, SolveSummary.of(sol), chain, chain_note)
 
 
 def radius_scan(
@@ -314,11 +348,11 @@ def usc_report(
     """Juxtapose the exact origin bound with scan estimates near the origin.
 
     Writes usc_report.json (summary), usc_table.csv (one row per scanned
-    radius), and one heatmap of |f| per solve that produced a field.  The
-    headline flag all_gaps_positive records whether every tested
-    basepoint's empirical lower bound exceeded the origin's exact 1/2.
-    Values that would be infinite are encoded as null plus the
-    no_feasible_disc flag.
+    radius), and one heatmap of |f| per solve that produced a field (the
+    pixels its record keeps).  The headline flag all_gaps_positive records
+    whether every tested basepoint's empirical lower bound exceeded the
+    origin's exact 1/2.  Values that would be infinite are encoded as null
+    plus the no_feasible_disc flag.
     """
     b_list = check_anchors(b_list)
     os.makedirs(out_dir, exist_ok=True)
@@ -327,10 +361,8 @@ def usc_report(
     rows = []
     csv_lines = ["b,r,feasible,sup_f,residual"]
     heatmaps = []
-    scans = []
     for bi, b in enumerate(b_list):
         est = radius_scan(b, radii=radii, resolution=resolution, threads=threads)
-        scans.append(est)
         rows.append(
             {
                 "b": as_complex_pair(b),
@@ -347,8 +379,9 @@ def usc_report(
             )
             if sol is not None:
                 name = f"scan_b{bi:02d}_r{ri:02d}_absf.pgm"
-                write_pgm(os.path.join(out_dir, name), np.abs(sol.f.values))
+                write_pgm(os.path.join(out_dir, name), sol.heatmap)
                 heatmaps.append(name)
+        del est  # this anchor is written; free its records before the next scan
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -366,6 +399,5 @@ def usc_report(
 
     return {
         "summary": summary,
-        "scans": scans,
         "paths": {"json": json_path, "csv": csv_path, "heatmaps": heatmaps},
     }

@@ -1,4 +1,4 @@
-"""Small shared plumbing: canonical JSON, digests, PGM output, thread maps.
+"""Small shared plumbing: canonical JSON, digests, PGM heatmaps, thread maps.
 
 Everything that writes run artifacts funnels through these helpers so that
 identical inputs produce byte-identical files regardless of thread count.
@@ -109,16 +109,24 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
-def write_pgm(path, values: np.ndarray) -> str:
-    """8-bit binary PGM (P5) heatmap, values linearly mapped from [0, max] to [0, 255]."""
+def heatmap_pixels(values: np.ndarray) -> np.ndarray:
+    """8-bit heatmap pixels of a 2-d array, linearly mapped from [0, max] to [0, 255]."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise ValueError("PGM heatmap needs a 2-d array")
     vmax = float(v.max()) if v.size else 0.0
     if vmax > 0:
-        pix = np.rint(np.clip(v / vmax, 0.0, 1.0) * 255.0).astype(np.uint8)
-    else:
-        pix = np.zeros(v.shape, dtype=np.uint8)
+        return np.rint(np.clip(v / vmax, 0.0, 1.0) * 255.0).astype(np.uint8)
+    return np.zeros(v.shape, dtype=np.uint8)
+
+
+def write_pgm(path, values: np.ndarray) -> str:
+    """8-bit binary PGM (P5) heatmap of a 2-d array, pixels from heatmap_pixels.
+
+    Pixels already made by heatmap_pixels come back unchanged from it (their
+    max is 255, or they are all zero), so they can be written again as is.
+    """
+    pix = heatmap_pixels(values)
     h, w = pix.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

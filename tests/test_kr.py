@@ -1,9 +1,14 @@
+import gc
 import json
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from dbarlab import cli
+from dbarlab.dbar import DbarProblem, load_solution, picard_solve, residual_dbar
+from dbarlab.grid import make_grid
 from dbarlab.kr import (
     FAILURE_NONCONV,
     FAILURE_NONE,
@@ -17,7 +22,18 @@ from dbarlab.kr import (
     upper_bound_origin,
     usc_report,
 )
-from dbarlab.util import json_dumps
+from dbarlab.util import json_dumps, write_pgm
+
+
+def _p5(values):
+    """P5 bytes of a heatmap, spelled out: [0, max] mapped linearly onto 0..255."""
+    v = np.asarray(values, dtype=float)
+    vmax = v.max()
+    if vmax > 0:
+        pix = np.rint(np.clip(v / vmax, 0.0, 1.0) * 255.0).astype(np.uint8)
+    else:
+        pix = np.zeros(v.shape, dtype=np.uint8)
+    return f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii") + pix.tobytes()
 
 
 class TestOriginBound:
@@ -62,13 +78,16 @@ class TestGraphFeasibility:
         assert rec.failure_mode == FAILURE_NONE
         sol = rec.solution
         assert sol.sup_f < 0.1
-        assert sol.residual_sup <= 5 * sol.f.spec.spacing
+        assert sol.certified
+        assert sol.residual_gate == 5 * make_grid(0.25, 65).spacing
+        assert sol.residual_sup <= sol.residual_gate
         assert rec.chain is not None
 
     def test_resolution_controls_grid(self):
         rec = graph_feasibility(0.25, 0.001, resolution=33)
-        assert rec.solution.f.spec.resolution == 33
-        assert rec.solution.problem.grid.radius == 0.25
+        assert rec.solution.heatmap.shape == (33, 33)
+        assert rec.solution.heatmap.dtype == np.uint8
+        assert rec.solution.grid_radius == 0.25
 
     def test_record_flag_consistency_enforced(self):
         rec = graph_feasibility(0.25, 0.001)
@@ -191,3 +210,52 @@ class TestUscReport:
     def test_zero_anchor_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             usc_report([0.01, 0.0], tmp_path)
+
+
+class TestScanMemory:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_keep_pixels_not_fields(self, threads):
+        # a record holding its complex field would keep 16 N^2 bytes a radius
+        n, radii = 33, np.geomspace(0.25, 2.0, 8)
+        radius_scan(0.01, radii=radii, resolution=n, threads=threads)  # warm numpy's caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            est = radius_scan(0.01, radii=radii, resolution=n, threads=threads)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+        finally:
+            tracemalloc.stop()
+        records = len(est.records)
+        assert records == 8
+        assert all(rec.solution is not None for rec in est.records)
+        # numpy's array data, traced in its own domain: the pixels, with no
+        # slack beyond 64 bytes a record
+        assert sum(t.size for t in arrays.traces) <= records * (n * n + 64)
+        # everything held, the records' Python objects included (dataclasses,
+        # the chain reports' dicts), whose size varies with the interpreter:
+        # under half of what the fields alone would take
+        assert held < records * 16 * n * n // 2
+
+
+class TestHeatmaps:
+    def test_scan_heatmap_is_the_solves_pgm(self, tmp_path):
+        r, b, n = 0.5, 0.01, 33
+        out = usc_report([b], tmp_path / "scan", radii=[r], resolution=n)
+        got = (tmp_path / "scan" / out["paths"]["heatmaps"][0]).read_bytes()
+        abs_f = np.abs(picard_solve(DbarProblem(make_grid(r, n), b)).f.values)
+        write_pgm(tmp_path / "direct.pgm", abs_f)
+        assert got == (tmp_path / "direct.pgm").read_bytes() == _p5(abs_f)
+
+    def test_solve_dbar_heatmaps_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DBARLAB_OUT", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 33, "b": [0.05, 0.0]}), encoding="ascii")
+        out = tmp_path / "solve"
+        assert cli.main(["solve-dbar", "--config", str(cfg), "--out", str(out)]) == 0
+        f = load_solution(out / "solution.json").f
+        assert (out / "abs_f.pgm").read_bytes() == _p5(np.abs(f.values))
+        assert (out / "residual.pgm").read_bytes() == _p5(residual_dbar(f)[0].values)
