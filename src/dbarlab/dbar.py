@@ -162,9 +162,11 @@ def load_solution(json_path) -> DbarSolution:
     """Read a solution.json record and its field file.
 
     Any malformed record raises ValueError (JSON syntax errors included),
-    KeyError for a missing key, or OSError for an unreadable file.  Scalars
-    are taken only with their JSON type: converged a boolean, iterations an
-    integer, residual_sup and sup_f numbers, final_update a number or null.
+    KeyError for a missing key, or OSError for an unreadable file.  The
+    field must be a bare file name, read from the record's own directory.
+    Scalars are taken only with their JSON type: converged a boolean,
+    iterations an integer, residual_sup and sup_f numbers, final_update a
+    number or null.
     """
     import json as _json
     import os
@@ -178,9 +180,12 @@ def load_solution(json_path) -> DbarSolution:
     version = record.get("schema_version")
     if type(version) is not int or version != util.SCHEMA_VERSION:  # True == 1.0 == 1
         raise ValueError(f"solution schema_version is {version!r}, expected {util.SCHEMA_VERSION}")
+    name = record["field"]
+    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValueError(f"solution field {name!r} is not a bare file name")
     try:
         problem = DbarProblem.from_json_dict(record["problem"])
-        field_path = os.path.join(os.path.dirname(str(json_path)), record["field"])
+        field_path = os.path.join(os.path.dirname(str(json_path)), name)
         for key, kinds in _RECORD_SCALARS.items():
             value = record[key]
             if type(value) not in kinds:  # bool is not an int here

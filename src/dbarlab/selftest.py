@@ -1,7 +1,8 @@
 """Self-check battery: every shipped guarantee exercised in one pass.
 
-Each criterion function runs one guarantee end to end and returns a
-CriterionResult with the measured numbers in its details.  The only
+Each criterion function runs one guarantee end to end and returns
+(passed, details), the verdict and the measured numbers; CRITERIA
+registers each under its index and name.  The only
 config key is criteria, the indices to run; the workload of each
 criterion (grid resolutions, sample counts, anchors, wall clock budgets)
 is fixed by the constants below, or by the scan and integrator constants
@@ -46,8 +47,6 @@ from .ode import (
 )
 from .util import SCHEMA_VERSION, config_digest, json_dumps, parallel_map
 
-SELFTEST_DEFAULTS = {"criteria": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]}
-
 # the workload; scans run at kr.DEFAULT_RESOLUTION, the integrator and the
 # family at the ode command's ode.RK4_STEPS, FAMILY_KINKS and FAMILY_SAMPLES
 RANDOM_FIELD_COUNT = 20
@@ -67,21 +66,6 @@ TRANSFORM_AGREEMENT_RESOLUTION = 65
 STRUCTURE_SAMPLE_COUNT = 1_000_000
 SCAN_ANCHOR = complex(0.05, 0.0)
 
-CRITERION_NAMES = {
-    1: "reduction_identity",
-    2: "exact_family",
-    3: "lemma1_sharpness",
-    4: "identity_chain",
-    5: "max_principle",
-    6: "sup_lower_bound_sweep",
-    7: "cauchy_transform",
-    8: "ode_analogue",
-    9: "structure_matrix",
-    10: "usc_gap",
-    11: "determinism",
-}
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     index: int
@@ -100,7 +84,7 @@ class CriterionResult:
 
 def check_criteria(criteria) -> list:
     """The requested criteria, sorted and deduplicated; ValueError for an unknown one or none."""
-    known = list(CRITERION_NAMES)  # compared by ==, so an unhashable entry is refused, not a crash
+    known = list(CRITERIA)  # compared by ==, so an unhashable entry is refused, not a crash
     bad = [c for c in criteria if c not in known]
     if bad:
         raise ValueError(f"unknown criteria requested: {bad}")
@@ -120,7 +104,7 @@ def _random_small_field(spec, seed: int) -> ComplexField:
     return ComplexField(spec, vals, spec.default_margin())
 
 
-def criterion_01(threads: int) -> CriterionResult:
+def criterion_01(threads: int) -> tuple:
     """Graph system and scalar equation agree to rounding on random fields."""
     spec = make_grid(1.0, RANDOM_FIELD_RESOLUTION)
     start = time.monotonic()
@@ -132,21 +116,16 @@ def criterion_01(threads: int) -> CriterionResult:
     elapsed = time.monotonic() - start
     worst = float(max(gaps))
     runtime_ok = elapsed < REDUCTION_BUDGET_SECONDS
-    return CriterionResult(
-        1,
-        CRITERION_NAMES[1],
-        worst <= 1e-10 and runtime_ok,
-        {
-            "fields": RANDOM_FIELD_COUNT,
-            "resolution": spec.resolution,
-            "max_discrepancy": worst,
-            "tolerance": 1e-10,
-            "runtime_ok": runtime_ok,
-        },
-    )
+    return worst <= 1e-10 and runtime_ok, {
+        "fields": RANDOM_FIELD_COUNT,
+        "resolution": spec.resolution,
+        "max_discrepancy": worst,
+        "tolerance": 1e-10,
+        "runtime_ok": runtime_ok,
+    }
 
 
-def criterion_02(threads: int) -> CriterionResult:
+def criterion_02(threads: int) -> tuple:
     """Closed-form family: kink-line residual scale and its halving."""
     sups = []
     away = []
@@ -162,43 +141,33 @@ def criterion_02(threads: int) -> CriterionResult:
     away_ok = all(a <= 2.0 * h for a, h in zip(away, spacings))
     ratio = sups[-1] / sups[0]
     halves = 0.375 <= ratio <= 0.625
-    return CriterionResult(
-        2,
-        CRITERION_NAMES[2],
-        away_ok and halves,
-        {
-            "kink": FAMILY_KINK,
-            "resolutions": list(FAMILY_RESOLUTIONS),
-            "residual_sup": sups,
-            "residual_sup_off_kink": away,
-            "constant_bound": 2.0,
-            "halving_ratio": ratio,
-        },
-    )
+    return away_ok and halves, {
+        "kink": FAMILY_KINK,
+        "resolutions": list(FAMILY_RESOLUTIONS),
+        "residual_sup": sups,
+        "residual_sup_off_kink": away,
+        "constant_bound": 2.0,
+        "halving_ratio": ratio,
+    }
 
 
-def criterion_03(threads: int) -> CriterionResult:
+def criterion_03(threads: int) -> tuple:
     """Sharpness: the smoothness inequality is an equality on the profile."""
     spec = make_grid(1.0, SHARPNESS_RESOLUTION)
     X, _ = spec.mesh()
     rep = lemma1_check(profile_exact(-1.0, spec).restrict(X > -0.5))
     tol = 10.0 * spec.spacing ** 2
     ok = abs(rep.min_slack) <= tol and rep.hypothesis_ok
-    return CriterionResult(
-        3,
-        CRITERION_NAMES[3],
-        ok,
-        {
-            "resolution": spec.resolution,
-            "min_slack": rep.min_slack,
-            "tolerance": tol,
-            "hypothesis_ok": rep.hypothesis_ok,
-            "inequality_ok": rep.details["inequality_ok"],
-        },
-    )
+    return ok, {
+        "resolution": spec.resolution,
+        "min_slack": rep.min_slack,
+        "tolerance": tol,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "inequality_ok": rep.details["inequality_ok"],
+    }
 
 
-def criterion_04(threads: int) -> CriterionResult:
+def criterion_04(threads: int) -> tuple:
     """Identity chain on the explicit branch of the profile."""
     spec = make_grid(1.0, CHAIN_RESOLUTION)
     branch = sqrt_branch(profile_exact(-1.0, spec))
@@ -206,20 +175,15 @@ def criterion_04(threads: int) -> CriterionResult:
     tol = 10.0 * spec.spacing
     worst = max(rep.details["violations"].values())
     ok = worst <= tol and rep.min_slack >= -tol
-    return CriterionResult(
-        4,
-        CRITERION_NAMES[4],
-        ok,
-        {
-            "resolution": spec.resolution,
-            "violations": rep.details["violations"],
-            "laplacian_slack_min": rep.min_slack,
-            "tolerance": tol,
-        },
-    )
+    return ok, {
+        "resolution": spec.resolution,
+        "violations": rep.details["violations"],
+        "laplacian_slack_min": rep.min_slack,
+        "tolerance": tol,
+    }
 
 
-def criterion_05(threads: int) -> CriterionResult:
+def criterion_05(threads: int) -> tuple:
     """Discrete maximum principle calibration on the exact quadratic."""
     spec = make_grid(1.0, MAX_PRINCIPLE_RESOLUTION)
     u = RealField.from_function(
@@ -234,22 +198,17 @@ def criterion_05(threads: int) -> CriterionResult:
     )
     zero = lemma2_check(RealField.constant(spec, 0.0))
     zero_ok = not zero.details["triggered"]
-    return CriterionResult(
-        5,
-        CRITERION_NAMES[5],
-        quad_ok and zero_ok,
-        {
-            "resolution": spec.resolution,
-            "conclusion_slack": rep.details["conclusion_slack"],
-            "target_slack": 0.01,
-            "tolerance": tol,
-            "hypothesis_ok": rep.hypothesis_ok,
-            "zero_field_triggered": zero.details["triggered"],
-        },
-    )
+    return quad_ok and zero_ok, {
+        "resolution": spec.resolution,
+        "conclusion_slack": rep.details["conclusion_slack"],
+        "target_slack": 0.01,
+        "tolerance": tol,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "zero_field_triggered": zero.details["triggered"],
+    }
 
 
-def criterion_06(threads: int) -> CriterionResult:
+def criterion_06(threads: int) -> tuple:
     """No gate-passing solve with nonzero anchor undercuts the sup floor."""
     anchors = [mag * ph for mag in SWEEP_MAGNITUDES for ph in SWEEP_PHASES]
 
@@ -272,20 +231,15 @@ def criterion_06(threads: int) -> CriterionResult:
     elapsed = time.monotonic() - start
     runtime_ok = elapsed < SWEEP_BUDGET_SECONDS
     none_undercut = not any(row["undercuts_floor"] for row in rows)
-    return CriterionResult(
-        6,
-        CRITERION_NAMES[6],
-        none_undercut and runtime_ok,
-        {
-            "resolution": SWEEP_RESOLUTION,
-            "floor": floor,
-            "rows": rows,
-            "runtime_ok": runtime_ok,
-        },
-    )
+    return none_undercut and runtime_ok, {
+        "resolution": SWEEP_RESOLUTION,
+        "floor": floor,
+        "rows": rows,
+        "runtime_ok": runtime_ok,
+    }
 
 
-def criterion_07(threads: int) -> CriterionResult:
+def criterion_07(threads: int) -> tuple:
     """Transform accuracy on the disc indicator plus path agreement."""
     errs = []
     for n in TRANSFORM_RESOLUTIONS:
@@ -301,21 +255,16 @@ def criterion_07(threads: int) -> CriterionResult:
     direct = cauchy_transform(chi_a, method="direct")
     agreement = float(np.max(np.abs(fast.values - direct.values)))
     ok = errs[0] <= 0.05 and errs[-1] < errs[0] and agreement <= 1e-10
-    return CriterionResult(
-        7,
-        CRITERION_NAMES[7],
-        ok,
-        {
-            "resolutions": list(TRANSFORM_RESOLUTIONS),
-            "indicator_errors": errs,
-            "error_bound": 0.05,
-            "path_agreement": agreement,
-            "agreement_bound": 1e-10,
-        },
-    )
+    return ok, {
+        "resolutions": list(TRANSFORM_RESOLUTIONS),
+        "indicator_errors": errs,
+        "error_bound": 0.05,
+        "path_agreement": agreement,
+        "agreement_bound": 1e-10,
+    }
 
 
-def criterion_08(threads: int) -> CriterionResult:
+def criterion_08(threads: int) -> tuple:
     """Scalar analogue: integrator accuracy, family validity, bound slack."""
     rk_errs = {}
     for g0 in (0.01, 1.0):
@@ -341,20 +290,15 @@ def criterion_08(threads: int) -> CriterionResult:
     slack_ok = all(v <= 1e-12 for v in slack_gaps.values())
 
     distinct = nonuniq_family(0.0, 1.0) - nonuniq_family(0.9, 1.0)
-    return CriterionResult(
-        8,
-        CRITERION_NAMES[8],
-        rk_ok and fam_ok and slack_ok,
-        {
-            "rk4_errors": rk_errs,
-            "family_fd_residuals": fam_resid,
-            "slack_formula_gaps": slack_gaps,
-            "nonuniqueness_witness_gap": distinct,
-        },
-    )
+    return rk_ok and fam_ok and slack_ok, {
+        "rk4_errors": rk_errs,
+        "family_fd_residuals": fam_resid,
+        "slack_formula_gaps": slack_gaps,
+        "nonuniqueness_witness_gap": distinct,
+    }
 
 
-def criterion_09(threads: int) -> CriterionResult:
+def criterion_09(threads: int) -> tuple:
     """Structure matrix algebra and the certified origin witness."""
     count = STRUCTURE_SAMPLE_COUNT
     rng = np.random.default_rng(0)
@@ -363,27 +307,19 @@ def criterion_09(threads: int) -> CriterionResult:
     dev = j_squared_deviation(z1, z2)
     origin = upper_bound_origin()
     ok = dev <= 1e-14 and origin.witness_residual_sup == 0.0 and origin.bound == 0.5
-    return CriterionResult(
-        9,
-        CRITERION_NAMES[9],
-        ok,
-        {
-            "samples": count,
-            "max_square_deviation": dev,
-            "deviation_bound": 1e-14,
-            "origin_bound": origin.bound,
-            "origin_witness_residual": origin.witness_residual_sup,
-        },
-    )
+    return ok, {
+        "samples": count,
+        "max_square_deviation": dev,
+        "deviation_bound": 1e-14,
+        "origin_bound": origin.bound,
+        "origin_witness_residual": origin.witness_residual_sup,
+    }
 
 
-def criterion_10(threads: int, out_dir=None) -> CriterionResult:
+def criterion_10(threads: int, out_dir=None) -> tuple:
     """Strict gap between origin bound and nearby empirical lower bounds."""
-    if out_dir is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            report = usc_report([SCAN_ANCHOR], tmp, threads=threads)
-    else:
-        report = usc_report([SCAN_ANCHOR], out_dir, threads=threads)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = usc_report([SCAN_ANCHOR], out_dir or tmp, threads=threads)
     summary = report["summary"]
     row = summary["rows"][0]
     gap_ok = row["a_observed"] < 2.0 and row["gap_positive"]
@@ -393,24 +329,19 @@ def criterion_10(threads: int, out_dir=None) -> CriterionResult:
         and summary["all_gaps_positive"] is True
         and summary["origin_upper_bound"] == 0.5
     )
-    return CriterionResult(
-        10,
-        CRITERION_NAMES[10],
-        ok,
-        {
-            "anchor": util.as_complex_pair(SCAN_ANCHOR),
-            "origin_upper_bound": summary["origin_upper_bound"],
-            "empirical": summary["empirical"],
-            "all_gaps_positive": summary["all_gaps_positive"],
-            **{
-                k: row[k]
-                for k in ("a_observed", "lower_bound", "no_feasible_disc", "scan_consistent")
-            },
+    return ok, {
+        "anchor": util.as_complex_pair(SCAN_ANCHOR),
+        "origin_upper_bound": summary["origin_upper_bound"],
+        "empirical": summary["empirical"],
+        "all_gaps_positive": summary["all_gaps_positive"],
+        **{
+            k: row[k]
+            for k in ("a_observed", "lower_bound", "no_feasible_disc", "scan_consistent")
         },
-    )
+    }
 
 
-def criterion_11(threads: int) -> CriterionResult:
+def criterion_11(threads: int) -> tuple:
     """Reduced workload rerun across thread counts; outputs byte-compared."""
     spec = make_grid(1.0, DEFAULT_RESOLUTION)
 
@@ -440,31 +371,29 @@ def criterion_11(threads: int) -> CriterionResult:
     one = workload(1)
     many = workload(8)
     identical = one == many
-    return CriterionResult(
-        11,
-        CRITERION_NAMES[11],
-        identical,
-        {
-            "thread_counts": [1, 8],
-            "identical": identical,
-            "payload_bytes": len(one),
-        },
-    )
+    return identical, {
+        "thread_counts": [1, 8],
+        "identical": identical,
+        "payload_bytes": len(one),
+    }
 
 
-_CRITERIA = {
-    1: criterion_01,
-    2: criterion_02,
-    3: criterion_03,
-    4: criterion_04,
-    5: criterion_05,
-    6: criterion_06,
-    7: criterion_07,
-    8: criterion_08,
-    9: criterion_09,
-    10: criterion_10,
-    11: criterion_11,
+# index -> (name, function): the battery's one registry
+CRITERIA = {
+    1: ("reduction_identity", criterion_01),
+    2: ("exact_family", criterion_02),
+    3: ("lemma1_sharpness", criterion_03),
+    4: ("identity_chain", criterion_04),
+    5: ("max_principle", criterion_05),
+    6: ("sup_lower_bound_sweep", criterion_06),
+    7: ("cauchy_transform", criterion_07),
+    8: ("ode_analogue", criterion_08),
+    9: ("structure_matrix", criterion_09),
+    10: ("usc_gap", criterion_10),
+    11: ("determinism", criterion_11),
 }
+
+SELFTEST_DEFAULTS = {"criteria": sorted(CRITERIA)}
 
 
 def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> dict:
@@ -478,20 +407,12 @@ def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> 
     cfg = util.merge_config(SELFTEST_DEFAULTS, config, "selftest config")
     results = []
     for idx in check_criteria(cfg["criteria"]):
-        fn = _CRITERIA[idx]
+        name, fn = CRITERIA[idx]
         try:
-            if idx == 10:
-                res = fn(threads, out_dir=out_dir)
-            else:
-                res = fn(threads)
+            passed, details = fn(threads, out_dir=out_dir) if idx == 10 else fn(threads)
         except Exception as exc:  # a crashed criterion is a failed criterion
-            res = CriterionResult(
-                idx,
-                CRITERION_NAMES[idx],
-                False,
-                {"error": f"{type(exc).__name__}: {exc}"},
-            )
-        results.append(res)
+            passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+        results.append(CriterionResult(idx, name, passed, details))
     return {
         "schema_version": SCHEMA_VERSION,
         "config_digest": config_digest(cfg),

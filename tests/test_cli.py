@@ -177,6 +177,23 @@ class TestCertifyCommand:
         assert err.startswith("error: cannot load solution") and "tol" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["absolute", "relative"])
+    def test_field_outside_the_record_directory_refused(self, tmp_path, capsys, where):
+        # the record names its field; a path there would load another run's field
+        _, sol_out = run_solve(tmp_path, {"resolution": 17, "b": [0.05, 0.0]}, "run")
+        _, other = run_solve(tmp_path, {"resolution": 17, "b": [0.05, 0.0]}, "other")
+        path = sol_out / "solution.json"
+        record = json.loads(path.read_text())
+        record["field"] = (str(other / "solution.f64") if where == "absolute"
+                           else "../other/solution.f64")
+        path.write_text(json.dumps(record))
+        cfg = write_config(tmp_path, {"input": str(path)}, "cert.json")
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load solution") and "bare file name" in err
+        assert not out.exists()
+
     def test_wrong_suffix(self, tmp_path):
         (tmp_path / "data.bin").write_bytes(b"\x00")
         cfg = write_config(tmp_path, {"input": str(tmp_path / "data.bin")})

@@ -8,8 +8,9 @@ the benchmark tracer's targets in step with the package.  A fourth keeps
 the runtime dependencies honest: no module imports scipy (the tests use it
 only as an oracle), a certify run leaves it unloaded, and the dependencies
 pyproject.toml declares are exactly the third-party packages the sources
-import.  A fifth pins the number of settable values, so a new knob shows
-up in the diff that adds it.
+import.  A fifth pins the number of settable values (config keys,
+defaulted parameters and fields, and the fields of the input types), so
+a new knob shows up in the diff that adds it.
 """
 
 import ast
@@ -27,11 +28,16 @@ PACKAGE = Path(dbarlab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-# COMMAND_DEFAULTS keys + defaulted parameters + dataclass fields; a change
-# that adds a knob raises this in its own diff and says why.  99 = 91 + the
-# eight fields of kr.SolveSummary, which a scan record fills from its solve
-# in place of keeping the field; none is a setting
-SETTABLE_VALUES = 99
+# COMMAND_DEFAULTS keys + defaulted parameters + the fields of the input
+# types + the defaulted fields of every other dataclass; the required fields
+# of a result type are filled by the package, not set.  A change that adds a
+# knob raises this in its own diff and says why.  58 = 10 config keys + 25
+# defaulted parameters + 17 input fields (GridSpec 2, DbarProblem 2,
+# ComplexField 4, RealField 4, PolarField 2, DiscMap 3) + 6 defaulted fields
+# (CertificateReport.details, DbarSolution.final_update,
+# FeasibilityRecord.chain_note and the three of certify._Branch)
+SETTABLE_VALUES = 58
+INPUT_TYPES = {"GridSpec", "DbarProblem", "ComplexField", "RealField", "PolarField", "DiscMap"}
 
 
 def _parse(path):
@@ -203,6 +209,7 @@ def _settable_values() -> dict:
     """Counts of the values a caller can set, read from the sources with ast."""
     counts = {"config_keys": 0, "parameters": 0, "fields": 0}
     dicts = {}
+    inputs = set()
     for path in SOURCES:
         tree = _parse(path)
         for node in ast.walk(tree):
@@ -210,10 +217,16 @@ def _settable_values() -> dict:
                 counts["parameters"] += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                counts["fields"] += sum(isinstance(n, ast.AnnAssign) for n in node.body)
+                is_input = node.name in INPUT_TYPES
+                if is_input:
+                    inputs.add(node.name)
+                counts["fields"] += sum(isinstance(n, ast.AnnAssign)
+                                        and (is_input or n.value is not None)
+                                        for n in node.body)
         dicts.update((target.id, node.value) for node in tree.body
                      if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
                      for target in node.targets if isinstance(target, ast.Name))
+    assert inputs == INPUT_TYPES, "an input type was renamed or is no dataclass"
     counts["config_keys"] = sum(len(dicts[name.id].keys)
                                 for name in dicts["COMMAND_DEFAULTS"].values)
     return counts

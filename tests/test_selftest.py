@@ -1,8 +1,9 @@
 """Config handling and summary shape of the self-check battery.
 
 The criteria themselves get their full workout in test_acceptance; here
-we pin the config rules (criteria is the only key), the deterministic
-summary layout, and the crashed-criterion path.
+we pin the config rules (criteria is the only key), how the registry's
+(name, function) pairs become summary rows, the deterministic summary
+layout, and the crashed-criterion path.
 """
 
 import pytest
@@ -13,16 +14,13 @@ from dbarlab.util import config_digest, json_dumps
 
 def _stub_battery(monkeypatch):
     """Replace every criterion by an instant pass so the config path runs alone."""
-    for idx, name in selftest.CRITERION_NAMES.items():
-        def stub(threads, out_dir=None, idx=idx, name=name):
-            return selftest.CriterionResult(idx, name, True, {})
-
-        monkeypatch.setitem(selftest._CRITERIA, idx, stub)
+    for idx, (name, _) in selftest.CRITERIA.items():
+        monkeypatch.setitem(selftest.CRITERIA, idx, (name, lambda threads, out_dir=None: (True, {})))
 
 
 class TestMergeConfig:
     def test_defaults_returned_on_none(self, monkeypatch):
-        assert selftest.SELFTEST_DEFAULTS == {"criteria": sorted(selftest.CRITERION_NAMES)}
+        assert selftest.SELFTEST_DEFAULTS == {"criteria": list(range(1, 12))}
         _stub_battery(monkeypatch)
         summary = selftest.run_selftest(None)
         assert [c["index"] for c in summary["criteria"]] == list(range(1, 12))
@@ -68,16 +66,23 @@ class TestRunSelftest:
         many = json_dumps(selftest.run_selftest(cfg, threads=4))
         assert one == many
 
-    def test_crashed_criterion_reports_failure(self, monkeypatch):
+    def test_criterion_result_becomes_its_row(self, monkeypatch):
+        # index and name come from the table, passed and details from the
+        # criterion, and a crash is a failed row in its own place
         def boom(threads):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setitem(selftest._CRITERIA, 8, boom)
-        summary = selftest.run_selftest({"criteria": [8]}, threads=1)
+        monkeypatch.setitem(selftest.CRITERIA, 2, ("first", lambda threads: (True, {"x": 0.5})))
+        monkeypatch.setitem(selftest.CRITERIA, 4, ("second", lambda threads: (False, {})))
+        monkeypatch.setitem(selftest.CRITERIA, 9, ("third", boom))
+        summary = selftest.run_selftest({"criteria": [9, 4, 2]}, threads=1)
+        assert summary["criteria"] == [
+            {"index": 2, "name": "first", "passed": True, "details": {"x": 0.5}},
+            {"index": 4, "name": "second", "passed": False, "details": {}},
+            {"index": 9, "name": "third", "passed": False,
+             "details": {"error": "RuntimeError: synthetic fault"}},
+        ]
         assert summary["all_passed"] is False
-        row = summary["criteria"][0]
-        assert row["passed"] is False
-        assert "synthetic fault" in row["details"]["error"]
 
     def test_format_table_shape(self):
         summary = selftest.run_selftest({"criteria": [8]}, threads=1)
