@@ -34,11 +34,12 @@ one-node stencil halo and clipped at the grid edge (grid.mask_window).
 Stencils, residuals and transcendentals are evaluated on window slices, and
 witnesses map window indices back to grid nodes; row-major order inside a
 window is row-major order in the grid, so the WITNESS_RTOL tie rule picks
-the node a full-grid evaluation would.  The unwrap behind polar_decompose
-and sqrt_branch likewise runs on the mask's window and takes each forward
-principal increment once.  sqrt_branch finds its component with that same
-unwrap, so no scipy is needed, and an identity chain unwraps once:
-eq_chain_check reuses the polar form sqrt_branch built the branch from.
+the node a full-grid evaluation would.  sqrt_branch builds every branch
+through grid.polar_decompose, the package's one unwrap: it runs on the
+mask's window, takes each forward principal increment once and returns the
+component it reaches, so no scipy is needed.  An identity chain unwraps
+once: eq_chain_check takes only a sqrt_branch result and reads the polar
+form the branch was built from.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .grid import (
     mask_window,
     polar_decompose,
 )
-from .grid import _dx, _dy, _dzbar, _lap5, _shrunk, _unwrap
+from .grid import _dx, _dy, _dzbar, _lap5, _shrunk
 
 DELTA0_DEFAULT = 1e-3
 KAPPA_DEFAULT = 10.0
@@ -203,7 +204,7 @@ def lemma1_check(h: ComplexField) -> CertificateReport:
     )
 
 
-def eq_chain_check(g: ComplexField, basepoint: complex = 0j) -> CertificateReport:
+def eq_chain_check(branch: _Branch) -> CertificateReport:
     """Verify the identity chain for a branch g = h^(1/2) = rho e^(i phi).
 
     With first derivatives written as subscripts, the chain is:
@@ -222,27 +223,21 @@ def eq_chain_check(g: ComplexField, basepoint: complex = 0j) -> CertificateRepor
     inside the branch mask, STANDOFF_CELLS off its edge; hypothesis_ok gates
     the first line at KAPPA_DEFAULT * h.
 
-    A branch from sqrt_branch at the same basepoint is not unwrapped again:
-    rho and phi are the sqrt|h| and half argument it was built from.  Its
-    edge check would add nothing, since each increment of phi is at most
-    pi/2 + UNWRAP_TOL/2 and so is its own principal value.  Any other field
-    is split by polar_decompose, which unwraps and checks it.
+    branch is a sqrt_branch result, and rho, phi and the basepoint are the
+    ones it was built from, so the branch is not unwrapped again.  An edge
+    check of g would add nothing: each increment of phi is at most
+    pi/2 + UNWRAP_TOL/2 and so is its own principal value.
     """
-    if isinstance(g, _Branch) and complex(basepoint) == g.basepoint:
-        rho_all, phi_all = g.rho, g.phi
-    else:
-        polar = polar_decompose(g, basepoint)
-        rho_all, phi_all = polar.rho.values, polar.phi.values
-    spec = g.spec
+    spec = branch.spec
     h = spec.spacing
 
-    inner = erode4(g.mask) & _standoff_mask(g, STANDOFF_CELLS)
+    inner = erode4(branch.mask) & _standoff_mask(branch, STANDOFF_CELLS)
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
     win = mask_window(inner, 1)
     inner = inner[win]
-    rho = rho_all[win]
-    phi = phi_all[win]
+    rho = branch.rho[win]
+    phi = branch.phi[win]
 
     def worst(violation: np.ndarray) -> float:
         return float(np.max(violation[inner]))
@@ -250,7 +245,7 @@ def eq_chain_check(g: ComplexField, basepoint: complex = 0j) -> CertificateRepor
     # each identity is reduced to its maximum as soon as it is formed, and
     # every derivative is dropped after its last read
     violations = {
-        "sqrt_equation": worst(np.abs(_dzbar(g.values[win], h) - 0.5 * np.exp(-1j * phi))),
+        "sqrt_equation": worst(np.abs(_dzbar(branch.values[win], h) - 0.5 * np.exp(-1j * phi))),
     }
     rx, ry = _dx(rho, h), _dy(rho, h)
     px, py = _dx(phi, h), _dy(phi, h)
@@ -277,46 +272,38 @@ def eq_chain_check(g: ComplexField, basepoint: complex = 0j) -> CertificateRepor
         witness=witness,
         checked_nodes=int(inner.sum()),
         tolerance_used=KAPPA_DEFAULT * h,
-        details={"violations": violations, "basepoint": util.as_complex_pair(basepoint)},
+        details={"violations": violations, "basepoint": util.as_complex_pair(branch.basepoint)},
     )
 
 
-def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> ComplexField:
+def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> _Branch:
     """A continuous square root of h on the component of {|h| > delta0} at basepoint.
 
-    delta0 is DELTA0_DEFAULT.  One unwrap of h over {|h| > delta0} on the
-    mask's window finds the branch and its component at once: the component
-    is the set of nodes the unwrap reaches from the basepoint (4-connected),
-    and only its edges are checked, so a zero of h enclosed by another
-    component does not matter, while one enclosed by this component raises
-    PhaseUnwrapError.  Off the component the branch is 1, the square root of
-    the polar fill rho = 1, phi = 0; only the component's window is
-    computed.  The result keeps the branch's polar form (sqrt|h| and half
-    the argument of h) for eq_chain_check.
+    delta0 is DELTA0_DEFAULT.  polar_decompose of h restricted to
+    {|h| > delta0} gives the component at the basepoint (4-connected) and
+    the polar form of h on it, so a zero of h enclosed by another component
+    does not matter, while one enclosed by this component raises
+    PhaseUnwrapError.  The branch is sqrt(rho) e^(i phi / 2), and 1 off the
+    component, the square root of the polar fill rho = 1, phi = 0; only the
+    component's window is computed.  The result keeps the branch's polar
+    form (sqrt|h| and half the argument of h) for eq_chain_check.
     """
-    spec = h.spec
-    n = spec.resolution
-    win = mask_window(h.mask, 0)
-    values = h.values[win]
-    region = h.mask[win] & (np.abs(values) > DELTA0_DEFAULT)
-    node = basepoint_node(spec, basepoint, h.mask)
-    if node is None or not region[node[0] - win[0].start, node[1] - win[1].start]:
+    region = h.mask & (np.abs(h.values) > DELTA0_DEFAULT)
+    if basepoint_node(h.spec, basepoint, region) is None:
         raise MaskError("basepoint is not inside {|h| > delta0}")
+    comp, rho_h, phi_h = polar_decompose(h.restrict(region), basepoint)
 
-    phi = np.full((n, n), np.nan)
-    phi[win] = _unwrap(values, region, (node[0] - win[0].start, node[1] - win[1].start))
-    comp = ~np.isnan(phi)
+    n = h.spec.resolution
     cw = mask_window(comp, 0)
-    on = comp[cw]
-    arg = np.where(on, phi[cw], 0.0)
+    arg = phi_h[cw]
     rho = np.ones((n, n))
-    rho[cw] = np.sqrt(np.where(on, np.abs(h.values[cw]), 1.0))
+    rho[cw] = np.sqrt(rho_h[cw])
     half = np.zeros((n, n))
     half[cw] = 0.5 * arg
     vals = np.ones((n, n), dtype=np.complex128)
     vals[cw] = rho[cw] * np.exp(0.5j * arg)
     rho.flags.writeable = half.flags.writeable = False
-    return _Branch(spec, vals, h.margin, comp, rho, half, complex(basepoint))
+    return _Branch(h.spec, vals, h.margin, comp, rho, half, complex(basepoint))
 
 
 def lemma2_check(

@@ -208,7 +208,7 @@ def cmd_certify(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     def branch_chain():
-        return cert.eq_chain_check(cert.sqrt_branch(f, basepoint), basepoint)
+        return cert.eq_chain_check(cert.sqrt_branch(f, basepoint))
 
     certs = {
         "smoothness": _guarded(cert.lemma1_check, f),
@@ -301,17 +301,15 @@ def cmd_selftest(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     check_criteria(cfg["criteria"])
     started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
-    summary = run_selftest(config=cfg, threads=threads, out_dir=out_dir)
+    summary, written = run_selftest(config=cfg, threads=threads, out_dir=out_dir)
     for line in format_table(summary):
         print(line)
-    scan_files = [p for p in sorted(os.listdir(out_dir))
-                  if p.startswith("scan_") or p.startswith("usc_")]
     record_summary = {
         "config_digest": summary["config_digest"],
         "all_passed": summary["all_passed"],
         "failed": [c["name"] for c in summary["criteria"] if not c["passed"]],
     }
-    _write_outputs(out_dir, "selftest", cfg, started, clocks, scan_files, summary, record_summary)
+    _write_outputs(out_dir, "selftest", cfg, started, clocks, written, summary, record_summary)
     return EXIT_OK if summary["all_passed"] else EXIT_SELFTEST_FAIL
 
 

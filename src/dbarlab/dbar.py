@@ -206,8 +206,8 @@ def load_solution(json_path) -> DbarSolution:
     return DbarSolution(problem=problem, f=f, **scalars)
 
 
-def _rhs_values(values: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
-    """(|f|^2 + eps^2)^(1/4) at every node, written into out if given."""
+def _rhs_values(values: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """(|f|^2 + eps^2)^(1/4) at every node, written into out and returned."""
     out = np.abs(values, out=out)
     if eps != 0.0:
         # |f|^2 overflows to inf for a huge iterate, which the solver reports

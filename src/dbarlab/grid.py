@@ -9,9 +9,12 @@ centered stencil inside the input mask.  Coordinates are built as
 the four-fold lattice symmetry and puts z = 0 on a node (resolution is
 restricted to odd N >= 17 for that reason; solvers anchor a value there).
 
-Fields are immutable after construction.  Serialization is a flat binary
-layout (header: radius f64, N u32, margin f64, then row-major re/im f64
-pairs).
+Fields are immutable after construction.  polar_decompose is the one
+place an argument is unwrapped: it returns the polar form of a field on the
+4-connected component of its mask at a basepoint, as plain arrays, and
+certify.sqrt_branch builds every square-root branch on it.  Serialization
+is a flat binary layout (header: radius f64, N u32, margin f64, then
+row-major re/im f64 pairs).
 """
 
 from __future__ import annotations
@@ -208,22 +211,6 @@ class RealField:
         return float(self.values[c, c])
 
 
-@dataclass(frozen=True)
-class PolarField:
-    """Modulus/argument pair with a branch-continuous argument on the mask."""
-
-    rho: RealField
-    phi: RealField
-
-    def __post_init__(self):
-        if self.rho.spec != self.phi.spec:
-            raise ValueError("rho and phi live on different grids")
-        if not np.array_equal(self.rho.mask, self.phi.mask):
-            raise ValueError("rho and phi have different masks")
-        if np.min(self.rho.values[self.rho.mask]) <= 0:
-            raise VanishingFieldError("rho must be strictly positive on the mask")
-
-
 def _shrunk(field) -> tuple[float, np.ndarray]:
     """Margin and disc mask one spacing inside the field's nominal margin."""
     m2 = field.margin + field.spec.spacing
@@ -397,6 +384,8 @@ def _unwrap(values: np.ndarray, mask: np.ndarray, node: tuple[int, int]) -> np.n
     into NaN and pass): the unwrapped increment must match the principal
     increment to UNWRAP_TOL, otherwise no continuous branch exists (a zero of
     the field is enclosed by the component) and PhaseUnwrapError is raised.
+    A zero of values on the component has no argument; it raises
+    VanishingFieldError before the edge check.
     """
     bi, bj = node
     raw = np.angle(values)
@@ -435,8 +424,10 @@ def _unwrap(values: np.ndarray, mask: np.ndarray, node: tuple[int, int]) -> np.n
                     pending[a, b] = False
                     queue.append((a, b))
 
-    # every edge of the component must agree with the principal increment
     reached = ~np.isnan(phi)
+    if not values[reached].all():
+        raise VanishingFieldError("field vanishes on its component")
+    # every edge of the component must agree with the principal increment
     worst = 0.0
     for a, steps, m in ((phi, down, reached), (phi.T, across, reached.T)):
         both = m[1:] & m[:-1]
@@ -451,38 +442,35 @@ def _unwrap(values: np.ndarray, mask: np.ndarray, node: tuple[int, int]) -> np.n
     return phi
 
 
-def polar_decompose(g: ComplexField, basepoint: complex = 0j) -> PolarField:
-    """Split a nonvanishing field into modulus and a continuous argument branch.
+def polar_decompose(g: ComplexField, basepoint: complex) -> tuple[np.ndarray, ...]:
+    """The polar form of g on the 4-connected component of its mask at basepoint.
 
-    The branch is fixed by the principal argument at the basepoint node and
+    Returns (mask, rho, phi) as N x N arrays: the component's mask, rho = |g|
+    on it and 1 off it, and a continuous argument of g on it, fixed by the
+    principal argument at the basepoint node, and 0 off it.  The argument is
     unwrapped by _unwrap on the mask's window (its bounding box), since the
     walks stop at the mask and every checked edge joins two masked nodes.
-    The mask must be connected to the basepoint, and no zero of g may be
-    enclosed by it; otherwise no continuous branch exists on the mask and
-    PhaseUnwrapError is raised.  Off the mask, phi is 0 and rho is 1.
+    ValueError if the basepoint is not a masked node, VanishingFieldError if
+    g vanishes on the component, PhaseUnwrapError if the component encloses
+    a zero of g, so that no continuous argument exists on it.
     """
     spec = g.spec
     n = spec.resolution
-    win = mask_window(g.mask, 0)
-    mask = g.mask[win]
-    values = g.values[win]
-    rho_vals = np.abs(values)
-    if np.min(rho_vals[mask]) <= 0.0:
-        raise VanishingFieldError("field vanishes on its mask")
-
     node = basepoint_node(spec, basepoint, g.mask)
     if node is None:
         raise ValueError("basepoint is not a masked grid node")
-    phi = _unwrap(values, mask, (node[0] - win[0].start, node[1] - win[1].start))
-    if (mask & np.isnan(phi)).any():
-        raise PhaseUnwrapError("mask is not connected to the basepoint")
+    win = mask_window(g.mask, 0)
+    values = g.values[win]
+    phi = _unwrap(values, g.mask[win], (node[0] - win[0].start, node[1] - win[1].start))
+    on = ~np.isnan(phi)
 
+    comp = np.zeros((n, n), dtype=bool)
+    comp[win] = on
     phi_full = np.zeros((n, n))
-    phi_full[win] = np.where(mask, phi, 0.0)
+    phi_full[win] = np.where(on, phi, 0.0)
     rho_full = np.ones((n, n))
-    rho_full[win] = np.where(mask, rho_vals, 1.0)
-    rho = RealField(spec, rho_full, g.margin, g.mask)
-    return PolarField(rho, RealField(spec, phi_full, g.margin, g.mask))
+    rho_full[win] = np.where(on, np.abs(values), 1.0)
+    return comp, rho_full, phi_full
 
 
 def _is_disc_masked(field) -> bool:

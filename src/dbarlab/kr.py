@@ -252,14 +252,15 @@ class OriginBound:
     witness_residual_sup: float
 
 
-def upper_bound_origin(resolution: int = DEFAULT_RESOLUTION) -> OriginBound:
+def upper_bound_origin() -> OriginBound:
     """Certified upper bound 1/2 at ((0,0), (1,0)) from the disc z -> (z, 0).
 
-    The witness is checked, not asserted: its holomorphy residual is
-    measured and must vanish (it does exactly on dyadic spacings, where
-    centered differences of linear data are exact).
+    The witness lives on the radius-2 grid at DEFAULT_RESOLUTION.  It is
+    checked, not asserted: its holomorphy residual is measured and must
+    vanish (it does exactly on dyadic spacings, where centered differences
+    of linear data are exact).
     """
-    spec = make_grid(2.0, resolution)
+    spec = make_grid(2.0, DEFAULT_RESOLUTION)
     witness = DiscMap(
         spec,
         ComplexField.from_function(spec, lambda z: z),

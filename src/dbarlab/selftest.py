@@ -1,8 +1,9 @@
 """Self-check battery: every shipped guarantee exercised in one pass.
 
 Each criterion function runs one guarantee end to end and returns
-(passed, details), the verdict and the measured numbers; CRITERIA
-registers each under its index and name.  The only
+(passed, details), the verdict and the measured numbers; criterion 10
+adds the report files it wrote.  CRITERIA registers each under its index
+and name.  The only
 config key is criteria, the indices to run; the workload of each
 criterion (grid resolutions, sample counts, anchors, wall clock budgets)
 is fixed by the constants below, or by the scan and integrator constants
@@ -17,6 +18,7 @@ lands in the summary.
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -317,9 +319,17 @@ def criterion_09(threads: int) -> tuple:
 
 
 def criterion_10(threads: int, out_dir=None) -> tuple:
-    """Strict gap between origin bound and nearby empirical lower bounds."""
+    """Strict gap between origin bound and nearby empirical lower bounds.
+
+    Returns (passed, details, written): written names the report files the
+    scan wrote into out_dir, relative to it, and is empty without out_dir.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         report = usc_report([SCAN_ANCHOR], out_dir or tmp, threads=threads)
+    written = []
+    if out_dir:
+        paths = report["paths"]
+        written = [os.path.basename(p) for p in (paths["json"], paths["csv"], *paths["heatmaps"])]
     summary = report["summary"]
     row = summary["rows"][0]
     gap_ok = row["a_observed"] < 2.0 and row["gap_positive"]
@@ -329,7 +339,7 @@ def criterion_10(threads: int, out_dir=None) -> tuple:
         and summary["all_gaps_positive"] is True
         and summary["origin_upper_bound"] == 0.5
     )
-    return ok, {
+    details = {
         "anchor": util.as_complex_pair(SCAN_ANCHOR),
         "origin_upper_bound": summary["origin_upper_bound"],
         "empirical": summary["empirical"],
@@ -339,6 +349,7 @@ def criterion_10(threads: int, out_dir=None) -> tuple:
             for k in ("a_observed", "lower_bound", "no_feasible_disc", "scan_consistent")
         },
     }
+    return ok, details, written
 
 
 def criterion_11(threads: int) -> tuple:
@@ -396,29 +407,36 @@ CRITERIA = {
 SELFTEST_DEFAULTS = {"criteria": sorted(CRITERIA)}
 
 
-def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> dict:
-    """Run the requested criteria and assemble the deterministic summary.
+def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> tuple:
+    """Run the requested criteria; return the deterministic summary and the files written.
 
     The summary carries no timestamps, no paths, and no timings, so
     identical configs give byte-identical canonical JSON for any thread
     count.  out_dir, when given, receives the report files criterion 10
-    emits; the summary itself never references them.
+    emits; the summary never references them, and the second item lists
+    their names relative to out_dir (empty when criterion 10 did not write).
     """
     cfg = util.merge_config(SELFTEST_DEFAULTS, config, "selftest config")
     results = []
+    written = []
     for idx in check_criteria(cfg["criteria"]):
         name, fn = CRITERIA[idx]
         try:
-            passed, details = fn(threads, out_dir=out_dir) if idx == 10 else fn(threads)
+            if idx == 10:
+                passed, details, files = fn(threads, out_dir=out_dir)
+                written += files
+            else:
+                passed, details = fn(threads)
         except Exception as exc:  # a crashed criterion is a failed criterion
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append(CriterionResult(idx, name, passed, details))
-    return {
+    summary = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": config_digest(cfg),
         "criteria": [r.to_json_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
+    return summary, written
 
 
 def format_table(summary: dict) -> list:

@@ -78,12 +78,13 @@ class TestLemma1:
 
 class TestEqChain:
     def test_profile_branch_is_exact(self):
-        # g = x + 1 with phi = 0: every identity holds to rounding on the
-        # dyadic lattice
+        # the branch of (x + 1)^2 is g = x + 1 with phi = 0: every identity
+        # holds to rounding on the dyadic lattice
         spec = make_grid(1.0, 257)
         X, _ = spec.mesh()
-        g = ComplexField(spec, (X + 1.0).astype(complex), spec.default_margin())
-        rep = eq_chain_check(g.restrict(X > -0.5))
+        branch = sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5))
+        assert np.array_equal(branch.values[branch.mask], (X + 1.0)[branch.mask])
+        rep = eq_chain_check(branch)
         assert rep.hypothesis_ok
         for name, v in rep.details["violations"].items():
             assert v <= 1e-12, name
@@ -93,15 +94,16 @@ class TestEqChain:
         spec = make_grid(1.0, 257)
         h = spec.spacing
         X, _ = spec.mesh()
-        g = ComplexField(spec, (X + 1.0).astype(complex), spec.default_margin())
-        rep = eq_chain_check(g.restrict(X > -0.5))
+        rep = eq_chain_check(sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5)))
         assert all(v <= 10 * h for v in rep.details["violations"].values())
         assert rep.min_slack >= -10 * h
 
     def test_constant_phase_violates_sqrt_equation_by_half(self):
+        # the branch of the constant e^(1.4i) is the constant e^(0.7i)
         spec = make_grid(1.0, 65)
-        g = ComplexField.constant(spec, np.exp(0.7j))
-        rep = eq_chain_check(g)
+        branch = sqrt_branch(ComplexField.constant(spec, np.exp(1.4j)))
+        assert np.abs(branch.values - np.exp(0.7j))[branch.mask].max() <= 1e-15
+        rep = eq_chain_check(branch)
         assert rep.details["violations"]["sqrt_equation"] == pytest.approx(0.5, abs=1e-14)
         assert not rep.hypothesis_ok
 
@@ -142,10 +144,12 @@ class TestEqChain:
         assert peak <= 11 * spec.resolution ** 2 * np.dtype(np.float64).itemsize
 
     def test_enclosed_zero_is_detected(self):
+        # g = z - z0 squared: {|h| > delta0} encloses z0, around which the
+        # argument of h turns by 4 pi, so the unwrap behind the branch fails
         spec = make_grid(1.0, 65)
-        g = ComplexField.from_function(spec, lambda z: z - (0.3 + 0.2j))
+        h = ComplexField.from_function(spec, lambda z: (z - (0.3 + 0.2j)) ** 2)
         with pytest.raises(PhaseUnwrapError):
-            eq_chain_check(g)
+            sqrt_branch(h)
 
 
 class TestSqrtBranch:

@@ -377,7 +377,7 @@ class TestSelftestCommand:
                 "criteria": [{"index": 2, "name": "exact_family",
                               "passed": False, "details": {}}],
                 "all_passed": False,
-            }
+            }, []
 
         monkeypatch.setattr(cli, "run_selftest", rigged)
         out = tmp_path / "st"
@@ -385,6 +385,40 @@ class TestSelftestCommand:
         assert "FAIL" in capsys.readouterr().out
         record = json.loads((out / "run_record.json").read_text())
         assert record["summary"]["failed"] == ["exact_family"]
+
+    def test_outputs_are_the_files_this_run_wrote(self, tmp_path):
+        # report files left by an earlier run are not this run's outputs
+        out = tmp_path / "st"
+        out.mkdir()
+        for stale in ("scan_old.pgm", "usc_table.csv"):
+            (out / stale).write_text("stale", encoding="ascii")
+        cfg = write_config(tmp_path, {"criteria": [9]})
+        assert cli.main(["selftest", "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["outputs"] == ["summary.json"]
+        assert (out / "scan_old.pgm").exists()
+
+    def test_scan_criterion_lists_its_report_files(self, tmp_path, monkeypatch):
+        # criterion 10 at N=17 over two radii: the listed files are the ones
+        # usc_report returned, and summary.json names none of them
+        from dbarlab import kr, selftest
+
+        scan = kr.usc_report
+        monkeypatch.setattr(selftest, "usc_report", lambda b_list, out_dir, threads=1:
+                            scan(b_list, out_dir, radii=[0.25, 0.5], resolution=17,
+                                 threads=threads))
+        out = tmp_path / "st"
+        out.mkdir()
+        (out / "scan_old.pgm").write_text("stale", encoding="ascii")
+        cfg = write_config(tmp_path, {"criteria": [10]})
+        cli.main(["selftest", "--config", cfg, "--out", str(out)])
+        record = json.loads((out / "run_record.json").read_text())
+        heatmaps = sorted(p.name for p in out.glob("scan_b00_r*_absf.pgm"))
+        assert heatmaps
+        assert record["outputs"] == sorted(["summary.json", "usc_report.json", "usc_table.csv",
+                                            *heatmaps])
+        summary = (out / "summary.json").read_text()
+        assert not any(name in summary for name in ("usc_report.json", "usc_table.csv", ".pgm"))
 
     def test_unknown_criterion_refused(self, tmp_path):
         cfg = write_config(tmp_path, {"criteria": [99]})

@@ -28,16 +28,23 @@ def unit(n=65):
     return make_grid(1.0, n)
 
 
+def rhs(values, eps):
+    """_rhs_values into a fresh buffer, which it must fill and return."""
+    out = np.full(values.shape, np.nan)
+    assert _rhs_values(values, eps, out) is out
+    return out
+
+
 class TestRhsSqrt:
     def test_zero(self):
-        assert np.all(_rhs_values(np.zeros((5, 5), dtype=complex), 0.0) == 0.0)
+        assert np.all(rhs(np.zeros((5, 5), dtype=complex), 0.0) == 0.0)
 
     def test_constant_four(self):
-        assert np.all(_rhs_values(np.full((5, 5), 4.0 + 0j), 0.0) == 2.0)
+        assert np.all(rhs(np.full((5, 5), 4.0 + 0j), 0.0) == 2.0)
 
     def test_zero_field_with_eps(self):
         # (0 + eps^2)^(1/4) with eps = 1e-4 is exactly 1e-2
-        out = _rhs_values(np.zeros((5, 5), dtype=complex), 1e-4)
+        out = rhs(np.zeros((5, 5), dtype=complex), 1e-4)
         assert np.all(np.abs(out - 1e-2) < 1e-17)
 
 
@@ -265,6 +272,22 @@ class TestRescale:
             assert F.spec == target
             assert np.array_equal(F.mask, mask)
             assert np.array_equal(F.values, np.where(mask, f.values / spec.radius**2, 0))
+
+
+class TestQuarterTurn:
+    # if f solves the equation with f(0) = b, then i f(iz) solves it with
+    # anchor i b; on the grid, iz at node (i, j) is node (j, n - 1 - i), so the
+    # turned field is 1j * np.rot90(f) and the disc mask must map onto itself
+    @pytest.mark.parametrize("radius", [0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [0.05, 0.001])
+    def test_turned_anchor_gives_the_turned_solve(self, radius, b):
+        spec = make_grid(radius, 33)
+        sol = picard_solve(DbarProblem(spec, b=b))
+        turned = picard_solve(DbarProblem(spec, b=1j * b))
+        err = np.max(np.abs(turned.f.values - 1j * np.rot90(sol.f.values)))
+        assert err <= 1e-14 * sol.sup_f
+        assert turned.iterations == sol.iterations
+        assert turned.certified == sol.certified
 
 
 class TestPersistence:

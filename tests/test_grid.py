@@ -9,7 +9,6 @@ from dbarlab.grid import (
     ComplexField,
     MaskError,
     PhaseUnwrapError,
-    PolarField,
     RealField,
     VanishingFieldError,
     central_dx,
@@ -231,22 +230,40 @@ def test_sup_norm_examples():
 def test_polar_constant_and_vertical_phase():
     g = make_grid(1.0, 33)
     c = ComplexField.constant(g, -2.0 + 0j)
-    p = polar_decompose(c)
-    assert np.allclose(p.rho.values[p.rho.mask], 2.0)
-    assert np.allclose(p.phi.values[p.phi.mask], np.pi)
+    mask, rho, phi = polar_decompose(c, 0j)
+    assert np.array_equal(mask, c.mask)
+    assert np.allclose(rho[mask], 2.0)
+    assert np.allclose(phi[mask], np.pi)
+    # the fill off the component
+    assert np.all(rho[~mask] == 1.0) and np.all(phi[~mask] == 0.0)
 
     e = ComplexField.from_function(g, lambda z: np.exp(1j * z.imag))
-    pe = polar_decompose(e)
+    mask, rho, phi = polar_decompose(e, 0j)
     _, Y = g.mesh()
-    assert np.abs(pe.phi.values - Y)[pe.phi.mask].max() < 1e-9
-    assert np.abs(pe.rho.values - 1.0)[pe.rho.mask].max() < 1e-12
+    assert np.abs(phi - Y)[mask].max() < 1e-9
+    assert np.abs(rho - 1.0)[mask].max() < 1e-12
 
 
 def test_polar_rejects_zero_on_mask():
     g = make_grid(1.0, 33)
     f = ComplexField.from_function(g, lambda z: z)
     with pytest.raises(VanishingFieldError):
-        polar_decompose(f)
+        polar_decompose(f, 0j)
+    with pytest.raises(VanishingFieldError):
+        polar_decompose(f, 0.5 + 0j)
+
+
+def test_polar_zero_on_another_component_is_ignored():
+    # f = z vanishes at the origin, which the strip |x| <= 0.2 cuts out of the mask
+    g = make_grid(1.0, 33)
+    X, _ = g.mesh()
+    f = ComplexField.from_function(g, lambda z: z)
+    half = f.restrict(X > 0.2)
+    mask, rho, _ = polar_decompose(f.restrict(np.abs(X) > 0.2), 0.5 + 0j)
+    assert np.array_equal(mask, half.mask)
+    assert np.array_equal(rho[mask], np.abs(f.values[mask]))
+    with pytest.raises(VanishingFieldError):
+        polar_decompose(f.restrict(X > -0.2), 0.5 + 0j)
 
 
 def test_polar_detects_enclosed_zero():
@@ -254,7 +271,7 @@ def test_polar_detects_enclosed_zero():
     z0 = 0.31 + 0.17j  # off-node zero inside the disc
     f = ComplexField.from_function(g, lambda z: z - z0)
     with pytest.raises(PhaseUnwrapError):
-        polar_decompose(f)
+        polar_decompose(f, 0j)
 
 
 def test_polar_basepoint_must_be_masked():
@@ -277,8 +294,8 @@ def test_polar_reconstruct_roundtrip(ar, ai, br, bi):
     a = ar + 1j * ai
     b = br + 1j * bi
     f = ComplexField.from_function(g, lambda z: np.exp(a * z + b * np.conj(z)))
-    p = polar_decompose(f)
-    r = p.rho.values * np.exp(1j * p.phi.values)
+    _, rho, phi = polar_decompose(f, 0j)
+    r = rho * np.exp(1j * phi)
     err = np.abs(r - f.values)[f.mask].max()
     assert err <= 1e-12
 
@@ -315,14 +332,6 @@ def test_restricted_mask_refuses_to_serialize(tmp_path):
     r = f.restrict(g.mesh()[0] > 0)
     with pytest.raises(ValueError):
         save_field(r, tmp_path / "r.f64")
-
-
-def test_polar_field_requires_positive_rho():
-    g = make_grid(1.0, 17)
-    rho = RealField.constant(g, 0.0)
-    phi = RealField.constant(g, 0.0)
-    with pytest.raises(VanishingFieldError):
-        PolarField(rho, phi)
 
 
 # Every malformed .f64 file must surface as an error the certify command turns

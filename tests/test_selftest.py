@@ -15,20 +15,22 @@ from dbarlab.util import config_digest, json_dumps
 def _stub_battery(monkeypatch):
     """Replace every criterion by an instant pass so the config path runs alone."""
     for idx, (name, _) in selftest.CRITERIA.items():
-        monkeypatch.setitem(selftest.CRITERIA, idx, (name, lambda threads, out_dir=None: (True, {})))
+        monkeypatch.setitem(selftest.CRITERIA, idx, (name, lambda threads: (True, {})))
+    monkeypatch.setitem(selftest.CRITERIA, 10,
+                        (selftest.CRITERIA[10][0], lambda threads, out_dir=None: (True, {}, [])))
 
 
 class TestMergeConfig:
     def test_defaults_returned_on_none(self, monkeypatch):
         assert selftest.SELFTEST_DEFAULTS == {"criteria": list(range(1, 12))}
         _stub_battery(monkeypatch)
-        summary = selftest.run_selftest(None)
+        summary, _ = selftest.run_selftest(None)
         assert [c["index"] for c in summary["criteria"]] == list(range(1, 12))
         assert summary["config_digest"] == config_digest(selftest.SELFTEST_DEFAULTS)
 
     def test_override_applied(self, monkeypatch):
         _stub_battery(monkeypatch)
-        summary = selftest.run_selftest({"criteria": [9, 3, 9]})
+        summary, _ = selftest.run_selftest({"criteria": [9, 3, 9]})
         assert [c["index"] for c in summary["criteria"]] == [3, 9]
         assert summary["config_digest"] == config_digest({"criteria": [9, 3, 9]})
 
@@ -55,15 +57,15 @@ class TestMergeConfig:
 
 class TestRunSelftest:
     def test_subset_runs_in_order_and_passes(self):
-        summary = selftest.run_selftest({"criteria": [8, 2]}, threads=1)
+        summary, _ = selftest.run_selftest({"criteria": [8, 2]}, threads=1)
         assert [c["index"] for c in summary["criteria"]] == [2, 8]
         assert summary["all_passed"] is True
         assert set(summary) == {"schema_version", "config_digest", "criteria", "all_passed"}
 
     def test_summary_bytes_thread_independent(self):
         cfg = {"criteria": [2, 9]}
-        one = json_dumps(selftest.run_selftest(cfg, threads=1))
-        many = json_dumps(selftest.run_selftest(cfg, threads=4))
+        one = json_dumps(selftest.run_selftest(cfg, threads=1)[0])
+        many = json_dumps(selftest.run_selftest(cfg, threads=4)[0])
         assert one == many
 
     def test_criterion_result_becomes_its_row(self, monkeypatch):
@@ -75,7 +77,7 @@ class TestRunSelftest:
         monkeypatch.setitem(selftest.CRITERIA, 2, ("first", lambda threads: (True, {"x": 0.5})))
         monkeypatch.setitem(selftest.CRITERIA, 4, ("second", lambda threads: (False, {})))
         monkeypatch.setitem(selftest.CRITERIA, 9, ("third", boom))
-        summary = selftest.run_selftest({"criteria": [9, 4, 2]}, threads=1)
+        summary, _ = selftest.run_selftest({"criteria": [9, 4, 2]}, threads=1)
         assert summary["criteria"] == [
             {"index": 2, "name": "first", "passed": True, "details": {"x": 0.5}},
             {"index": 4, "name": "second", "passed": False, "details": {}},
@@ -85,7 +87,7 @@ class TestRunSelftest:
         assert summary["all_passed"] is False
 
     def test_format_table_shape(self):
-        summary = selftest.run_selftest({"criteria": [8]}, threads=1)
+        summary, _ = selftest.run_selftest({"criteria": [8]}, threads=1)
         lines = selftest.format_table(summary)
         assert lines[0].startswith("criterion 08 ode_analogue")
         assert lines[0].endswith("PASS")

@@ -4,8 +4,9 @@ polar_decompose, sqrt_branch and the certificate checks compute only on the
 bounding box of the nodes they read (plus a one-node stencil halo), and the
 unwrap takes each forward principal increment once.  The functions below are
 the full-grid versions they replaced, kept here only as the oracle: every
-report must serialize to the same bytes, and every phase, modulus and branch
-array must hold the same bits.
+report must serialize to the same bytes, and every phase, modulus, mask and
+branch array must hold the same bits.  The identity chain is compared on
+the branch each side builds, and on the oracle's branch.
 """
 
 import json
@@ -25,6 +26,7 @@ from dbarlab.certify import (
     SUP_FLOOR,
     WITNESS_RTOL,
     CertificateReport,
+    _Branch,
     _standoff_mask,
     abs_power_34,
     eq_chain_check,
@@ -39,7 +41,6 @@ from dbarlab.grid import (
     ComplexField,
     MaskError,
     PhaseUnwrapError,
-    PolarField,
     RealField,
     VanishingFieldError,
     basepoint_node,
@@ -68,16 +69,19 @@ def full_unwrap_outward(phi, raw, mask):
     phi[1:][reached] = walked[reached]
 
 
-def full_polar(g, basepoint=0j):
+def full_polar(g, basepoint):
+    from scipy import ndimage
+
     spec = g.spec
-    mask = g.mask
-    rho_vals = np.abs(g.values)
-    if np.min(rho_vals[mask]) <= 0.0:
-        raise VanishingFieldError("field vanishes on its mask")
     n = spec.resolution
-    node = basepoint_node(spec, basepoint, mask)
+    node = basepoint_node(spec, basepoint, g.mask)
     if node is None:
         raise ValueError("basepoint is not a masked grid node")
+    labels, _ = ndimage.label(g.mask)
+    mask = labels == labels[node]
+    rho_vals = np.abs(g.values)
+    if np.min(rho_vals[mask]) <= 0.0:
+        raise VanishingFieldError("field vanishes on its component")
     bi, bj = node
     raw = np.angle(g.values)
     phi = np.full((n, n), np.nan)
@@ -105,8 +109,6 @@ def full_polar(g, basepoint=0j):
                     phi[a, b] = phi[i, j] + plain_principal(raw[a, b] - raw[i, j])
                     pending[a, b] = False
                     queue.append((a, b))
-        if pending.any():
-            raise PhaseUnwrapError("mask is not connected to the basepoint")
     worst = 0.0
     for a, r, m in ((phi, raw, mask), (phi.T, raw.T, mask.T)):
         both = m[1:, :] & m[:-1, :]
@@ -119,24 +121,18 @@ def full_polar(g, basepoint=0j):
             f"unwrap inconsistency {worst:.3e} rad exceeds {UNWRAP_TOL:.0e}; "
             "a zero of the field is enclosed by the mask"
         )
-    phi = np.where(mask, phi, 0.0)
-    rho = RealField(spec, np.where(mask, rho_vals, 1.0), g.margin, mask)
-    return PolarField(rho, RealField(spec, phi, g.margin, mask))
+    return mask, np.where(mask, rho_vals, 1.0), np.where(mask, phi, 0.0)
 
 
-def full_sqrt_branch(h, delta0=DELTA0_DEFAULT, basepoint=0j):
-    from scipy import ndimage
-
+def full_sqrt_branch(h, basepoint=0j):
     spec = h.spec
-    region = h.mask & (np.abs(h.values) > delta0)
-    node = basepoint_node(spec, basepoint, region)
-    if node is None:
+    region = h.mask & (np.abs(h.values) > DELTA0_DEFAULT)
+    if basepoint_node(spec, basepoint, region) is None:
         raise MaskError("basepoint is not inside {|h| > delta0}")
-    labels, _ = ndimage.label(region)
-    comp = labels == labels[node]
-    polar = full_polar(h.restrict(comp), basepoint)
-    vals = np.sqrt(polar.rho.values) * np.exp(0.5j * polar.phi.values)
-    return ComplexField(spec, vals, h.margin, comp)
+    comp, rho, phi = full_polar(h.restrict(region), basepoint)
+    rho, half = np.sqrt(rho), 0.5 * phi
+    vals = rho * np.exp(1j * half)
+    return _Branch(spec, vals, h.margin, comp, rho, half, complex(basepoint))
 
 
 def full_witness(spec, mask, values, pick):
@@ -200,12 +196,11 @@ def full_lemma1(h, delta0=DELTA0_DEFAULT, standoff_cells=STANDOFF_CELLS):
     )
 
 
-def full_eq_chain(g, kappa=KAPPA_DEFAULT, basepoint=0j, standoff_cells=STANDOFF_CELLS):
-    polar = full_polar(g, basepoint)
+def full_eq_chain(g, kappa=KAPPA_DEFAULT, standoff_cells=STANDOFF_CELLS):
     spec = g.spec
     h = spec.spacing
-    rho = polar.rho.values
-    phi = polar.phi.values
+    rho = g.rho
+    phi = g.phi
     inner = erode4(g.mask) & _standoff_mask(g, standoff_cells)
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
@@ -235,7 +230,7 @@ def full_eq_chain(g, kappa=KAPPA_DEFAULT, basepoint=0j, standoff_cells=STANDOFF_
         witness=full_witness(spec, inner, slack8, np.nanargmin),
         checked_nodes=int(inner.sum()),
         tolerance_used=kappa * h,
-        details={"violations": violations, "basepoint": util.as_complex_pair(basepoint)},
+        details={"violations": violations, "basepoint": util.as_complex_pair(g.basepoint)},
     )
 
 
@@ -323,13 +318,19 @@ def outcome(fn, *args, **kwargs):
         return ("raised", type(exc).__name__, str(exc))
     if isinstance(out, CertificateReport):
         return ("report", json.dumps(out.to_json_dict(), sort_keys=True))
-    if isinstance(out, PolarField):
-        parts = (out.rho, out.phi)
-    else:
-        parts = (out,)
-    return ("field",) + tuple(
-        (p.margin, p.mask.tobytes(), p.values.dtype.str, p.values.tobytes()) for p in parts
-    )
+    if isinstance(out, _Branch):
+        head, arrays = ("branch", out.margin, out.basepoint), (out.mask, out.values, out.rho, out.phi)
+    else:  # polar_decompose's (mask, rho, phi)
+        head, arrays = ("polar",), out
+    return head + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def chain(field, basepoint):
+    return eq_chain_check(sqrt_branch(field, basepoint))
+
+
+def full_chain(field, basepoint, standoff_cells=STANDOFF_CELLS):
+    return full_eq_chain(full_sqrt_branch(field, basepoint), standoff_cells=standoff_cells)
 
 
 def at_standoff_zero(fn):
@@ -349,19 +350,18 @@ def assert_all_match(field, basepoint, tag=""):
         (polar_decompose, full_polar, (field, basepoint), {}),
         (lemma1_check, full_lemma1, (field,), {}),
         (at_standoff_zero(lemma1_check), partial(full_lemma1, standoff_cells=0), (field,), {}),
-        (sqrt_branch, full_sqrt_branch, (field,), {"basepoint": basepoint}),
-        (eq_chain_check, full_eq_chain, (field,), {"basepoint": basepoint}),
-        (at_standoff_zero(eq_chain_check), partial(full_eq_chain, standoff_cells=0), (field,),
-         {"basepoint": basepoint}),
+        (sqrt_branch, full_sqrt_branch, (field, basepoint), {}),
+        (chain, full_chain, (field, basepoint), {}),
+        (at_standoff_zero(chain), partial(full_chain, standoff_cells=0), (field, basepoint), {}),
         (lemma2_check, full_lemma2, (abs_power_34(field),), {}),
         (lemma2_check, full_lemma2, (abs_power_34(field),), {"standoff_cells": STANDOFF_CELLS}),
     ]
     try:
-        branch = full_sqrt_branch(field, basepoint=basepoint)
+        branch = full_sqrt_branch(field, basepoint)
     except (ValueError, ArithmeticError):
         branch = None
     if branch is not None:
-        pairs.append((eq_chain_check, full_eq_chain, (branch,), {"basepoint": basepoint}))
+        pairs.append((eq_chain_check, full_eq_chain, (branch,), {}))
     for got_fn, want_fn, args, kwargs in pairs:
         want = outcome(want_fn, *args, **kwargs)
         assert outcome(got_fn, *args, **kwargs) == want, f"{tag} {got_fn.__name__} {kwargs}"
