@@ -253,15 +253,14 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
                         threads=threads)
     summary = dict(report["summary"])
     summary["config_digest"] = util.config_digest(cfg)
-    rel = [os.path.basename(report["paths"]["json"]), os.path.basename(report["paths"]["csv"])]
-    rel += [os.path.basename(p) for p in report["paths"]["heatmaps"]]
     record_summary = {
         "config_digest": summary["config_digest"],
         "origin_upper_bound": summary["origin_upper_bound"],
         "all_gaps_positive": summary["all_gaps_positive"],
         "a_observed": [row["a_observed"] for row in summary["rows"]],
     }
-    _write_outputs(out_dir, "kr-scan", cfg, started, clocks, rel, summary, record_summary)
+    _write_outputs(out_dir, "kr-scan", cfg, started, clocks, report["files"], summary,
+                   record_summary)
     return EXIT_OK
 
 

@@ -12,10 +12,11 @@ the solve is DbarSolution.certified (converged, residual within 5h) and
 the graph stays inside the radius-1/10 target factor.  The largest feasible
 radius a gives an empirical lower-bound estimate 1/a for the pseudo-norm; a
 failed solve is evidence, not proof, so every report carries an
-empirical=true flag, and the rigorous content rides on the certificate
-chain attached to solves that do converge.  The punchline the reports
-juxtapose: 1/2 at the origin against estimates above 1/2 arbitrarily
-close to it.
+empirical=true flag.  Each certified solve also runs the theorem chain on
+its unit-disc rescale; the chain stays on the solve's record, but no
+report writes it, so the rigorous content reaches no output yet.  The
+punchline the reports juxtapose: 1/2 at the origin against estimates
+above 1/2 arbitrarily close to it.
 
 Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
 unless the caller passes another) with the solver's default parameters.
@@ -61,8 +62,10 @@ FAILURE_NONCONV = "non_convergence"
 DEFAULT_RESOLUTION = 65
 DEFAULT_RADIUS_RANGE = (0.25, 2.0)
 DEFAULT_RADIUS_COUNT = 16
-# anchor sweep used by reports: three magnitudes, two phases
-DEFAULT_B_SWEEP = (0.05, 0.05j, 0.01, 0.01j, 0.001, 0.001j)
+# anchor sweep used by reports: three magnitudes on the real axis; an
+# anchor i*b would repeat b exactly, since the quarter turn maps the grid,
+# the disc and the solve onto themselves
+DEFAULT_B_SWEEP = (0.05, 0.01, 0.001)
 
 
 def default_radii() -> np.ndarray:
@@ -166,22 +169,6 @@ class FeasibilityRecord:
     def feasible(self) -> bool:
         return self.failure_mode == FAILURE_NONE
 
-    def to_json_dict(self) -> dict:
-        sol = self.solution
-        return {
-            "radius": self.radius,
-            "b": as_complex_pair(self.b),
-            "feasible": self.feasible,
-            "failure_mode": self.failure_mode,
-            "converged": None if sol is None else sol.converged,
-            "iterations": None if sol is None else sol.iterations,
-            "sup_f": None if sol is None else sol.sup_f,
-            "residual_sup": None if sol is None else sol.residual_sup,
-            "residual_gate": None if sol is None else sol.residual_gate,
-            "chain": None if self.chain is None else self.chain.to_json_dict(),
-            "chain_note": self.chain_note,
-        }
-
 
 @dataclass(frozen=True)
 class KrEstimate:
@@ -190,7 +177,6 @@ class KrEstimate:
     b: complex
     records: tuple
     vector = (1.0, 0.0)  # the tangent vector every scan uses
-    empirical = True  # a scan is grid-level evidence, never a proof
 
     def __post_init__(self):
         object.__setattr__(self, "b", complex(self.b))
@@ -208,9 +194,8 @@ class KrEstimate:
     def lower_bound(self) -> float:
         """Empirical: no larger graph disc worked, so at least 1/a_observed.
 
-        The same number is reported as upper_bound, since the largest feasible
-        disc bounds the norm above by it.  inf when no disc is feasible: a gap
-        against a finite bound then holds a fortiori.
+        inf when no disc is feasible: a gap against a finite bound then holds
+        a fortiori.
         """
         return math.inf if self.no_feasible_disc else 1.0 / self.a_observed
 
@@ -229,17 +214,6 @@ class KrEstimate:
             "lower_bound": None if self.no_feasible_disc else self.lower_bound(),
             "no_feasible_disc": self.no_feasible_disc,
             "scan_consistent": self.scan_consistent(),
-        }
-
-    def to_json_dict(self) -> dict:
-        verdict = self.verdict()
-        return {
-            "basepoint": [as_complex_pair(0.0), as_complex_pair(self.b)],
-            "vector": [as_complex_pair(c) for c in self.vector],
-            "upper_bound": verdict["lower_bound"],
-            "empirical": self.empirical,
-            "records": [rec.to_json_dict() for rec in self.records],
-            **verdict,
         }
 
 
@@ -353,7 +327,8 @@ def usc_report(
     pixels its record keeps).  The headline flag all_gaps_positive records
     whether every tested basepoint's empirical lower bound exceeded the
     origin's exact 1/2.  Values that would be infinite are encoded as null
-    plus the no_feasible_disc flag.
+    plus the no_feasible_disc flag.  Returns the summary and the names of
+    the files written, relative to out_dir: the json, the csv, the heatmaps.
     """
     b_list = check_anchors(b_list)
     os.makedirs(out_dir, exist_ok=True)
@@ -389,16 +364,11 @@ def usc_report(
         "vector": [as_complex_pair(c) for c in KrEstimate.vector],
         "origin_upper_bound": origin.bound,
         "origin_witness_residual": origin.witness_residual_sup,
-        "empirical": True,
+        "empirical": True,  # a scan is grid-level evidence, never a proof
         "rows": rows,
         "all_gaps_positive": all(row["gap_positive"] for row in rows),
     }
-    json_path = write_json(os.path.join(out_dir, "usc_report.json"), summary)
-    csv_path = os.path.join(out_dir, "usc_table.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
+    write_json(os.path.join(out_dir, "usc_report.json"), summary)
+    with open(os.path.join(out_dir, "usc_table.csv"), "w", encoding="ascii") as fh:
         fh.write("\n".join(csv_lines) + "\n")
-
-    return {
-        "summary": summary,
-        "paths": {"json": json_path, "csv": csv_path, "heatmaps": heatmaps},
-    }
+    return {"summary": summary, "files": ["usc_report.json", "usc_table.csv", *heatmaps]}

@@ -33,8 +33,6 @@ class OdeTrajectory:
 
     xs: np.ndarray
     gs: np.ndarray
-    g0: float
-    method: str
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
@@ -51,7 +49,6 @@ class OdeTrajectory:
         gs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", gs)
-        object.__setattr__(self, "g0", float(self.g0))
 
     def value_at_end(self) -> float:
         return float(self.gs[-1])
@@ -96,7 +93,7 @@ def rk4_integrate(g0: float) -> OdeTrajectory:
         k4 = rhs(g + h * k3)
         g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         gs[i + 1] = g
-    return OdeTrajectory(xs, gs, g0, "rk4")
+    return OdeTrajectory(xs, gs)
 
 
 def nonuniq_family(c: float, x):
@@ -119,14 +116,13 @@ def nonuniq_family(c: float, x):
 def family_trajectory(c: float) -> OdeTrajectory:
     """nonuniq_family(c) sampled at FAMILY_SAMPLES uniform points of [-1, 1]."""
     xs = np.linspace(-1.0, 1.0, FAMILY_SAMPLES)
-    return OdeTrajectory(xs, nonuniq_family(c, xs), 0.0, f"family({c!r})")
+    return OdeTrajectory(xs, nonuniq_family(c, xs))
 
 
 @dataclass(frozen=True)
 class LowerBoundResult:
     holds: bool
     slack: float
-    g_at_one: float
 
 
 def lower_bound_check(g0: float) -> LowerBoundResult:
@@ -138,6 +134,5 @@ def lower_bound_check(g0: float) -> LowerBoundResult:
     g0 = float(g0)
     if g0 <= 0:
         raise ValueError("the bound concerns strictly positive initial values")
-    g1 = exact_forward(g0, 1.0)
-    slack = g1 - 0.25
-    return LowerBoundResult(slack > 0, slack, g1)
+    slack = exact_forward(g0, 1.0) - 0.25
+    return LowerBoundResult(slack > 0, slack)

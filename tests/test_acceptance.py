@@ -6,9 +6,10 @@ run's summary.json, and test 10 also on the usc_report.json it writes.
 Each test pins the workload the row describes and checks the measured
 numbers against its own bounds, not the row's tolerance; nothing here is
 loosened to pass.  Run with -v to get one pass/fail line per criterion.
-Test 11 runs the battery a second time at --threads 8 and byte-compares
-the two summaries; those two runs are the file's whole cost, about half a
-minute.
+Test 11 asserts that criterion 11 compared all five files of its reduced
+scan and found none differing, then runs the battery a second time at
+--threads 8 and byte-compares the two summaries; those two runs are the
+file's whole cost, about half a minute.
 """
 
 import json
@@ -173,9 +174,16 @@ def test_criterion_10_usc_gap(criteria, battery):
     assert criteria[10]["passed"] is True
 
 
-def test_criterion_11_determinism(battery, tmp_path, subprocess_env):
-    # full battery through the CLI at --threads 1 and --threads 8:
-    # byte-identical summary.json
+def test_criterion_11_determinism(criteria, battery, tmp_path, subprocess_env):
+    # the reduced scan's usc_report.json, usc_table.csv and three heatmaps
+    # are byte-identical at 1 and 8 threads; then the full battery through
+    # the CLI at --threads 1 and --threads 8: byte-identical summary.json
+    d = criteria[11]["details"]
+    assert d["thread_counts"] == [1, 8]
+    assert d["files"] == ["usc_report.json", "usc_table.csv",
+                          *(f"scan_b00_r{ri:02d}_absf.pgm" for ri in range(3))]
+    assert d["differing"] == [] and d["identical"] is True
+    assert criteria[11]["passed"] is True
     one, proc = battery
     eight = _selftest(tmp_path, "8", subprocess_env)
     for run in (proc, eight):

@@ -21,7 +21,7 @@ from dbarlab.dbar import (
 )
 from dbarlab.dbar import residual_dbar
 from dbarlab.grid import ComplexField, make_grid
-from dbarlab.kr import default_radii
+from dbarlab.kr import DEFAULT_B_SWEEP, DEFAULT_RESOLUTION, default_radii
 
 
 def unit(n=65):
@@ -281,7 +281,16 @@ class TestQuarterTurn:
     @pytest.mark.parametrize("radius", [0.25, 1.0, 2.0])
     @pytest.mark.parametrize("b", [0.05, 0.001])
     def test_turned_anchor_gives_the_turned_solve(self, radius, b):
-        spec = make_grid(radius, 33)
+        self._check(make_grid(radius, 33), b)
+
+    @pytest.mark.parametrize("b", DEFAULT_B_SWEEP)
+    def test_turned_anchor_at_the_scan_resolution(self, b):
+        # the default kr-scan's anchors on its grid: the sweep keeps b and
+        # drops i*b, which this shows would repeat it
+        self._check(make_grid(1.0, DEFAULT_RESOLUTION), b)
+
+    @staticmethod
+    def _check(spec, b):
         sol = picard_solve(DbarProblem(spec, b=b))
         turned = picard_solve(DbarProblem(spec, b=1j * b))
         err = np.max(np.abs(turned.f.values - 1j * np.rot90(sol.f.values)))

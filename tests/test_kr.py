@@ -107,8 +107,7 @@ class TestRadiusScan:
         radii = default_radii()
         assert est.a_observed == pytest.approx(float(radii[2]))
         assert est.lower_bound() == pytest.approx(1.0 / float(radii[2]))
-        blob = est.to_json_dict()
-        assert blob["upper_bound"] == blob["lower_bound"] == est.lower_bound()
+        assert est.verdict()["lower_bound"] == est.lower_bound()
         assert est.scan_consistent()
         assert [rec.radius for rec in est.records] == sorted(
             float(r) for r in radii
@@ -119,11 +118,10 @@ class TestRadiusScan:
         est = radius_scan(0.05, radii=[0.25, 0.5, 1.0])
         assert est.a_observed == 0.0
         assert est.lower_bound() == np.inf
-        blob = est.to_json_dict()
-        assert blob["upper_bound"] is None
-        assert blob["lower_bound"] is None
-        assert blob["no_feasible_disc"] is True
-        json_dumps(blob)  # must not trip the NaN/inf guard
+        verdict = est.verdict()
+        assert verdict["lower_bound"] is None
+        assert verdict["no_feasible_disc"] is True
+        json_dumps(verdict)  # must not trip the NaN/inf guard
 
     def test_phase_rotation_gives_identical_scan(self):
         # the lattice is invariant under 90-degree rotation and the
@@ -190,14 +188,15 @@ class TestUscReport:
         assert row["scan_consistent"] is True
         assert summary["all_gaps_positive"] is True
 
-        on_disk = json.load(open(out["paths"]["json"]))
+        assert out["files"] == ["usc_report.json", "usc_table.csv",
+                                *(f"scan_b00_r{ri:02d}_absf.pgm" for ri in range(3))]
+        on_disk = json.loads((tmp_path / "usc_report.json").read_text())
         assert on_disk == json.loads(json_dumps(summary))
 
-        lines = open(out["paths"]["csv"]).read().strip().split("\n")
+        lines = (tmp_path / "usc_table.csv").read_text().strip().split("\n")
         assert lines[0] == "b,r,feasible,sup_f,residual"
         assert len(lines) == 4
-        assert len(out["paths"]["heatmaps"]) == 3
-        for name in out["paths"]["heatmaps"]:
+        for name in out["files"][2:]:
             head = open(tmp_path / name, "rb").read(2)
             assert head == b"P5"
 
@@ -245,7 +244,7 @@ class TestHeatmaps:
     def test_scan_heatmap_is_the_solves_pgm(self, tmp_path):
         r, b, n = 0.5, 0.01, 33
         out = usc_report([b], tmp_path / "scan", radii=[r], resolution=n)
-        got = (tmp_path / "scan" / out["paths"]["heatmaps"][0]).read_bytes()
+        got = (tmp_path / "scan" / out["files"][2]).read_bytes()
         abs_f = np.abs(picard_solve(DbarProblem(make_grid(r, n), b)).f.values)
         write_pgm(tmp_path / "direct.pgm", abs_f)
         assert got == (tmp_path / "direct.pgm").read_bytes() == _p5(abs_f)

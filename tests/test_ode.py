@@ -115,9 +115,9 @@ class TestLowerBound:
 class TestTrajectory:
     def test_validation(self):
         with pytest.raises(ValueError):
-            OdeTrajectory(np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0, "exact")
+            OdeTrajectory(np.array([0.0, 0.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            OdeTrajectory(np.array([0.0, 1.0]), np.array([0.0, np.nan]), 0.0, "exact")
+            OdeTrajectory(np.array([0.0, 1.0]), np.array([0.0, np.nan]))
 
     def test_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ode, "RK4_STEPS", 10)

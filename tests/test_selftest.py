@@ -3,12 +3,13 @@
 The criteria themselves get their full workout in test_acceptance; here
 we pin the config rules (criteria is the only key), how the registry's
 (name, function) pairs become summary rows, the deterministic summary
-layout, and the crashed-criterion path.
+layout, the crashed-criterion path, and that the determinism criterion
+fails when a scan's files depend on the thread count.
 """
 
 import pytest
 
-from dbarlab import selftest
+from dbarlab import kr, selftest, util
 from dbarlab.util import config_digest, json_dumps
 
 
@@ -92,3 +93,22 @@ class TestRunSelftest:
         assert lines[0].startswith("criterion 08 ode_analogue")
         assert lines[0].endswith("PASS")
         assert lines[-1] == "all criteria passed"
+
+
+class TestDeterminismCriterion:
+    def test_thread_dependent_scan_fails(self, monkeypatch):
+        # a scan whose 8-thread run lists its records in reverse writes the
+        # table and the outer heatmaps in another order; the middle radius
+        # and the order-free verdicts of usc_report.json stay the same
+        def reversed_map(fn, items, threads=1):
+            out = util.parallel_map(fn, items, threads=threads)
+            return out[::-1] if threads > 1 else out
+
+        monkeypatch.setattr(kr, "parallel_map", reversed_map)
+        passed, details = selftest.criterion_11(1)
+        assert passed is False
+        assert details["identical"] is False
+        assert details["files"] == ["usc_report.json", "usc_table.csv",
+                                    *(f"scan_b00_r{ri:02d}_absf.pgm" for ri in range(3))]
+        assert details["differing"] == ["usc_table.csv", "scan_b00_r00_absf.pgm",
+                                        "scan_b00_r02_absf.pgm"]
