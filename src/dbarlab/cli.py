@@ -244,7 +244,8 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     try:
         b_list = check_anchors(util.from_complex_pair(p) for p in cfg["b_list"])
         radii = scan_radii(cfg["radii"])
-        make_grid(1.0, cfg["resolution"])  # refuse a bad resolution before writing
+        for r in radii:  # refuse a grid no solve can run on before writing
+            make_grid(r, cfg["resolution"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scan config: {exc}") from exc
     started = _utcnow()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -75,6 +76,10 @@ class GridSpec:
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         if self.resolution % 2 == 0:
             raise ValueError("resolution must be odd so z=0 is a node")
+        # disc_mask and the Cauchy kernel square coordinates; a spacing whose
+        # square is subnormal or zero would flush them to zero
+        if self.spacing ** 2 < sys.float_info.min:
+            raise ValueError("radius too small for the resolution: spacing**2 underflows")
 
     @property
     def spacing(self) -> float:

@@ -7,16 +7,17 @@ certifies an upper bound of 1/2, and that certificate is checked (residual
 exactly zero), never assumed.
 
 Away from the origin, at basepoints (0, b) with b != 0, this module scans
-graph discs z -> (z, f(z)) over a grid of radii: a radius is feasible when
-the solve is DbarSolution.certified (converged, residual within 5h) and
-the graph stays inside the radius-1/10 target factor.  The largest feasible
-radius a gives an empirical lower-bound estimate 1/a for the pseudo-norm; a
-failed solve is evidence, not proof, so every report carries an
-empirical=true flag.  Each certified solve also runs the theorem chain on
-its unit-disc rescale; the chain stays on the solve's record, but no
-report writes it, so the rigorous content reaches no output yet.  The
-punchline the reports juxtapose: 1/2 at the origin against estimates
-above 1/2 arbitrarily close to it.
+graph discs z -> (z, f(z)) over radii in (0, 2]; a wider disc cannot lie
+in the radius-2 first factor and is refused.  A radius is feasible when the
+solve is DbarSolution.certified (converged, residual within 5h) and its sup
+stays inside the radius-1/10 factor; a record derives that from its solve.
+The largest feasible radius a gives an empirical lower-bound estimate 1/a
+for the pseudo-norm; a failed solve is evidence, not proof, so every report
+carries an empirical=true flag.  Each certified solve also runs the theorem
+chain on its unit-disc rescale; the chain stays on the solve's record, but
+no report writes it, so the rigorous content reaches no output yet.  The
+punchline the reports juxtapose: 1/2 at the origin against estimates above
+1/2 arbitrarily close to it.
 
 Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
 unless the caller passes another) with the solver's default parameters.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import MEMBERSHIP_SLACK, Z2_RADIUS, DiscMap, graph_map, jholo_residual
+from .acs import MEMBERSHIP_SLACK, Z1_RADIUS, Z2_RADIUS, DiscMap, jholo_residual
 from .certify import CertificateReport, theorem2_chain
 from .dbar import (
     DbarProblem,
@@ -91,14 +92,26 @@ def check_anchors(b_list) -> list:
     return b_list
 
 
+def check_scan_radius(r) -> float:
+    """The radius as a float; ValueError unless grid.check_radius accepts it and r <= 2.
+
+    A graph over a wider disc cannot lie in the radius-2 first factor; at
+    r <= 2 every masked node has |z| <= r - 2h, inside it.
+    """
+    r = check_radius(r)
+    if r > Z1_RADIUS:
+        raise ValueError("scan radius must be at most 2, the radius of the first factor")
+    return r
+
+
 def scan_radii(radii=None) -> list:
     """The sorted radii a scan visits, default_radii() when radii is None.
 
-    ValueError for an empty list or a radius grid.check_radius refuses.
+    ValueError for an empty list or a radius check_scan_radius refuses.
     """
     if radii is None:
         radii = default_radii()
-    radii = sorted(check_radius(r) for r in radii)
+    radii = sorted(check_scan_radius(r) for r in radii)
     if not radii:
         raise ValueError("radius scan needs at least one radius")
     return radii
@@ -133,37 +146,36 @@ class SolveSummary:
 class FeasibilityRecord:
     """Outcome of one graph-disc attempt at one radius.
 
-    failure_mode none means feasible; non_convergence covers every solve
-    that is not DbarSolution.certified, both a diverging iteration and a
-    converged fixed point whose equation residual misses the gate (no
-    certificate either way); the sup mode means a certified solution
-    exists but its graph escapes the radius-1/10 factor, which is exactly
-    what the sup lower bound demands.  solution is the SolveSummary of the
-    solve, None when the iteration left the floating-point range.
+    solution is the SolveSummary of the solve, None when the iteration left
+    the floating-point range.  failure_mode follows from it: non_convergence
+    for every solve that is not DbarSolution.certified (a diverging iteration,
+    or a converged fixed point whose residual misses the gate), the sup mode
+    when a certified solution's sup leaves the radius-1/10 factor, which is
+    what the sup lower bound demands, and none, feasible, otherwise.
     """
 
     radius: float
     b: complex
-    failure_mode: str
     solution: SolveSummary | None
     chain: CertificateReport | None
     chain_note: str | None = None
 
     def __post_init__(self):
-        if self.failure_mode not in (FAILURE_NONE, FAILURE_SUP, FAILURE_NONCONV):
-            raise ValueError(f"unknown failure mode {self.failure_mode!r}")
         if self.solution is not None:
             got = self.solution.grid_radius
             if abs(got - float(self.radius)) > 1e-12 * max(1.0, abs(got)):
                 raise ValueError("record radius disagrees with the solution's grid")
-        if self.feasible:
-            sol = self.solution
-            if sol is None or not sol.certified:
-                raise ValueError("a feasible record needs a certified solution")
-            if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
-                raise ValueError("a feasible graph must stay inside the target factor")
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "b", complex(self.b))
+
+    @property
+    def failure_mode(self) -> str:
+        sol = self.solution
+        if sol is None or not sol.certified:
+            return FAILURE_NONCONV
+        if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
+            return FAILURE_SUP
+        return FAILURE_NONE
 
     @property
     def feasible(self) -> bool:
@@ -251,25 +263,21 @@ def graph_feasibility(
     b: complex,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> FeasibilityRecord:
-    """Attempt a graph disc of radius r anchored at f(0) = b.
+    """Attempt a graph disc of radius r in (0, 2] anchored at f(0) = b.
 
-    The solve runs on a resolution x resolution grid of the disc.  A solve
-    that is not certified (divergence, non-convergence, residual above the
-    gate) is recorded as non_convergence; a certified solution whose sup
-    leaves the radius-1/10 factor is recorded as sup_bound_violated.
-    Infeasible records are data, not errors.  For a certified solve, the
-    theorem chain runs on the unit-disc rescale of the solution and rides
-    along.  The record keeps the solve's SolveSummary; the field is dropped.
+    The solve runs on a resolution x resolution grid of the disc; the
+    record's failure mode follows from it.  Infeasible records are data,
+    not errors.  For a certified solve, the theorem chain runs on the
+    unit-disc rescale of the solution and rides along.  The record keeps
+    the solve's SolveSummary; the field is dropped.
     """
     b = check_anchor(b)
     try:
-        sol = picard_solve(DbarProblem(make_grid(r, resolution), b=b))
+        sol = picard_solve(DbarProblem(make_grid(check_scan_radius(r), resolution), b=b))
     except NanEncountered:
-        return FeasibilityRecord(r, b, FAILURE_NONCONV, None, None,
-                                 "iteration left the floating-point range")
+        return FeasibilityRecord(r, b, None, None, "iteration left the floating-point range")
 
-    chain = None
-    chain_note = None
+    chain = chain_note = None
     if sol.certified:
         try:
             chain = theorem2_chain(rescaled_solution_record(sol))
@@ -277,16 +285,7 @@ def graph_feasibility(
             chain_note = f"chain unavailable after rescale: {exc}"
     else:
         chain_note = "no certificate: solve missed the residual gate"
-
-    if not sol.certified:
-        mode = FAILURE_NONCONV
-    elif sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
-        mode = FAILURE_SUP
-    else:
-        # construct the graph to re-validate the range through the map type
-        graph_map(sol.f)
-        mode = FAILURE_NONE
-    return FeasibilityRecord(r, b, mode, SolveSummary.of(sol), chain, chain_note)
+    return FeasibilityRecord(r, b, SolveSummary.of(sol), chain, chain_note)
 
 
 def radius_scan(

@@ -6,6 +6,7 @@ test proves the module entry point works.  Output trees go to tmp_path.
 
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -271,12 +272,16 @@ class TestInvalidConfigRefused:
         ("solve-dbar", {"resolution": 17, "margin_cells": float("nan")}),
         ("solve-dbar", {"resolution": 17, "b": [float("inf"), 0.0]}),
         ("solve-dbar", {"resolution": 17, "b": [1e250, 0.0]}),
+        ("solve-dbar", {"radius": 1e-200, "resolution": 17}),
+        ("certify", {"input": "tiny.f64"}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
         ("kr-scan", {"b_list": [[0.0, 0.0]], "radii": [0.25]}),
         ("kr-scan", {"b_list": [[0.1, 0.0]], "radii": [0.25]}),
         ("kr-scan", {"b_list": [[float("nan"), 0.0]], "radii": [0.5], "resolution": 17}),
         ("kr-scan", {"radii": [0.5, 1e200]}),
+        ("kr-scan", {"radii": [2.5]}),
+        ("kr-scan", {"radii": [1e-200]}),
         ("kr-scan", {"b_list": []}),
         ("selftest", {"criteria": [9], "scan_resolution": 65}),
         ("selftest", {"criteria": [12]}),
@@ -288,17 +293,21 @@ class TestInvalidConfigRefused:
             "kappa-negative", "kappa-nan", "certify-basepoint-nan",
             "certify-basepoint-infinite", "max-iter-float",
             "tol-infinite", "epsilon-nan", "epsilon-infinite", "margin-cells-nan",
-            "anchor-infinite", "anchor-overflow",
-            "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
+            "anchor-infinite", "anchor-overflow", "radius-underflow",
+            "certify-radius-underflow", "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
+            "scan-radius-above-two", "scan-radius-underflow",
             "scan-b-list-empty", "selftest-removed-key", "selftest-criterion-unknown",
             "selftest-criteria-empty", "ode-steps-float",
             "ode-g0-negative"])
-    def test_exit_2_before_writing(self, tmp_path, capsys, command, overrides):
+    def test_exit_2_before_writing(self, tmp_path, capsys, monkeypatch, command, overrides):
         if command == "certify":
-            field = tmp_path / "p.f64"
-            save_field(ComplexField.constant(make_grid(1.0, 17), 0.01), field)
-            overrides = {"input": str(field), **overrides}
+            monkeypatch.chdir(tmp_path)
+            save_field(ComplexField.constant(make_grid(1.0, 17), 0.01), "p.f64")
+            # a header radius whose spacing squared underflows at N=17
+            with open("tiny.f64", "wb") as fh:
+                fh.write(struct.pack("<dId", 1e-200, 17, 0.0) + bytes(17 * 17 * 16))
+            overrides = {"input": "p.f64", **overrides}
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2

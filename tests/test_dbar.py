@@ -283,11 +283,14 @@ class TestQuarterTurn:
     def test_turned_anchor_gives_the_turned_solve(self, radius, b):
         self._check(make_grid(radius, 33), b)
 
-    @pytest.mark.parametrize("b", DEFAULT_B_SWEEP)
-    def test_turned_anchor_at_the_scan_resolution(self, b):
+    @pytest.mark.parametrize("b, radius", [
+        *((b, 1.0) for b in DEFAULT_B_SWEEP), (0.05, 0.25), (0.05, 0.5),
+    ], ids=[*map(str, DEFAULT_B_SWEEP), "0.05-r0.25", "0.05-r0.5"])
+    def test_turned_anchor_at_the_scan_resolution(self, b, radius):
         # the default kr-scan's anchors on its grid: the sweep keeps b and
-        # drops i*b, which this shows would repeat it
-        self._check(make_grid(1.0, DEFAULT_RESOLUTION), b)
+        # drops i*b, which this shows would repeat it; the smaller radii
+        # cover a gate-missing solve (0.25) and a sup-violating one (0.5)
+        self._check(make_grid(radius, DEFAULT_RESOLUTION), b)
 
     @staticmethod
     def _check(spec, b):

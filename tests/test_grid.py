@@ -67,6 +67,20 @@ def test_large_radius_masks_the_unit_disc_nodes():
     assert int(unit.disc_mask(0.0).sum()) == 197
 
 
+@pytest.mark.parametrize("radius", [1e-170, 1e-200, 5e-324])
+def test_make_grid_rejects_spacing_whose_square_underflows(radius):
+    # x^2 + y^2 and the kernel's r^2 would flush to zero: a disc mask of
+    # 1e-170 would keep all 289 nodes of the square, and the kernel vanish
+    with pytest.raises(ValueError, match="underflows"):
+        make_grid(radius, 17)
+
+
+def test_small_radius_masks_the_unit_disc_nodes():
+    # spacing 2**-503 squares to a normal float
+    small, unit = make_grid(2.0**-500, 17), make_grid(1.0, 17)
+    assert np.array_equal(small.disc_mask(0.0), unit.disc_mask(0.0))
+
+
 def test_loader_rejects_radius_whose_square_overflows(tmp_path):
     path = tmp_path / "huge.f64"
     path.write_bytes(struct.pack("<dId", 1e200, 17, 0.0) + bytes(17 * 17 * 16))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -13,7 +14,6 @@ from dbarlab.kr import (
     FAILURE_NONCONV,
     FAILURE_NONE,
     FAILURE_SUP,
-    FeasibilityRecord,
     KrEstimate,
     default_radii,
     graph_feasibility,
@@ -53,6 +53,9 @@ class TestGraphFeasibility:
             graph_feasibility(-1.0, 0.05)
         with pytest.raises(ValueError, match="radius-1/10"):
             graph_feasibility(1.0, complex(float("nan"), 0.0))
+        # a graph over D_r with r > 2 cannot lie in D_2 x D_(1/10)
+        with pytest.raises(ValueError, match="at most 2"):
+            graph_feasibility(2.5, 0.05)
 
     def test_unit_disc_anchor_is_infeasible(self):
         # a certified solve exists but its sup exceeds the target factor;
@@ -90,15 +93,19 @@ class TestGraphFeasibility:
         assert rec.solution.grid_radius == 0.25
 
     def test_record_flag_consistency_enforced(self):
+        # the failure mode is derived from the record's solve, so a record
+        # cannot claim a mode its solve contradicts
         rec = graph_feasibility(0.25, 0.001)
-        assert FeasibilityRecord(0.25, 0.001, FAILURE_NONE, rec.solution, None).feasible
-        assert not FeasibilityRecord(0.25, 0.001, FAILURE_SUP, rec.solution, None).feasible
-        with pytest.raises(ValueError):
-            FeasibilityRecord(0.25, 0.001, "feasible", rec.solution, None)
-        with pytest.raises(ValueError):
-            FeasibilityRecord(0.25, 0.001, FAILURE_NONE, None, None)
-        with pytest.raises(ValueError):
-            FeasibilityRecord(0.9, 0.001, FAILURE_NONE, rec.solution, None)
+        assert rec.failure_mode == FAILURE_NONE
+        for edits, mode in (({"certified": False}, FAILURE_NONCONV),
+                            ({"sup_f": 0.1}, FAILURE_SUP)):
+            sol = dataclasses.replace(rec.solution, **edits)
+            assert dataclasses.replace(rec, solution=sol).failure_mode == mode
+        none = dataclasses.replace(rec, solution=None)
+        assert none.failure_mode == FAILURE_NONCONV
+        assert not none.feasible
+        with pytest.raises(ValueError, match="disagrees"):
+            dataclasses.replace(rec, radius=0.9)
 
 
 class TestRadiusScan:
@@ -123,18 +130,6 @@ class TestRadiusScan:
         assert verdict["no_feasible_disc"] is True
         json_dumps(verdict)  # must not trip the NaN/inf guard
 
-    def test_phase_rotation_gives_identical_scan(self):
-        # the lattice is invariant under 90-degree rotation and the
-        # equation sees f only through |f|, so an imaginary anchor runs
-        # the same feasibility pattern node for node
-        radii = [0.25, 0.5, 1.0]
-        a = radius_scan(0.05, radii=radii)
-        b = radius_scan(0.05j, radii=radii)
-        assert a.a_observed == b.a_observed
-        assert [r.failure_mode for r in a.records] == [
-            r.failure_mode for r in b.records
-        ]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             radius_scan(0.0)
@@ -142,6 +137,9 @@ class TestRadiusScan:
             radius_scan(0.01, radii=[])
         with pytest.raises(ValueError, match="2 \\* radius\\*\\*2 finite"):
             scan_radii([0.5, 1e200])  # refused before any radius is solved
+        with pytest.raises(ValueError, match="at most 2"):
+            scan_radii([0.5, 2.0 + 1e-15])
+        assert scan_radii([2.0, 0.5]) == [0.5, 2.0]
 
 
 class TestScanConsistency:
