@@ -15,7 +15,9 @@ Z(z) = (z, f(z)) the last two rows collapse to the scalar equation
 df/dzbar = |f|^(1/2) handled by the dbar module.
 
 reduction_identity checks that collapse with identical stencils on both
-sides, so it holds to rounding for ANY masked field, solved or not.  The
+sides, so it holds to rounding for ANY masked field, solved or not: the
+system rows are grid._dx and grid._dy of the component arrays, and the
+scalar side is dbar.residual_values, whose d/dzbar is the same pair.  The
 residual of the full 4 x 4 system and the scalar defect are then the same
 number by algebra, and any daylight between them is a bug, not
 discretization error.  lambda_val deliberately evaluates through
@@ -29,16 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    ComplexField,
-    GridSpec,
-    RealField,
-    central_dx,
-    central_dy,
-    erode4,
-    sup_norm,
-    wirtinger_dzbar,
-)
+from .dbar import residual_values
+from .grid import ComplexField, GridSpec, erode4, sup_norm
+from .grid import _dx, _dy, _shrunk
 
 Z1_RADIUS = 2.0
 Z2_RADIUS = 0.1
@@ -59,10 +54,7 @@ _TEMPLATE = np.array(
 def lambda_val(z2):
     """Coupling entry -2 |z2|^(1/2); vectorized over arrays of points."""
     with np.errstate(invalid="ignore"):
-        out = -2.0 * np.sqrt(np.abs(z2))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+        return -2.0 * np.sqrt(np.abs(z2))
 
 
 def j_squared_deviation(z1, z2) -> float:
@@ -130,32 +122,28 @@ def graph_map(f: ComplexField) -> DiscMap:
 def jholo_residual(zmap: DiscMap):
     """Defect of dZ/dy = J(Z) dZ/dx, componentwise.
 
-    Returns ((r1, r2, r3, r4), sup) where the four RealFields are the rows
-    of dZ/dy - J(Z(z)) dZ/dx on the common stencil mask and sup is the max
-    Euclidean norm of that 4-vector.  Rows 1 and 2 do not involve the
-    coupling; they vanish to stencil accuracy exactly when the first
-    component is holomorphic, and identically when it is linear.
+    Returns ((r1, r2, r3, r4), mask, sup): the four rows of
+    dZ/dy - J(Z(z)) dZ/dx as N x N arrays, the stencil mask (the disc one
+    spacing inside the margin, less the nodes with an unmasked axis
+    neighbour) on which alone they are read, and the max Euclidean norm of
+    that 4-vector over the mask.  Rows 1 and 2 do not involve the coupling;
+    they vanish to stencil accuracy exactly when the first component is
+    holomorphic, and identically when it is linear.
     """
     z1, z2 = zmap.z1, zmap.z2
-    d1x = central_dx(z1)
-    d1y = central_dy(z1)
-    d2x = central_dx(z2)
-    d2y = central_dy(z2)
+    h = zmap.grid.spacing
+    d1x, d1y = _dx(z1.values, h), _dy(z1.values, h)
+    d2x, d2y = _dx(z2.values, h), _dy(z2.values, h)
     lam = lambda_val(z2.values)
-    mask = d1x.mask & erode4(z1.mask)
+    mask = _shrunk(z1)[1] & erode4(z1.mask)
 
-    r1 = d1y.values.real + d1x.values.imag
-    r2 = d1y.values.imag - d1x.values.real
-    r3 = d2y.values.real - lam * d1x.values.imag + d2x.values.imag
-    r4 = d2y.values.imag - lam * d1x.values.real - d2x.values.real
+    r1 = d1y.real + d1x.imag
+    r2 = d1y.imag - d1x.real
+    r3 = d2y.real - lam * d1x.imag + d2x.imag
+    r4 = d2y.imag - lam * d1x.real - d2x.real
 
-    fields = tuple(
-        RealField(zmap.grid, np.where(mask, r, 0.0), d1x.margin, mask)
-        for r in (r1, r2, r3, r4)
-    )
     norm = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4)
-    sup = float(np.max(norm[mask]))
-    return fields, sup
+    return (r1, r2, r3, r4), mask, float(np.max(norm[mask]))
 
 
 def reduction_identity(f: ComplexField) -> float:
@@ -165,15 +153,9 @@ def reduction_identity(f: ComplexField) -> float:
     and imaginary parts of 2 (df/dzbar - |f|^(1/2)) up to sign, so
     2 |df/dzbar - |f|^(1/2)| and the Euclidean norm of (r3, r4) agree to
     rounding when both sides ride the same centered stencils.  Returns the
-    max pointwise discrepancy; anything above 1e-10 means the reduction is
-    miswired.
+    max pointwise discrepancy on the residual's mask; anything above 1e-10
+    means the reduction is miswired.
     """
-    (r1, r2, r3, r4), _ = jholo_residual(graph_map(f))
-    dzb = wirtinger_dzbar(f)
-    with np.errstate(invalid="ignore"):
-        s = np.sqrt(np.abs(f.values))
-    left = np.abs(2.0 * dzb.values - 2.0 * s)
-    right = np.hypot(r3.values, r4.values)
-    m = r3.mask & dzb.mask
-    return float(np.max(np.abs(left - right)[m]))
-
+    (_, _, r3, r4), mask, _ = jholo_residual(graph_map(f))
+    left = 2.0 * residual_values(f.values, f.spec.spacing)
+    return float(np.max(np.abs(left - np.hypot(r3, r4))[mask]))

@@ -6,8 +6,9 @@ under w -> -w, so its principal-value integral over the centered square cell
 vanishes, and dropping the cell is second-order consistent.
 
 Two independent evaluation paths are kept alive deliberately.  The direct
-path is the literal O(N^4) double sum.  The fast path observes that the sum
-is a discrete convolution with the kernel sampled on signed node offsets and
+path, cauchy_transform_direct, is the literal O(N^4) double sum.  The fast
+path, CauchyTransform and cauchy_transform, observes that the sum is a
+discrete convolution with the kernel sampled on signed node offsets and
 evaluates it by zero-padded FFT.  The output window is the whole N x N grid
 but the data sit on the mask, so the kernel needs only the offsets from a
 masked row or column to the far edge of the window; with R the largest such
@@ -234,16 +235,27 @@ class CauchyTransform:
             return self._convolve_real(values.real) + 1j * self._convolve_real(values.imag)
         return self._convolve_real(values)
 
-    def apply(self, g: ComplexField) -> ComplexField:
-        return ComplexField(g.spec, self.apply_values(g.values), g.margin, g.mask)
+
+def cauchy_transform(g: ComplexField) -> ComplexField:
+    """The transform of g by the FFT path, on g's grid, margin and mask.
+
+    Its values are defined at every node (the kernel sum is finite
+    everywhere), and their centered d/dzbar (grid._dzbar) is g to first
+    order on the mask interior.
+    """
+    return ComplexField(g.spec, CauchyTransform(g.spec, g.mask).apply_values(g.values), g.margin, g.mask)
 
 
-def _direct_values(spec, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+def cauchy_transform_direct(g) -> ComplexField:
+    """The transform of a complex or real field g by the literal O(N^4) double sum.
+
+    The reference the FFT path is checked against; same grid, margin and
+    mask as g.
+    """
+    spec = g.spec
     n = spec.resolution
-    zz = spec.nodes()
-    w = np.where(mask, values, 0) * (spec.spacing ** 2 / np.pi)
-    wf = w.ravel()
-    zf = zz.ravel()
+    zf = spec.nodes().ravel()
+    wf = (np.where(g.mask, g.values, 0) * (spec.spacing ** 2 / np.pi)).ravel()
     out = np.empty(n * n, dtype=np.complex128)
     chunk = max(1, (1 << 22) // (n * n))  # keep the difference table around 64 MB
     for lo in range(0, n * n, chunk):
@@ -253,21 +265,4 @@ def _direct_values(spec, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
             t = wf[np.newaxis, :] / d
         t[d == 0] = 0.0
         out[lo:hi] = t.sum(axis=1)
-    return out.reshape(n, n)
-
-
-def cauchy_transform(g: ComplexField, method: str = "fft") -> ComplexField:
-    """Apply the transform along the requested path ("fft" or "direct").
-
-    The result keeps g's grid, margin, and mask; its values are defined at
-    every node (the kernel sum is finite everywhere) and satisfy
-    wirtinger_dzbar(result) ~ g on the mask interior to first order.
-    """
-    vals = np.asarray(g.values)
-    if method == "fft":
-        return CauchyTransform(g.spec, g.mask).apply(g)
-    if method == "direct":
-        out = _direct_values(g.spec, g.mask, vals)
-        return ComplexField(g.spec, out, g.margin, g.mask)
-    raise ValueError(f"unknown method {method!r}; expected 'fft' or 'direct'")
-
+    return ComplexField(spec, out.reshape(n, n), g.margin, g.mask)

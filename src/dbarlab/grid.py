@@ -2,9 +2,11 @@
 
 The whole laboratory works on square N x N lattices covering the closed disc
 of radius r, with an interior mask selecting the trusted nodes.  Default
-masks are concentric discs |z| <= r - margin; stencil operators return fields
-whose margin has grown by one spacing, so every reported node had a full
-centered stencil inside the input mask.  Coordinates are built as
+masks are concentric discs |z| <= r - margin.  The stencil operators (_dx,
+_dy, _dzbar and _lap5) are the one layer of difference operators: they take
+and return plain arrays, and _shrunk gives the disc one spacing inside a
+field's margin, whose every node has a full centered stencil inside the
+field's mask; callers read the result there.  Coordinates are built as
 (index - center) * spacing, which keeps the node set exactly symmetric under
 the four-fold lattice symmetry and puts z = 0 on a node (resolution is
 restricted to odd N >= 17 for that reason; solvers anchor a value there).
@@ -252,35 +254,6 @@ def _lap5(values: np.ndarray, h: float) -> np.ndarray:
 
 def _dzbar(values: np.ndarray, h: float) -> np.ndarray:
     return 0.5 * (_dx(values, h) + 1j * _dy(values, h))
-
-
-def _masked_out(field, raw: np.ndarray, m2: float, mk: np.ndarray, cls):
-    vals = np.where(mk, raw, 0)
-    return cls(field.spec, vals, m2, mk)
-
-
-def central_dx(field):
-    """Centered x-derivative, exact on polynomials of degree <= 2 in x."""
-    m2, mk = _shrunk(field)
-    cls = ComplexField if isinstance(field, ComplexField) else RealField
-    return _masked_out(field, _dx(field.values, field.spec.spacing), m2, mk, cls)
-
-
-def central_dy(field):
-    """Centered y-derivative, exact on polynomials of degree <= 2 in y."""
-    m2, mk = _shrunk(field)
-    cls = ComplexField if isinstance(field, ComplexField) else RealField
-    return _masked_out(field, _dy(field.values, field.spec.spacing), m2, mk, cls)
-
-
-def wirtinger_dzbar(f: ComplexField) -> ComplexField:
-    """Discrete d/dzbar = (d/dx + i d/dy)/2 via centered differences.
-
-    Exact on polynomials of degree <= 2 in x and y separately; the result is
-    masked one spacing inside f's margin so every node has a full stencil.
-    """
-    m2, mk = _shrunk(f)
-    return _masked_out(f, _dzbar(f.values, f.spec.spacing), m2, mk, ComplexField)
 
 
 def sup_norm(field) -> float:

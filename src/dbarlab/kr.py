@@ -107,13 +107,16 @@ def check_scan_radius(r) -> float:
 def scan_radii(radii=None) -> list:
     """The sorted radii a scan visits, default_radii() when radii is None.
 
-    ValueError for an empty list or a radius check_scan_radius refuses.
+    ValueError for an empty list, a repeated radius (its disc would be
+    solved and written twice) or a radius check_scan_radius refuses.
     """
     if radii is None:
         radii = default_radii()
     radii = sorted(check_scan_radius(r) for r in radii)
     if not radii:
         raise ValueError("radius scan needs at least one radius")
+    if len(set(radii)) < len(radii):
+        raise ValueError("radius scan repeats a radius")
     return radii
 
 
@@ -252,7 +255,7 @@ def upper_bound_origin() -> OriginBound:
         ComplexField.from_function(spec, lambda z: z),
         ComplexField.constant(spec, 0.0),
     )
-    _, sup = jholo_residual(witness)
+    _, _, sup = jholo_residual(witness)
     if sup > 1e-13:
         raise ArithmeticError(f"origin witness residual {sup:.3e} is not zero")
     return OriginBound(0.5, witness, sup)

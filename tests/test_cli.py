@@ -282,6 +282,7 @@ class TestInvalidConfigRefused:
         ("kr-scan", {"radii": [0.5, 1e200]}),
         ("kr-scan", {"radii": [2.5]}),
         ("kr-scan", {"radii": [1e-200]}),
+        ("kr-scan", {"b_list": [[0.01, 0.0]], "radii": [0.5, 0.5], "resolution": 17}),
         ("kr-scan", {"b_list": []}),
         ("selftest", {"criteria": [9], "scan_resolution": 65}),
         ("selftest", {"criteria": [12]}),
@@ -296,7 +297,7 @@ class TestInvalidConfigRefused:
             "anchor-infinite", "anchor-overflow", "radius-underflow",
             "certify-radius-underflow", "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
-            "scan-radius-above-two", "scan-radius-underflow",
+            "scan-radius-above-two", "scan-radius-underflow", "scan-radius-repeated",
             "scan-b-list-empty", "selftest-removed-key", "selftest-criterion-unknown",
             "selftest-criteria-empty", "ode-steps-float",
             "ode-g0-negative"])

@@ -11,16 +11,14 @@ from dbarlab.grid import (
     PhaseUnwrapError,
     RealField,
     VanishingFieldError,
-    central_dx,
-    central_dy,
+    erode4,
     load_complex_field,
     make_grid,
     polar_decompose,
     save_field,
     sup_norm,
-    wirtinger_dzbar,
 )
-from dbarlab.grid import _lap5
+from dbarlab.grid import _dx, _dy, _dzbar, _lap5, _shrunk
 
 
 def test_make_grid_spacing():
@@ -147,22 +145,24 @@ def test_fields_immutable():
         f.values[0, 0] = 2.0
 
 
+def _wirtinger(f):
+    """d/dzbar of f and the stencil mask it is read on."""
+    return _dzbar(f.values, f.spec.spacing), _shrunk(f)[1]
+
+
 def test_wirtinger_on_conjugate_and_identity():
     g = make_grid(1.0, 33)
-    zbar = ComplexField.from_function(g, np.conj)
-    d = wirtinger_dzbar(zbar)
-    assert np.max(np.abs(d.values[d.mask] - 1.0)) == 0.0
-    ident = ComplexField.from_function(g, lambda z: z)
-    d2 = wirtinger_dzbar(ident)
-    assert np.max(np.abs(d2.values[d2.mask])) == 0.0
+    d, mask = _wirtinger(ComplexField.from_function(g, np.conj))
+    assert np.max(np.abs(d[mask] - 1.0)) == 0.0
+    d2, mask = _wirtinger(ComplexField.from_function(g, lambda z: z))
+    assert np.max(np.abs(d2[mask])) == 0.0
 
 
 def test_wirtinger_quadratic_exact():
     g = make_grid(1.0, 33)
-    f = ComplexField.from_function(g, lambda z: np.conj(z) ** 2)
-    d = wirtinger_dzbar(f)
+    d, mask = _wirtinger(ComplexField.from_function(g, lambda z: np.conj(z) ** 2))
     zb = np.conj(g.nodes())
-    err = np.abs(d.values - 2.0 * zb)[d.mask].max()
+    err = np.abs(d - 2.0 * zb)[mask].max()
     assert err < 1e-13
 
 
@@ -178,8 +178,8 @@ def test_wirtinger_second_order_refinement():
     errs = []
     for n in (65, 129):
         g = make_grid(1.0, n)
-        d = wirtinger_dzbar(ComplexField.from_function(g, f))
-        errs.append(np.abs(d.values - exact(g.nodes()))[d.mask].max())
+        d, mask = _wirtinger(ComplexField.from_function(g, f))
+        errs.append(np.abs(d - exact(g.nodes()))[mask].max())
     ratio = errs[1] / errs[0]
     assert 0.8 * 0.25 <= ratio <= 1.2 * 0.25
 
@@ -217,16 +217,27 @@ def test_stencil_needs_thick_mask():
     g = make_grid(1.0, 17)
     f = ComplexField(g, np.ones((17, 17), dtype=complex), 0.99)
     with pytest.raises(MaskError):
-        wirtinger_dzbar(f)
+        _shrunk(f)
+
+
+def test_stencil_mask_grows_the_margin_by_one_spacing():
+    g = make_grid(1.0, 33)
+    f = ComplexField.constant(g, 1.0)
+    margin, mask = _shrunk(f)
+    assert margin == f.margin + g.spacing
+    assert np.array_equal(mask, g.disc_mask(margin))
+    # every node of the stencil mask has its four axis neighbours in f's
+    # mask, and the mask loses f's rim
+    assert np.array_equal(mask & erode4(f.mask), mask)
+    assert (f.mask & ~mask).any()
 
 
 def test_central_derivatives_linear_exact():
     g = make_grid(2.0, 65)
     u = RealField.from_function(g, lambda x, y: 3.0 * x - 2.0 * y)
-    dx = central_dx(u)
-    dy = central_dy(u)
-    assert np.abs(dx.values[dx.mask] - 3.0).max() == 0.0
-    assert np.abs(dy.values[dy.mask] + 2.0).max() == 0.0
+    mask = _shrunk(u)[1]
+    assert np.abs(_dx(u.values, g.spacing)[mask] - 3.0).max() == 0.0
+    assert np.abs(_dy(u.values, g.spacing)[mask] + 2.0).max() == 0.0
 
 
 def test_sup_norm_examples():

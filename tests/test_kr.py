@@ -139,6 +139,8 @@ class TestRadiusScan:
             scan_radii([0.5, 1e200])  # refused before any radius is solved
         with pytest.raises(ValueError, match="at most 2"):
             scan_radii([0.5, 2.0 + 1e-15])
+        with pytest.raises(ValueError, match="repeats a radius"):
+            scan_radii([0.5, 0.25, 0.5])  # the disc would be solved and written twice
         assert scan_radii([2.0, 0.5]) == [0.5, 2.0]
 
 

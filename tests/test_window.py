@@ -48,9 +48,8 @@ from dbarlab.grid import (
     make_grid,
     mask_window,
     polar_decompose,
-    wirtinger_dzbar,
 )
-from dbarlab.grid import _dx, _dy, _lap5, _principal
+from dbarlab.grid import _dx, _dy, _dzbar, _lap5, _principal, _shrunk
 from dbarlab import util
 from test_branch import _principal as plain_principal
 from test_branch import c_shape, winding_free
@@ -155,9 +154,10 @@ def full_laplacian(u):
 
 
 def full_residual(f):
-    d = wirtinger_dzbar(f)
-    vals = np.where(d.mask, np.abs(d.values - np.sqrt(np.abs(f.values))), 0.0)
-    return RealField(f.spec, vals, d.margin, d.mask)
+    margin, mask = _shrunk(f)
+    d = _dzbar(f.values, f.spec.spacing)
+    vals = np.where(mask, np.abs(d - np.sqrt(np.abs(f.values))), 0.0)
+    return RealField(f.spec, vals, margin, mask)
 
 
 def full_lemma1(h, delta0=DELTA0_DEFAULT, standoff_cells=STANDOFF_CELLS):
