@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbar import residual_values
-from .grid import ComplexField, GridSpec, erode4, sup_norm
+from .grid import ComplexField, erode4, sup_norm
 from .grid import _dx, _dy, _shrunk
 
 Z1_RADIUS = 2.0
@@ -94,13 +94,12 @@ class DiscMap:
     hard error rather than a warning).
     """
 
-    grid: GridSpec
     z1: ComplexField
     z2: ComplexField
 
     def __post_init__(self):
-        if self.z1.spec != self.grid or self.z2.spec != self.grid:
-            raise ValueError("component fields must live on the declared grid")
+        if self.z1.spec != self.z2.spec:
+            raise ValueError("component fields must live on one grid")
         if not np.array_equal(self.z1.mask, self.z2.mask):
             raise ValueError("component masks differ")
         m = self.z1.mask
@@ -116,7 +115,7 @@ def graph_map(f: ComplexField) -> DiscMap:
     if s >= Z2_RADIUS - MEMBERSHIP_SLACK:
         raise ValueError(f"graph leaves the target: sup |f| = {s:.6g} >= 1/10")
     ident = ComplexField(f.spec, f.spec.nodes(), f.margin, f.mask)
-    return DiscMap(f.spec, ident, f)
+    return DiscMap(ident, f)
 
 
 def jholo_residual(zmap: DiscMap):
@@ -131,7 +130,7 @@ def jholo_residual(zmap: DiscMap):
     holomorphic, and identically when it is linear.
     """
     z1, z2 = zmap.z1, zmap.z2
-    h = zmap.grid.spacing
+    h = z1.spec.spacing
     d1x, d1y = _dx(z1.values, h), _dy(z1.values, h)
     d2x, d2y = _dx(z2.values, h), _dy(z2.values, h)
     lam = lambda_val(z2.values)

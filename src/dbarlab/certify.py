@@ -44,7 +44,7 @@ form the branch was built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -102,9 +102,10 @@ class _Branch(ComplexField):
     and 0 off it, as polar_decompose fills them; basepoint fixed the branch.
     """
 
-    rho: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    basepoint: complex = 0j
+    _: KW_ONLY
+    rho: np.ndarray
+    phi: np.ndarray
+    basepoint: complex
 
 
 def _witness(spec, win: tuple, mask: np.ndarray, values: np.ndarray, pick) -> tuple:
@@ -303,7 +304,8 @@ def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> _Branch:
     vals = np.ones((n, n), dtype=np.complex128)
     vals[cw] = rho[cw] * np.exp(0.5j * arg)
     rho.flags.writeable = half.flags.writeable = False
-    return _Branch(h.spec, vals, h.margin, comp, rho, half, complex(basepoint))
+    return _Branch(h.spec, vals, h.margin, comp, rho=rho, phi=half,
+                   basepoint=complex(basepoint))
 
 
 def lemma2_check(

@@ -1,18 +1,22 @@
 """Command-line front end: reproducible runs with records, figures, CSV.
 
 Each subcommand owns one JSON config whose defaults are embedded here and
-printable via --print-config.  A run writes into the output directory:
+printable via --print-config.  main owns the run: it merges the config,
+refuses an output directory that a file blocks, runs the command, which
+validates its config and writes its own files (solution fields, PGM
+heatmaps, CSV tables), and then writes for every command:
 
   run_record.json   command, full config, digest, timestamps, output list,
                     and the run's wall and CPU seconds and peak RSS
-  summary.json      key scalars only; deterministic (no paths, no times)
+  summary.json      key scalars and the config digest only; deterministic
+                    (no paths, no times)
 
-plus command-specific files (solution fields, PGM heatmaps, CSV tables).
 summary.json is the file to diff across machines and thread counts; the
 run record is the provenance trail.  Exit codes: 0 for a completed run,
-including declared non-convergence; 1 for selftest criteria failures;
-2 for invalid configs (a solve that turns non-finite included),
-unreadable inputs, or bad flags.
+including declared non-convergence; 1 when the summary reports
+all_passed false (selftest criteria failures); 2 for invalid configs (a
+solve that turns non-finite included), unreadable inputs, an output
+directory that cannot be made or written, or bad flags.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .dbar import (
     rescaled_solution_record,
     residual_dbar,
 )
-from .grid import MaskError, PhaseUnwrapError, load_complex_field, make_grid
+from .grid import load_complex_field, make_grid
 from .kr import DEFAULT_B_SWEEP, check_anchors, scan_radii, usc_report
 from .ode import FAMILY_KINKS, exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 from .selftest import SELFTEST_DEFAULTS, check_criteria, format_table, run_selftest
@@ -111,11 +115,25 @@ def _resources(clocks: tuple) -> dict:
     }
 
 
+def _check_out_dir(out_dir) -> None:
+    """Refuse an --out that is a file or a dangling link, or lies under one."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write into {out_dir}: {path} is not a directory")
+
+
 def _write_outputs(out_dir, command, cfg, started, clocks, outputs, summary,
-                   record_summary=None) -> None:
-    """Emit summary.json and run_record.json; outputs are out_dir-relative."""
-    summary_full = {"schema_version": util.SCHEMA_VERSION, "command": command}
-    summary_full.update(summary)
+                   record_summary) -> None:
+    """Emit summary.json and run_record.json; outputs are out_dir-relative.
+
+    Both summaries gain the config digest; record_summary None puts the
+    whole summary in the run record.
+    """
+    digest = util.config_digest(cfg)
+    summary = {"config_digest": digest, **summary}
+    summary_full = {"schema_version": util.SCHEMA_VERSION, "command": command, **summary}
     util.write_json(os.path.join(out_dir, "summary.json"), summary_full)
     listed = list(outputs) + ["summary.json"]
     missing = [p for p in listed if not os.path.exists(os.path.join(out_dir, p))]
@@ -125,22 +143,22 @@ def _write_outputs(out_dir, command, cfg, started, clocks, outputs, summary,
         "schema_version": util.SCHEMA_VERSION,
         "command": command,
         "config": cfg,
-        "config_digest": util.config_digest(cfg),
+        "config_digest": digest,
         "started": started,
         "finished": _utcnow(),
         "outputs": sorted(listed),
-        "summary": summary if record_summary is None else record_summary,
+        "summary": summary if record_summary is None else {"config_digest": digest,
+                                                           **record_summary},
         "resources": _resources(clocks),
     }
     util.write_json(os.path.join(out_dir, "run_record.json"), record)
 
 
-def cmd_solve_dbar(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
+def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> tuple:
     try:
         problem = DbarProblem.from_json_dict(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid solve config: {exc}") from exc
-    started = _utcnow()
     try:
         sol = picard_solve(problem)
     except NanEncountered as exc:
@@ -151,7 +169,6 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     util.write_pgm(os.path.join(out_dir, "abs_f.pgm"), np.abs(sol.f.values))
     util.write_pgm(os.path.join(out_dir, "residual.pgm"), res_field.values)
     summary = {
-        "config_digest": util.config_digest(cfg),
         "b": cfg["b"],
         "radius": problem.grid.radius,
         "resolution": problem.grid.resolution,
@@ -162,19 +179,18 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     }
     outputs = [os.path.basename(paths["json"]), os.path.basename(paths["field"]),
                "abs_f.pgm", "residual.pgm"]
-    _write_outputs(out_dir, "solve-dbar", cfg, started, clocks, outputs, summary)
-    return EXIT_OK
+    return outputs, summary, None
 
 
 def _guarded(fn, *args, **kwargs) -> dict:
     """Run one certificate; failures become data instead of aborting the run."""
     try:
         return {"available": True, "report": fn(*args, **kwargs).to_json_dict()}
-    except (ValueError, MaskError, PhaseUnwrapError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # MaskError, PhaseUnwrapError included
         return {"available": False, "reason": f"{type(exc).__name__}: {exc}"}
 
 
-def cmd_certify(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
+def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
     path = cfg["input"]
     if not path or not isinstance(path, str):
         raise ConfigError("certify needs config key 'input' (solution .json or field .f64)")
@@ -204,7 +220,6 @@ def cmd_certify(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     else:
         raise ConfigError("certify input must end in .json (solution) or .f64 (field)")
 
-    started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
 
     def branch_chain():
@@ -221,9 +236,8 @@ def cmd_certify(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     util.write_json(os.path.join(out_dir, "certificates.json"),
                     {"schema_version": util.SCHEMA_VERSION, "certificates": certs})
 
-    summary = {"config_digest": util.config_digest(cfg)}
     lem1 = certs["smoothness"]
-    summary["lemma1_available"] = lem1["available"]
+    summary = {"lemma1_available": lem1["available"]}
     if lem1["available"]:
         summary["min_slack"] = lem1["report"]["min_slack"]
     lem2 = certs["max_principle"]
@@ -236,11 +250,10 @@ def cmd_certify(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
         summary["chain_available"] = chain["available"]
         if chain["available"]:
             summary["verdict"] = chain["report"]["details"]["verdict"]
-    _write_outputs(out_dir, "certify", cfg, started, clocks, ["certificates.json"], summary)
-    return EXIT_OK
+    return ["certificates.json"], summary, None
 
 
-def cmd_kr_scan(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
+def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> tuple:
     try:
         b_list = check_anchors(util.from_complex_pair(p) for p in cfg["b_list"])
         radii = scan_radii(cfg["radii"])
@@ -248,24 +261,19 @@ def cmd_kr_scan(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
             make_grid(r, cfg["resolution"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scan config: {exc}") from exc
-    started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
     report = usc_report(b_list, out_dir, radii=radii, resolution=cfg["resolution"],
                         threads=threads)
-    summary = dict(report["summary"])
-    summary["config_digest"] = util.config_digest(cfg)
+    summary = report["summary"]
     record_summary = {
-        "config_digest": summary["config_digest"],
         "origin_upper_bound": summary["origin_upper_bound"],
         "all_gaps_positive": summary["all_gaps_positive"],
         "a_observed": [row["a_observed"] for row in summary["rows"]],
     }
-    _write_outputs(out_dir, "kr-scan", cfg, started, clocks, report["files"], summary,
-                   record_summary)
-    return EXIT_OK
+    return report["files"], summary, record_summary
 
 
-def cmd_ode(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
+def cmd_ode(cfg: dict, out_dir, threads: int) -> tuple:
     try:
         g0 = float(cfg["g0"])
         traj = rk4_integrate(g0)
@@ -274,7 +282,6 @@ def cmd_ode(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
         bound = lower_bound_check(g0) if g0 > 0 else None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid ode config: {exc}") from exc
-    started = _utcnow()
     os.makedirs(out_dir, exist_ok=True)
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
     outputs = ["trajectory.csv"]
@@ -283,7 +290,6 @@ def cmd_ode(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
         fam.to_csv(os.path.join(out_dir, name))
         outputs.append(name)
     summary = {
-        "config_digest": util.config_digest(cfg),
         "g0": g0,
         "g_at_one": traj.value_at_end(),
         "exact_g_at_one": exact,
@@ -293,24 +299,31 @@ def cmd_ode(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
     if bound is not None:
         summary["lower_bound_holds"] = bound.holds
         summary["lower_bound_slack"] = bound.slack
-    _write_outputs(out_dir, "ode", cfg, started, clocks, outputs, summary)
-    return EXIT_OK
+    return outputs, summary, None
 
 
-def cmd_selftest(cfg: dict, out_dir, threads: int, clocks: tuple) -> int:
-    check_criteria(cfg["criteria"])
-    started = _utcnow()
+def cmd_selftest(cfg: dict, out_dir, threads: int) -> tuple:
+    criteria = check_criteria(cfg["criteria"])
     os.makedirs(out_dir, exist_ok=True)
-    summary, written = run_selftest(config=cfg, threads=threads, out_dir=out_dir)
+    summary, written = run_selftest(criteria, threads, out_dir)
     for line in format_table(summary):
         print(line)
     record_summary = {
-        "config_digest": summary["config_digest"],
         "all_passed": summary["all_passed"],
         "failed": [c["name"] for c in summary["criteria"] if not c["passed"]],
     }
-    _write_outputs(out_dir, "selftest", cfg, started, clocks, written, summary, record_summary)
-    return EXIT_OK if summary["all_passed"] else EXIT_SELFTEST_FAIL
+    return written, summary, record_summary
+
+
+# name -> (runner, help line); a runner validates its config, writes its own
+# files into out_dir and returns (outputs, summary, record_summary)
+_RUNNERS = {
+    "solve-dbar": (cmd_solve_dbar, "run the damped continuation solver on one disc"),
+    "certify": (cmd_certify, "run the certificate battery on a saved solution or field"),
+    "kr-scan": (cmd_kr_scan, "scan disc radii per anchor value and report bound gaps"),
+    "ode": (cmd_ode, "integrate the scalar analogue and emit trajectories"),
+    "selftest": (cmd_selftest, "run the full invariant suite and print a pass/fail table"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,13 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certificates, feasibility scans, and the scalar analogue",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("solve-dbar", "run the damped continuation solver on one disc"),
-        ("certify", "run the certificate battery on a saved solution or field"),
-        ("kr-scan", "scan disc radii per anchor value and report bound gaps"),
-        ("ode", "integrate the scalar analogue and emit trajectories"),
-        ("selftest", "run the full invariant suite and print a pass/fail table"),
-    ):
+    for name, (_, helptext) in _RUNNERS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="JSON overrides for this command's defaults")
@@ -337,15 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="worker threads; 0 means auto; results do not depend on N")
     return parser
-
-
-_RUNNERS = {
-    "solve-dbar": cmd_solve_dbar,
-    "certify": cmd_certify,
-    "kr-scan": cmd_kr_scan,
-    "ode": cmd_ode,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -361,10 +359,16 @@ def main(argv=None) -> int:
             sys.stdout.write(util.json_dumps(merged))
             return EXIT_OK
         out_dir = os.environ.get("DBARLAB_OUT") or args.out or "."
-        return _RUNNERS[args.command](merged, out_dir, args.threads, clocks)
-    except ValueError as exc:  # ConfigError included
+        _check_out_dir(out_dir)
+        started = _utcnow()
+        run = _RUNNERS[args.command][0]
+        outputs, summary, record_summary = run(merged, out_dir, args.threads)
+        _write_outputs(out_dir, args.command, merged, started, clocks, outputs, summary,
+                       record_summary)
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    return EXIT_SELFTEST_FAIL if summary.get("all_passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -234,10 +234,9 @@ class KrEstimate:
 
 @dataclass(frozen=True)
 class OriginBound:
-    """The exact origin estimate together with its checked witness."""
+    """The exact origin estimate and the holomorphy residual of its checked witness."""
 
     bound: float
-    witness: DiscMap
     witness_residual_sup: float
 
 
@@ -251,14 +250,13 @@ def upper_bound_origin() -> OriginBound:
     """
     spec = make_grid(2.0, DEFAULT_RESOLUTION)
     witness = DiscMap(
-        spec,
         ComplexField.from_function(spec, lambda z: z),
         ComplexField.constant(spec, 0.0),
     )
     _, _, sup = jholo_residual(witness)
     if sup > 1e-13:
         raise ArithmeticError(f"origin witness residual {sup:.3e} is not zero")
-    return OriginBound(0.5, witness, sup)
+    return OriginBound(0.5, sup)
 
 
 def graph_feasibility(

@@ -3,14 +3,15 @@
 Each criterion function runs one guarantee end to end and returns
 (passed, details), the verdict and the measured numbers; criterion 10
 adds the report files it wrote.  CRITERIA registers each under its index
-and name.  The only
-config key is criteria, the indices to run; the workload of each
-criterion (grid resolutions, sample counts, anchors, wall clock budgets)
-is fixed by the constants below, or by the scan and integrator constants
-it shares with kr and ode.  run_selftest aggregates the results into a
-summary dict that intentionally contains no timestamps, paths, or timing
-figures: two runs with the same config must produce byte-identical
-canonical JSON regardless of thread count.  The last criterion checks the
+and name.  The only config key is criteria, the indices to run, which
+the CLI merges and check_criteria checks; the workload of each criterion
+(grid resolutions, sample counts, anchors, wall clock budgets) is fixed
+by the constants below, or by the scan and integrator constants it
+shares with kr and ode.  run_selftest takes the checked criteria and
+aggregates the results into a summary dict that intentionally contains
+no timestamps, paths, or timing figures (the CLI adds the config digest):
+two runs with the same config must produce byte-identical canonical JSON
+regardless of thread count.  The last criterion checks the
 same property on the files kr-scan writes: a reduced scan's report at 1
 and at 8 threads, byte for byte.  Wall clock budgets are
 enforced where a guarantee includes one, but only the boolean verdict
@@ -22,7 +23,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .ode import (
     nonuniq_family,
     rk4_integrate,
 )
-from .util import SCHEMA_VERSION, config_digest, json_dumps, parallel_map
+from .util import json_dumps, parallel_map
 
 # the workload; scans run at kr.DEFAULT_RESOLUTION, the integrator and the
 # family at the ode command's ode.RK4_STEPS, FAMILY_KINKS and FAMILY_SAMPLES
@@ -68,21 +68,6 @@ TRANSFORM_RESOLUTIONS = (129, 257)
 TRANSFORM_AGREEMENT_RESOLUTION = 65
 STRUCTURE_SAMPLE_COUNT = 1_000_000
 SCAN_ANCHOR = complex(0.05, 0.0)
-
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    details: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def check_criteria(criteria) -> list:
@@ -237,6 +222,7 @@ def criterion_06(threads: int) -> tuple:
     return none_undercut and runtime_ok, {
         "resolution": SWEEP_RESOLUTION,
         "floor": floor,
+        "gate_passing": sum(row["gate_ok"] for row in rows),
         "rows": rows,
         "runtime_ok": runtime_ok,
     }
@@ -319,15 +305,13 @@ def criterion_09(threads: int) -> tuple:
     }
 
 
-def criterion_10(threads: int, out_dir=None) -> tuple:
+def criterion_10(threads: int, out_dir) -> tuple:
     """Strict gap between origin bound and nearby empirical lower bounds.
 
     Returns (passed, details, written): written names the report files the
-    scan wrote into out_dir, relative to it, and is empty without out_dir.
+    scan wrote into out_dir, relative to it.
     """
-    with tempfile.TemporaryDirectory() as tmp:
-        report = usc_report([SCAN_ANCHOR], out_dir or tmp, threads=threads)
-    written = report["files"] if out_dir else []
+    report = usc_report([SCAN_ANCHOR], out_dir, threads=threads)
     summary = report["summary"]
     row = summary["rows"][0]
     gap_ok = row["a_observed"] < 2.0 and row["gap_positive"]
@@ -347,7 +331,7 @@ def criterion_10(threads: int, out_dir=None) -> tuple:
             for k in ("a_observed", "lower_bound", "no_feasible_disc", "scan_consistent")
         },
     }
-    return ok, details, written
+    return ok, details, report["files"]
 
 
 def criterion_11(threads: int) -> tuple:
@@ -403,36 +387,30 @@ CRITERIA = {
 SELFTEST_DEFAULTS = {"criteria": sorted(CRITERIA)}
 
 
-def run_selftest(config: dict | None = None, threads: int = 1, out_dir=None) -> tuple:
-    """Run the requested criteria; return the deterministic summary and the files written.
+def run_selftest(criteria: list, threads: int, out_dir) -> tuple:
+    """Run the criteria check_criteria returned; return the summary and the files written.
 
     The summary carries no timestamps, no paths, and no timings, so
     identical configs give byte-identical canonical JSON for any thread
-    count.  out_dir, when given, receives the report files criterion 10
-    emits; the summary never references them, and the second item lists
-    their names relative to out_dir (empty when criterion 10 did not write).
+    count; the CLI adds the config digest and the schema version.  out_dir
+    receives the report files criterion 10 emits; the summary never
+    references them, and the second item lists their names relative to
+    out_dir (empty when criterion 10 did not run).
     """
-    cfg = util.merge_config(SELFTEST_DEFAULTS, config, "selftest config")
-    results = []
+    rows = []
     written = []
-    for idx in check_criteria(cfg["criteria"]):
+    for idx in criteria:
         name, fn = CRITERIA[idx]
         try:
             if idx == 10:
-                passed, details, files = fn(threads, out_dir=out_dir)
+                passed, details, files = fn(threads, out_dir)
                 written += files
             else:
                 passed, details = fn(threads)
         except Exception as exc:  # a crashed criterion is a failed criterion
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-        results.append(CriterionResult(idx, name, passed, details))
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config_digest": config_digest(cfg),
-        "criteria": [r.to_json_dict() for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    return summary, written
+        rows.append({"index": idx, "name": name, "passed": passed, "details": details})
+    return {"criteria": rows, "all_passed": all(r["passed"] for r in rows)}, written
 
 
 def format_table(summary: dict) -> list:

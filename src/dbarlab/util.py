@@ -30,7 +30,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def merge_config(defaults: dict, overrides, name: str = "config") -> dict:
+def merge_config(defaults: dict, overrides) -> dict:
     """Strict merge of JSON overrides into a copy of defaults.
 
     Every override must name a default key and match its kind: list or
@@ -38,35 +38,34 @@ def merge_config(defaults: dict, overrides, name: str = "config") -> dict:
     number, an integer where the default is one, and no scalar but an
     integer inside a list whose default holds only integers (nested lists
     and objects are left to the key's consumer).  null is accepted only
-    where the default is None.  Anything else raises ValueError; name
-    labels the config in the message.
+    where the default is None.  Anything else raises ValueError.
     """
     cfg = {k: (list(v) if isinstance(v, list) else v) for k, v in defaults.items()}
     if overrides is None:
         return cfg
     if not isinstance(overrides, dict):
-        raise ValueError(f"{name} must be a JSON object")
+        raise ValueError("config must be a JSON object")
     for key, value in overrides.items():
         if key not in defaults:
-            raise ValueError(f"unknown {name} key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         want = defaults[key]
         if want is not None:
             if value is None:
-                raise ValueError(f"{name} key {key!r} must not be null")
+                raise ValueError(f"config key {key!r} must not be null")
             if isinstance(want, list) != isinstance(value, list):
                 kind = "a list" if isinstance(want, list) else "a scalar"
-                raise ValueError(f"{name} key {key!r} must be {kind}")
+                raise ValueError(f"config key {key!r} must be {kind}")
             if isinstance(want, str) != isinstance(value, str):
-                raise ValueError(f"{name} key {key!r} has the wrong type")
+                raise ValueError(f"config key {key!r} has the wrong type")
             if isinstance(want, (int, float)) and (
                 not isinstance(value, (int, float)) or isinstance(value, bool)
             ):
-                raise ValueError(f"{name} key {key!r} must be numeric")
+                raise ValueError(f"config key {key!r} must be numeric")
             if _is_int(want) and not _is_int(value):
-                raise ValueError(f"{name} key {key!r} must be an integer")
+                raise ValueError(f"config key {key!r} must be an integer")
             if (isinstance(want, list) and want and all(map(_is_int, want))
                     and any(not (_is_int(v) or isinstance(v, (list, dict))) for v in value)):
-                raise ValueError(f"{name} key {key!r} must list integers")
+                raise ValueError(f"config key {key!r} must list integers")
         cfg[key] = value
     return cfg
 

@@ -107,9 +107,12 @@ def test_criterion_06_sup_floor_sweep(criteria):
     d = criteria[6]["details"]
     assert d["resolution"] == 257
     assert [complex(*row["b"]) for row in d["rows"]] == pytest.approx(SWEEP_ANCHORS, abs=1e-15)
-    for row in d["rows"]:
-        gate_ok = row["converged"] and row["residual_sup"] <= 5.0 * _spacing(257)
-        assert not (gate_ok and row["sup_f"] < 0.1 - 0.02)
+    gate_ok = [row["converged"] and row["residual_sup"] <= 5.0 * _spacing(257)
+               for row in d["rows"]]
+    for ok, row in zip(gate_ok, d["rows"]):
+        assert not (ok and row["sup_f"] < 0.1 - 0.02)
+    # the evidence count: how many of the sweep's solves the verdict rests on
+    assert d["gate_passing"] == sum(gate_ok)
     assert selftest.SWEEP_BUDGET_SECONDS == 1800.0 and d["runtime_ok"] is True
     assert criteria[6]["passed"] is True
 

@@ -101,7 +101,7 @@ class TestDiscMap:
         spec = make_grid(1.0, 65)
         f = profile_exact(0.9, spec)
         m = graph_map(f)
-        assert m.grid == spec
+        assert m.z1.spec == m.z2.spec == spec
         assert np.array_equal(m.z2.values, f.values)
         assert np.array_equal(m.z1.values[m.z1.mask], spec.nodes()[f.mask])
 
@@ -121,14 +121,20 @@ class TestDiscMap:
         zero = ComplexField.constant(spec, 0.0)
         X, _ = spec.mesh()
         with pytest.raises(ValueError):
-            DiscMap(spec, ident.restrict(X > 0), zero)
+            DiscMap(ident.restrict(X > 0), zero)
+
+    def test_components_on_different_grids_refused(self):
+        ident = ComplexField.from_function(make_grid(2.0, 65), lambda z: z)
+        zero = ComplexField.constant(make_grid(1.0, 65), 0.0)
+        with pytest.raises(ValueError, match="one grid"):
+            DiscMap(ident, zero)
 
     def test_first_component_range(self):
         spec = make_grid(2.0, 65)
         big = ComplexField.from_function(spec, lambda z: 1.1 * z)
         zero = ComplexField.constant(spec, 0.0)
         with pytest.raises(ValueError):
-            DiscMap(spec, big, zero)
+            DiscMap(big, zero)
 
 
 class TestResidual:
@@ -136,7 +142,6 @@ class TestResidual:
         # dyadic spacing: centered differences of z are exactly 1
         spec = make_grid(2.0, 65)
         m = DiscMap(
-            spec,
             ComplexField.from_function(spec, lambda z: z),
             ComplexField.constant(spec, 0.0),
         )
@@ -148,7 +153,6 @@ class TestResidual:
     def test_antiholomorphic_first_component(self):
         spec = make_grid(2.0, 65)
         m = DiscMap(
-            spec,
             ComplexField.from_function(spec, lambda z: np.conj(z)),
             ComplexField.constant(spec, 0.0),
         )
@@ -160,7 +164,6 @@ class TestResidual:
     def test_holomorphic_first_component_rows_vanish(self):
         spec = make_grid(1.0, 65)
         m = DiscMap(
-            spec,
             ComplexField.from_function(spec, lambda z: z * z),
             ComplexField.constant(spec, 0.0),
         )
@@ -176,7 +179,7 @@ class TestResidual:
         hole = (np.abs(X - 0.5) < 0.1) & (np.abs(Y) < 0.1)
         ident = ComplexField.from_function(spec, lambda z: z).restrict(~hole)
         zero = ComplexField.constant(spec, 0.0).restrict(~hole)
-        _, mask, sup = jholo_residual(DiscMap(spec, ident, zero))
+        _, mask, sup = jholo_residual(DiscMap(ident, zero))
         disc = spec.disc_mask(ident.margin + spec.spacing)
         assert np.array_equal(mask, disc & erode4(ident.mask))
         assert (disc & ~hole & ~mask).any()

@@ -318,6 +318,55 @@ class TestInvalidConfigRefused:
         assert not out.exists()
 
 
+# a small valid config per command; each run below is refused before it starts
+SMALL_CONFIGS = {
+    "solve-dbar": {"resolution": 17, "b": [0.05, 0.0]},
+    "certify": {"input": "p.f64"},
+    "kr-scan": {"b_list": [[0.05, 0.0]], "radii": [0.5], "resolution": 17},
+    "ode": {},
+    "selftest": {"criteria": [9]},
+}
+
+
+def _tree(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+class TestUnusableOutDir:
+    @pytest.mark.parametrize("out", ["taken", "taken/sub", "dangling"],
+                             ids=["file", "under-file", "dangling-link"])
+    @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+    def test_exit_2_and_nothing_written(self, tmp_path, capsys, monkeypatch, command, out):
+        # --out naming an existing file, a directory under one, or a link to
+        # nothing is refused before the command runs: solve-dbar never
+        # reaches the solver
+        def no_solve(problem):
+            raise AssertionError("picard_solve ran for an unusable --out")
+
+        monkeypatch.setattr(cli, "picard_solve", no_solve)
+        monkeypatch.chdir(tmp_path)
+        save_field(ComplexField.constant(make_grid(1.0, 17), 0.01), "p.f64")
+        cfg = write_config(tmp_path, SMALL_CONFIGS[command])
+        (tmp_path / "taken").write_text("not a directory", encoding="ascii")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        before = _tree(tmp_path)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not a directory" in err
+        assert "Traceback" not in err
+        assert _tree(tmp_path) == before
+
+    def test_write_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, obj):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli.util, "write_json", full_disk)
+        assert cli.main(["ode", "--out", str(tmp_path / "ode")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No space left on device" in err
+
+
 class TestKrScanCommand:
     def test_report_files_emitted(self, tmp_path):
         cfg = write_config(tmp_path, {"b_list": [[0.01, 0.0]], "radii": [0.25, 0.33, 0.5]})
@@ -380,10 +429,8 @@ class TestSelftestCommand:
         assert [c["index"] for c in summary["criteria"]] == [2, 8]
 
     def test_failure_exits_nonzero(self, tmp_path, monkeypatch, capsys):
-        def rigged(config=None, threads=1, out_dir=None):
+        def rigged(criteria, threads, out_dir):
             return {
-                "schema_version": 1,
-                "config_digest": "0" * 64,
                 "criteria": [{"index": 2, "name": "exact_family",
                               "passed": False, "details": {}}],
                 "all_passed": False,

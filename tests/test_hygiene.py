@@ -31,12 +31,12 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # COMMAND_DEFAULTS keys + defaulted parameters + the fields of the input
 # types + the defaulted fields of every other dataclass; the required fields
 # of a result type are filled by the package, not set.  A change that adds a
-# knob raises this in its own diff and says why.  51 = 10 config keys + 20
-# defaulted parameters + 15 input fields (GridSpec 2, DbarProblem 2,
-# ComplexField 4, RealField 4, DiscMap 3) + 6 defaulted fields
-# (CertificateReport.details, DbarSolution.final_update,
-# FeasibilityRecord.chain_note and the three of certify._Branch)
-SETTABLE_VALUES = 51
+# knob raises this in its own diff and says why.  41 = 10 config keys + 14
+# defaulted parameters + 14 input fields (GridSpec 2, DbarProblem 2,
+# ComplexField 4, RealField 4, DiscMap 2) + 3 defaulted fields
+# (CertificateReport.details, DbarSolution.final_update and
+# FeasibilityRecord.chain_note)
+SETTABLE_VALUES = 41
 INPUT_TYPES = {"GridSpec", "DbarProblem", "ComplexField", "RealField", "DiscMap"}
 
 

@@ -131,7 +131,8 @@ def full_sqrt_branch(h, basepoint=0j):
     comp, rho, phi = full_polar(h.restrict(region), basepoint)
     rho, half = np.sqrt(rho), 0.5 * phi
     vals = rho * np.exp(1j * half)
-    return _Branch(spec, vals, h.margin, comp, rho, half, complex(basepoint))
+    return _Branch(spec, vals, h.margin, comp, rho=rho, phi=half,
+                   basepoint=complex(basepoint))
 
 
 def full_witness(spec, mask, values, pick):
