@@ -39,6 +39,7 @@ from .dbar import (
     NanEncountered,
     load_solution,
     picard_solve,
+    rescale_solution,
     rescaled_solution_record,
     residual_dbar,
 )
@@ -191,6 +192,11 @@ def _guarded(fn, *args, **kwargs) -> dict:
 
 
 def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
+    """Certify a solution.json or a .f64 field on its pull-back to the unit disc.
+
+    The lemmas and Theorem 2 speak of the unit disc, so the basepoint is read
+    there (w = z/r).  A solution.json also gets the sup_bound chain.
+    """
     path = cfg["input"]
     if not path or not isinstance(path, str):
         raise ConfigError("certify needs config key 'input' (solution .json or field .f64)")
@@ -209,9 +215,6 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
             sol = load_solution(path)
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load solution {path}: {exc}") from exc
-        if sol.f.spec.radius != 1.0:
-            sol = rescaled_solution_record(sol)
-        f = sol.f
     elif str(path).endswith(".f64"):
         try:
             f = load_complex_field(path)
@@ -219,6 +222,12 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
             raise ConfigError(f"cannot load field {path}: {exc}") from exc
     else:
         raise ConfigError("certify input must end in .json (solution) or .f64 (field)")
+    try:
+        if sol is not None:
+            sol = rescaled_solution_record(sol)
+        f = rescale_solution(f) if sol is None else sol.f
+    except ValueError as exc:
+        raise ConfigError(f"cannot pull back {path} to the unit disc: {exc}") from exc
 
     os.makedirs(out_dir, exist_ok=True)
 

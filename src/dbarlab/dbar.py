@@ -32,13 +32,15 @@ iterate stays exactly zero.
 from __future__ import annotations
 
 import cmath
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cauchy import CauchyTransform
 from .grid import ComplexField, GridSpec, RealField, make_grid, sup_norm
-from .grid import _dzbar, _shrunk
+from .grid import _dzbar, _shrunk, load_complex_field, save_field
 from . import util
 
 EPSILON = 1e-2
@@ -135,10 +137,6 @@ class DbarSolution:
 
     def save(self, directory) -> dict:
         """Write solution.json plus the binary field solution.f64; returns the paths."""
-        import os
-
-        from .grid import save_field
-
         field_path = os.path.join(str(directory), "solution.f64")
         json_path = os.path.join(str(directory), "solution.json")
         save_field(self.f, field_path)
@@ -168,13 +166,8 @@ def load_solution(json_path) -> DbarSolution:
     iterations an integer, residual_sup and sup_f numbers, final_update a
     number or null.
     """
-    import json as _json
-    import os
-
-    from .grid import load_complex_field
-
     with open(json_path, "r", encoding="ascii") as fh:
-        record = _json.load(fh)
+        record = json.load(fh)
     if not isinstance(record, dict):
         raise ValueError(f"solution record is a JSON {type(record).__name__}, expected an object")
     version = record.get("schema_version")
@@ -317,25 +310,19 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
 def rescale_solution(f: ComplexField) -> ComplexField:
     """Pull a field on the radius-r disc back to the unit disc: F(w) = f(r w) / r^2.
 
-    If f solves the equation on the large disc, F solves it on the unit disc.
-    The unit grid at the same resolution has its nodes at the source nodes
-    divided by r, so the pull-back is the exact relabel F = f / r^2, node for
-    node.  The target margin is the source margin plus 1.5 source cells,
-    scaled by 1/r and at least two target cells; the 1.5-cell allowance is
-    kept so the certified mask is unchanged.
+    If f solves the equation on D_r, F solves it on the unit disc.  The unit
+    grid at the same resolution has its nodes at the source nodes divided by
+    r, so the pull-back is the exact relabel F = f / r^2 of the same nodes and
+    mask, with the margin scaled by 1/r; at r = 1 it is the identity, bit for
+    bit.  A value that overflows fails ComplexField's finiteness check.
     """
-    src = f.spec
-    r = src.radius
-    target = make_grid(1.0, src.resolution)
-    margin_t = max(target.default_margin(), (f.margin + 1.5 * src.spacing) / r)
-    mask_t = target.disc_mask(margin_t)
-    if not mask_t.any():
-        raise ValueError("rescale target mask is empty")
-    return ComplexField(target, np.where(mask_t, f.values / (r * r), 0), margin_t, mask_t)
+    r = f.spec.radius
+    with np.errstate(over="ignore"):
+        return ComplexField(make_grid(1.0, f.spec.resolution), f.values / (r * r), f.margin / r, f.mask)
 
 
 def rescaled_solution_record(sol: DbarSolution) -> DbarSolution:
-    """Relabel a solve from D_r onto the unit disc and re-measure residual and sup there."""
+    """Relabel a solve onto the unit disc; its residual and its gate both scale by 1/r."""
     F = rescale_solution(sol.f)
     _, res = residual_dbar(F)
     return DbarSolution(

@@ -14,10 +14,11 @@ stays inside the radius-1/10 factor; a record derives that from its solve.
 The largest feasible radius a gives an empirical lower-bound estimate 1/a
 for the pseudo-norm; a failed solve is evidence, not proof, so every report
 carries an empirical=true flag.  Each certified solve also runs the theorem
-chain on its unit-disc rescale; the chain stays on the solve's record, but
-no report writes it, so the rigorous content reaches no output yet.  The
-punchline the reports juxtapose: 1/2 at the origin against estimates above
-1/2 arbitrarily close to it.
+chain on its exact relabel to the unit disc, which keeps its gate verdict;
+the chain stays on the solve's record, but no report writes it, so the
+rigorous content reaches no output yet.  The punchline the reports
+juxtapose: 1/2 at the origin against estimates above 1/2 arbitrarily close
+to it.
 
 Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
 unless the caller passes another) with the solver's default parameters.

@@ -195,6 +195,41 @@ class TestCertifyCommand:
         assert err.startswith("error: cannot load solution") and "bare file name" in err
         assert not out.exists()
 
+    def test_solution_and_its_field_certified_alike(self, tmp_path):
+        # both input kinds are pulled back to the unit disc before any check
+        _, sol_out = run_solve(tmp_path, {"radius": 0.5, "resolution": 65, "b": [0.01, 0.0]})
+        certs = {}
+        for name in ("solution.json", "solution.f64"):
+            cfg = write_config(tmp_path, {"input": str(sol_out / name)}, "cert.json")
+            out = tmp_path / f"cert_{name}"
+            assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
+            certs[name] = json.loads((out / "certificates.json").read_text())["certificates"]
+        for key in ("smoothness", "identity_chain", "max_principle"):
+            assert certs["solution.json"][key] == certs["solution.f64"][key], key
+
+    def test_pulled_back_solve_keeps_its_gate_failure(self, tmp_path):
+        # N=107 is the smallest resolution at which this solve misses the 5h
+        # gate (residual 1.01 times 5h); its pull-back must miss it as well
+        _, sol_out = run_solve(tmp_path, {"radius": 0.5, "resolution": 107, "b": [0.0025, 0.0]})
+        solve = json.loads((sol_out / "solution.json").read_text())
+        assert solve["converged"] and solve["residual_sup"] > 5.0 * 1.0 / 106
+        cfg = write_config(tmp_path, {"input": str(sol_out / "solution.json")}, "cert.json")
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        certs = json.loads((out / "certificates.json").read_text())["certificates"]
+        assert certs["sup_bound"]["available"] is False
+        assert "not a certified solve" in certs["sup_bound"]["reason"]
+
+    def test_field_whose_pull_back_overflows_refused(self, tmp_path, capsys):
+        # 1e10 / (1e-150)^2 is not a float
+        save_field(ComplexField.constant(make_grid(1e-150, 17), 1e10), tmp_path / "huge.f64")
+        cfg = write_config(tmp_path, {"input": str(tmp_path / "huge.f64")})
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot pull back") and "Traceback" not in err
+        assert not out.exists()
+
     def test_wrong_suffix(self, tmp_path):
         (tmp_path / "data.bin").write_bytes(b"\x00")
         cfg = write_config(tmp_path, {"input": str(tmp_path / "data.bin")})
@@ -274,6 +309,7 @@ class TestInvalidConfigRefused:
         ("solve-dbar", {"resolution": 17, "b": [1e250, 0.0]}),
         ("solve-dbar", {"radius": 1e-200, "resolution": 17}),
         ("certify", {"input": "tiny.f64"}),
+        ("certify", {"input": "huge.f64"}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [0.25], "resolution": 17.9}),
         ("kr-scan", {"b_list": [[0.05, 0.0]], "radii": [-0.5]}),
         ("kr-scan", {"b_list": [[0.0, 0.0]], "radii": [0.25]}),
@@ -295,7 +331,7 @@ class TestInvalidConfigRefused:
             "certify-basepoint-infinite", "max-iter-float",
             "tol-infinite", "epsilon-nan", "epsilon-infinite", "margin-cells-nan",
             "anchor-infinite", "anchor-overflow", "radius-underflow",
-            "certify-radius-underflow", "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
+            "certify-radius-underflow", "certify-pullback-overflow", "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
             "scan-radius-above-two", "scan-radius-underflow", "scan-radius-repeated",
             "scan-b-list-empty", "selftest-removed-key", "selftest-criterion-unknown",
@@ -308,6 +344,8 @@ class TestInvalidConfigRefused:
             # a header radius whose spacing squared underflows at N=17
             with open("tiny.f64", "wb") as fh:
                 fh.write(struct.pack("<dId", 1e-200, 17, 0.0) + bytes(17 * 17 * 16))
+            # a field whose pull-back to the unit disc overflows
+            save_field(ComplexField.constant(make_grid(1e-150, 17), 1e10), "huge.f64")
             overrides = {"input": "p.f64", **overrides}
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"

@@ -16,6 +16,7 @@ from dbarlab.dbar import (
     picard_solve,
     profile_exact,
     rescale_solution,
+    rescaled_solution_record,
     _rhs_values,
     _stalled,
 )
@@ -242,6 +243,8 @@ class TestRescale:
         f = profile_exact(-0.2, spec)
         F = rescale_solution(f)
         assert np.max(np.abs((F.values - f.values)[F.mask])) == 0.0
+        assert np.array_equal(F.values, f.values) and np.array_equal(F.mask, f.mask)
+        assert F.margin == f.margin
 
     def test_profile_from_double_disc(self):
         f2 = profile_exact(0.0, make_grid(2.0, 65))
@@ -266,12 +269,25 @@ class TestRescale:
             vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             f = ComplexField(spec, vals, 2.0 * spec.spacing)
             F = rescale_solution(f)
-            target = make_grid(1.0, n)
-            margin = max(2.0 * target.spacing, (f.margin + 1.5 * spec.spacing) / spec.radius)
-            mask = target.disc_mask(margin)
-            assert F.spec == target
-            assert np.array_equal(F.mask, mask)
-            assert np.array_equal(F.values, np.where(mask, f.values / spec.radius**2, 0))
+            assert F.spec == make_grid(1.0, n)
+            assert np.array_equal(F.mask, f.mask)
+            assert F.margin == f.margin / spec.radius
+            assert np.array_equal(F.values, f.values / spec.radius**2)
+
+    # every default radius at N=33; at N=65 the three radii whose disc mask
+    # drops its on-circle nodes, and the unit disc
+    @pytest.mark.parametrize("n, radii", [
+        (33, default_radii()),
+        (65, [default_radii()[i] for i in (2, 7, 12)] + [1.0]),
+    ], ids=["33", "65"])
+    def test_record_keeps_the_gate_verdict(self, n, radii):
+        # the dbar residual and the 5h gate both scale by 1/r under the relabel
+        for r in radii:
+            sol = picard_solve(DbarProblem(make_grid(r, n), b=0.01 * r * r))
+            rec = rescaled_solution_record(sol)
+            ratio = sol.residual_sup / sol.residual_gate
+            assert rec.residual_sup / rec.residual_gate == pytest.approx(ratio, rel=1e-13, abs=0.0), r
+            assert rec.certified is sol.certified, r
 
 
 class TestQuarterTurn:
