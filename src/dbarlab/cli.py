@@ -166,9 +166,9 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> tuple:
         raise ConfigError(f"solve failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     paths = sol.save(out_dir)
-    res_field, _ = residual_dbar(sol.f)
+    res, _ = residual_dbar(sol.f)
     util.write_pgm(os.path.join(out_dir, "abs_f.pgm"), np.abs(sol.f.values))
-    util.write_pgm(os.path.join(out_dir, "residual.pgm"), res_field.values)
+    util.write_pgm(os.path.join(out_dir, "residual.pgm"), res)
     summary = {
         "b": cfg["b"],
         "radius": problem.grid.radius,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchyTransform
-from .grid import ComplexField, GridSpec, RealField, make_grid, sup_norm
+from .grid import ComplexField, GridSpec, make_grid, sup_norm
 from .grid import _dzbar, _shrunk, load_complex_field, save_field
 from . import util
 
@@ -227,12 +227,14 @@ def residual_values(values: np.ndarray, h: float) -> np.ndarray:
     return np.abs(_dzbar(values, h) - np.sqrt(np.abs(values)))
 
 
-def residual_dbar(f: ComplexField) -> tuple[RealField, float]:
-    """Pointwise |df/dzbar - |f|^(1/2)| on the stencil interior, plus its sup."""
-    margin, mask = _shrunk(f)
+def residual_dbar(f: ComplexField) -> tuple[np.ndarray, float]:
+    """|df/dzbar - |f|^(1/2)| as an N x N array, 0 off f's _shrunk mask, and its finite sup there."""
+    mask = _shrunk(f)[1]
     vals = np.where(mask, residual_values(f.values, f.spec.spacing), 0.0)
-    out = RealField(f.spec, vals, margin, mask)
-    return out, float(np.max(vals[mask]))
+    sup = float(np.max(vals[mask]))
+    if not np.isfinite(sup):
+        raise ValueError("non-finite dbar residual on masked nodes")
+    return vals, sup
 
 
 def _stalled(history: list) -> bool:

@@ -30,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from .util import is_number
+
 MIN_RESOLUTION = 17
 DEFAULT_MARGIN_CELLS = 2.0
 UNWRAP_TOL = 1e-6
@@ -50,7 +52,9 @@ class PhaseUnwrapError(ValueError):
 
 
 def check_radius(radius) -> float:
-    """The disc radius as a float; ValueError unless positive with 2 * radius**2 finite."""
+    """The disc radius as a float; ValueError unless a number, positive, with 2 * radius**2 finite."""
+    if not is_number(radius):
+        raise ValueError(f"radius {radius!r} must be a number")
     radius = float(radius)
     # disc_mask compares x^2 + y^2, up to 2 radius^2, against radius^2
     if not (radius > 0 and math.isfinite(2.0 * radius * radius)):
@@ -140,9 +144,7 @@ def _validate_field(spec, values, margin, mask, dtype):
         mask = spec.disc_mask(margin)
     mask = np.asarray(mask)
     if mask.shape != (n, n) or mask.dtype != bool:
-        mask = mask.astype(bool)
-        if mask.shape != (n, n):
-            raise ValueError("mask shape mismatch")
+        raise ValueError(f"mask must be a ({n}, {n}) boolean array")
     if not mask.any():
         raise MaskError("empty mask: margin leaves no interior nodes")
     vals = values.astype(dtype, copy=False)

@@ -123,26 +123,22 @@ def scan_radii(radii=None) -> list:
 
 @dataclass(frozen=True)
 class SolveSummary:
-    """What a scan record keeps of one solve: its scalars and an 8-bit |f| heatmap.
+    """What a scan record reads of one solve: its radius, sup, residual, gate verdict and heatmap.
 
-    heatmap is util.heatmap_pixels of |f|, one byte per node where the
-    complex field takes sixteen; grid_radius is the radius of the grid the
-    solve ran on.  The field itself is dropped once the record is built.
+    grid_radius is the radius of the grid the solve ran on; certified is
+    DbarSolution.certified; heatmap is util.heatmap_pixels of |f|, one byte
+    per node where the complex field takes sixteen.  The field is dropped.
     """
 
     grid_radius: float
-    converged: bool
-    iterations: int
     sup_f: float
     residual_sup: float
-    residual_gate: float
     certified: bool
     heatmap: np.ndarray
 
     @classmethod
     def of(cls, sol: DbarSolution) -> "SolveSummary":
-        return cls(sol.problem.grid.radius, sol.converged, sol.iterations, sol.sup_f,
-                   sol.residual_sup, sol.residual_gate, sol.certified,
+        return cls(sol.problem.grid.radius, sol.sup_f, sol.residual_sup, sol.certified,
                    heatmap_pixels(np.abs(sol.f.values)))
 
 

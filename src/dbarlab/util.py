@@ -21,8 +21,16 @@ def as_complex_pair(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
+def is_number(value) -> bool:
+    """A real number and not a bool: the one rule for a value where a number is due."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def from_complex_pair(pair) -> complex:
+    """[re, im] as a complex number; ValueError unless both are numbers (is_number)."""
     re, im = pair
+    if not (is_number(re) and is_number(im)):
+        raise ValueError(f"complex pair {pair!r} must hold two numbers")
     return complex(float(re), float(im))
 
 
@@ -57,9 +65,7 @@ def merge_config(defaults: dict, overrides) -> dict:
                 raise ValueError(f"config key {key!r} must be {kind}")
             if isinstance(want, str) != isinstance(value, str):
                 raise ValueError(f"config key {key!r} has the wrong type")
-            if isinstance(want, (int, float)) and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
+            if isinstance(want, (int, float)) and not is_number(value):
                 raise ValueError(f"config key {key!r} must be numeric")
             if _is_int(want) and not _is_int(value):
                 raise ValueError(f"config key {key!r} must be an integer")
@@ -71,21 +77,13 @@ def merge_config(defaults: dict, overrides) -> dict:
 
 
 def jsonify(obj):
-    """Recursively convert numpy scalars/arrays and complex numbers to JSON types."""
+    """Dicts (with string keys), lists, tuples and numpy floats as JSON types; the rest as is."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return as_complex_pair(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

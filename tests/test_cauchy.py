@@ -75,6 +75,23 @@ def test_right_inverse_first_order():
     assert errs[0] < 0.2
 
 
+def test_transform_reproduces_the_b_to_0_limit():
+    # F0 = (4/9)|z| zbar has dF0/dzbar = (2/3)|z| = |F0|^(1/2), and on a centred
+    # disc the transform of that radial right side is F0 exactly
+    errs, spacings = [], []
+    for n in (33, 65, 129):
+        g = make_grid(1.0, n)
+        z = g.nodes()
+        f0 = ComplexField(g, 4.0 / 9.0 * np.abs(z) * np.conj(z), g.default_margin())
+        t = cauchy_transform(ComplexField(g, np.sqrt(np.abs(f0.values)), f0.margin, f0.mask))
+        errs.append(np.abs(t.values - f0.values)[f0.mask].max())
+        spacings.append(g.spacing)
+    # 0.28h, 0.31h and 0.33h
+    assert all(e <= 0.4 * h for e, h in zip(errs, spacings)), errs
+    # observed order 0.91 from N = 65 to 129
+    assert np.log2(errs[1] / errs[2]) >= 0.8, errs
+
+
 @pytest.mark.parametrize("n", [65, 129])
 def test_paths_agree(n):
     _assert_paths_agree(_random_field(make_grid(1.0, n), 42))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dbarlab import cli
-from dbarlab.dbar import profile_exact
+from dbarlab.dbar import DbarProblem, DbarSolution, profile_exact
 from dbarlab.grid import ComplexField, make_grid, save_field
 from dbarlab.util import config_digest
 
@@ -286,6 +286,20 @@ def test_certify_reports_pinned(tmp_path, case):
         assert certs["identity_chain"]["report"]["details"]["basepoint"] == [0.25, -0.125]
 
 
+def _tampered_record(directory, **problem):
+    """Save an N=17 solution record into directory with problem keys overwritten."""
+    spec = make_grid(1.0, 17)
+    directory.mkdir()
+    # not converged, so the anchor is not checked against the field
+    sol = DbarSolution(DbarProblem(spec, 0.01), ComplexField.constant(spec, 0.01), 0.0, 0.01, False, 1)
+    path = sol.save(directory)["json"]
+    with open(path) as fh:
+        record = json.load(fh)
+    record["problem"].update(problem)
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+
+
 class TestInvalidConfigRefused:
     @pytest.mark.parametrize("command, overrides", [
         ("certify", {"delta0": None}),
@@ -320,6 +334,15 @@ class TestInvalidConfigRefused:
         ("kr-scan", {"radii": [1e-200]}),
         ("kr-scan", {"b_list": [[0.01, 0.0]], "radii": [0.5, 0.5], "resolution": 17}),
         ("kr-scan", {"b_list": []}),
+        ("solve-dbar", {"resolution": 17, "b": [True, 0]}),
+        ("solve-dbar", {"resolution": 17, "b": ["0.01", 0]}),
+        ("kr-scan", {"b_list": [["0.01", 0]], "radii": [0.5], "resolution": 17}),
+        ("kr-scan", {"b_list": [[0.01, 0.0]], "radii": [True], "resolution": 17}),
+        ("kr-scan", {"b_list": [[0.01, 0.0]], "radii": ["0.5"], "resolution": 17}),
+        ("certify", {"basepoint": [True, False]}),
+        ("certify", {"basepoint": ["0.1", "0"]}),
+        ("certify", {"input": "radius_text/solution.json"}),
+        ("certify", {"input": "b_bool/solution.json"}),
         ("selftest", {"criteria": [9], "scan_resolution": 65}),
         ("selftest", {"criteria": [12]}),
         ("selftest", {"criteria": []}),
@@ -334,7 +357,10 @@ class TestInvalidConfigRefused:
             "certify-radius-underflow", "certify-pullback-overflow", "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
             "scan-radius-above-two", "scan-radius-underflow", "scan-radius-repeated",
-            "scan-b-list-empty", "selftest-removed-key", "selftest-criterion-unknown",
+            "scan-b-list-empty", "anchor-bool", "anchor-text", "scan-anchor-text",
+            "scan-radius-bool", "scan-radius-text", "certify-basepoint-bool",
+            "certify-basepoint-text", "certify-record-radius-text",
+            "certify-record-anchor-bool", "selftest-removed-key", "selftest-criterion-unknown",
             "selftest-criteria-empty", "ode-steps-float",
             "ode-g0-negative"])
     def test_exit_2_before_writing(self, tmp_path, capsys, monkeypatch, command, overrides):
@@ -346,6 +372,9 @@ class TestInvalidConfigRefused:
                 fh.write(struct.pack("<dId", 1e-200, 17, 0.0) + bytes(17 * 17 * 16))
             # a field whose pull-back to the unit disc overflows
             save_field(ComplexField.constant(make_grid(1e-150, 17), 1e10), "huge.f64")
+            # solution records whose problem holds a string radius or a boolean anchor
+            _tampered_record(tmp_path / "radius_text", radius="1.0")
+            _tampered_record(tmp_path / "b_bool", b=[True, False])
             overrides = {"input": "p.f64", **overrides}
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"

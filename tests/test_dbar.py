@@ -21,7 +21,7 @@ from dbarlab.dbar import (
     _stalled,
 )
 from dbarlab.dbar import residual_dbar
-from dbarlab.grid import ComplexField, make_grid
+from dbarlab.grid import ComplexField, _shrunk, make_grid
 from dbarlab.kr import DEFAULT_B_SWEEP, DEFAULT_RESOLUTION, default_radii
 
 
@@ -93,10 +93,24 @@ class TestProfile:
         spec = unit(129)
         h = spec.spacing
         c = 0.3
-        field, _ = residual_dbar(profile_exact(c, spec))
+        res, _ = residual_dbar(profile_exact(c, spec))
         X, _ = spec.mesh()
-        away = field.mask & (np.abs(X - c) >= 3 * h)
-        assert np.max(field.values[away]) <= 1e-12
+        assert np.max(res[np.abs(X - c) >= 3 * h]) <= 1e-12
+
+    def test_residual_is_an_array_zero_off_the_stencil_interior(self):
+        f = profile_exact(0.3, unit(33))
+        res, sup = residual_dbar(f)
+        assert type(res) is np.ndarray and res.shape == (33, 33)
+        inside = _shrunk(f)[1]
+        assert not res[~inside].any()
+        assert res[inside].max() == sup > 0
+
+    def test_overflowing_residual_refused(self):
+        # finite values whose centred differences f[j+1] - f[j-1] overflow
+        spec = unit(17)
+        signs = np.tile((-1.0) ** (np.arange(17) // 2), (17, 1))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            residual_dbar(ComplexField(spec, 1e308 * signs, spec.default_margin()))
 
     def test_holomorphic_z_is_not_a_solution(self):
         spec = unit(129)
@@ -235,6 +249,14 @@ class TestStallRule:
 
     def test_only_checked_on_window_boundaries(self):
         assert not _stalled([1.0] * 99)
+
+    def test_a_solve_that_cannot_meet_tol_stops_on_a_stall(self, monkeypatch):
+        # with TOL = 0 no stage converges, so only the stall rule ends a stage early
+        monkeypatch.setattr(dbar, "TOL", 0.0)
+        sol = picard_solve(DbarProblem(unit(17), b=0.01))
+        assert not sol.converged
+        assert sol.iterations < dbar.CONTINUATION_STEPS * dbar.MAX_ITER
+        assert sol.iterations % dbar.STALL_WINDOW == 0
 
 
 class TestRescale:
@@ -412,6 +434,19 @@ class TestLoadSolutionFuzz:
     def test_saved_record_loads(self, saved_record):
         d, _ = saved_record
         assert load_solution(d / "solution.json").iterations == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("radius", "1.0"), ("radius", True), ("b", [True, False]), ("b", ["0.25", "0"]),
+    ])
+    def test_problem_numbers_type_checked(self, saved_record, key, value):
+        # float() would read each of these as a valid radius or anchor
+        d, record = saved_record
+        record = json.loads(json.dumps(record))
+        record["problem"][key] = value
+        path = d / "tampered.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="must be a number|must hold two numbers"):
+            load_solution(path)
 
     @settings(max_examples=150, deadline=None)
     @given(value=JSON_VALUES)

@@ -138,6 +138,13 @@ def test_field_allows_garbage_off_mask():
     assert sup_norm(f) == 0.0
 
 
+@pytest.mark.parametrize("mask", [np.ones((17, 17), dtype=int), np.ones((17, 17), dtype=bool)[:16]])
+def test_field_refuses_a_mask_that_is_not_an_n_by_n_boolean_array(mask):
+    g = make_grid(1.0, 17)
+    with pytest.raises(ValueError, match="boolean array"):
+        ComplexField(g, np.zeros((17, 17)), 0.0, mask)
+
+
 def test_fields_immutable():
     g = make_grid(1.0, 17)
     f = ComplexField.constant(g, 1.0)
