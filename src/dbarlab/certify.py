@@ -37,14 +37,15 @@ window is row-major order in the grid, so the WITNESS_RTOL tie rule picks
 the node a full-grid evaluation would.  sqrt_branch builds every branch
 through grid.polar_decompose, the package's one unwrap: it runs on the
 mask's window, takes each forward principal increment once and returns the
-component it reaches, so no scipy is needed.  An identity chain unwraps
+component it reaches, so no scipy is needed; the branch keeps the
+component's bounding box inside that window.  An identity chain unwraps
 once: eq_chain_check takes only a sqrt_branch result and reads the polar
-form the branch was built from.
+form the branch was built from on a sub-window of its box.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from . import util
 from .dbar import RESIDUAL_GATE_FACTOR, DbarSolution, residual_values
 from .grid import (
     ComplexField,
+    GridSpec,
     MaskError,
     RealField,
     basepoint_node,
@@ -95,17 +97,26 @@ class CertificateReport:
 
 
 @dataclass(frozen=True)
-class _Branch(ComplexField):
-    """A sqrt_branch result, carrying the polar form it was built from.
+class _Branch:
+    """A sqrt_branch result on the window win (grid slices), and its polar form.
 
-    rho = sqrt|h| and phi = half the unwrapped argument of h on the mask, 1
-    and 0 off it, as polar_decompose fills them; basepoint fixed the branch.
+    mask is the branch component; values, rho = sqrt|h| and phi = half the
+    unwrapped argument of h are 1, 1 and 0 off it.  spec and margin are h's.
     """
 
-    _: KW_ONLY
+    spec: GridSpec
+    margin: float
+    win: tuple
+    mask: np.ndarray
+    values: np.ndarray
     rho: np.ndarray
     phi: np.ndarray
     basepoint: complex
+
+
+def _inside(outer: tuple, inner: tuple) -> tuple:
+    """The grid slices of a window given as slices inner of the window outer."""
+    return tuple(slice(o.start + i.start, o.start + i.stop) for o, i in zip(outer, inner))
 
 
 def _witness(spec, win: tuple, mask: np.ndarray, values: np.ndarray, pick) -> tuple:
@@ -232,13 +243,15 @@ def eq_chain_check(branch: _Branch) -> CertificateReport:
     spec = branch.spec
     h = spec.spacing
 
-    inner = erode4(branch.mask) & _standoff_mask(branch, STANDOFF_CELLS)
+    # the window is the component's bounding box, so erode4 of the window
+    # is the grid's; the stencils run on the inner nodes' box and halo
+    inner = erode4(branch.mask) & _standoff_mask(branch, STANDOFF_CELLS)[branch.win]
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
-    win = mask_window(inner, 1)
-    inner = inner[win]
-    rho = branch.rho[win]
-    phi = branch.phi[win]
+    sub = mask_window(inner, 1)
+    inner = inner[sub]
+    rho = branch.rho[sub]
+    phi = branch.phi[sub]
 
     def worst(violation: np.ndarray) -> float:
         return float(np.max(violation[inner]))
@@ -246,7 +259,7 @@ def eq_chain_check(branch: _Branch) -> CertificateReport:
     # each identity is reduced to its maximum as soon as it is formed, and
     # every derivative is dropped after its last read
     violations = {
-        "sqrt_equation": worst(np.abs(_dzbar(branch.values[win], h) - 0.5 * np.exp(-1j * phi))),
+        "sqrt_equation": worst(np.abs(_dzbar(branch.values[sub], h) - 0.5 * np.exp(-1j * phi))),
     }
     rx, ry = _dx(rho, h), _dy(rho, h)
     px, py = _dx(phi, h), _dy(phi, h)
@@ -264,7 +277,7 @@ def eq_chain_check(branch: _Branch) -> CertificateReport:
     slack8 = np.subtract(lhs8, 1.0, out=lhs8)
 
     min_slack = float(np.min(slack8[inner]))
-    witness = _witness(spec, win, inner, slack8, np.nanargmin)
+    witness = _witness(spec, _inside(branch.win, sub), inner, slack8, np.nanargmin)
 
     return CertificateReport(
         kind="eq_chain",
@@ -284,28 +297,22 @@ def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> _Branch:
     {|h| > delta0} gives the component at the basepoint (4-connected) and
     the polar form of h on it, so a zero of h enclosed by another component
     does not matter, while one enclosed by this component raises
-    PhaseUnwrapError.  The branch is sqrt(rho) e^(i phi / 2), and 1 off the
-    component, the square root of the polar fill rho = 1, phi = 0; only the
-    component's window is computed.  The result keeps the branch's polar
-    form (sqrt|h| and half the argument of h) for eq_chain_check.
+    PhaseUnwrapError.  The branch is sqrt(rho) e^(i phi / 2) on the
+    component's bounding box, and 1 off the component, the square root of
+    the polar fill rho = 1, phi = 0; it keeps its polar form (sqrt|h| and
+    half the argument of h) for eq_chain_check.
     """
     region = h.mask & (np.abs(h.values) > DELTA0_DEFAULT)
     if basepoint_node(h.spec, basepoint, region) is None:
         raise MaskError("basepoint is not inside {|h| > delta0}")
-    comp, rho_h, phi_h = polar_decompose(h.restrict(region), basepoint)
+    win, comp, rho_h, phi_h = polar_decompose(h.restrict(region), basepoint)
 
-    n = h.spec.resolution
     cw = mask_window(comp, 0)
-    arg = phi_h[cw]
-    rho = np.ones((n, n))
-    rho[cw] = np.sqrt(rho_h[cw])
-    half = np.zeros((n, n))
-    half[cw] = 0.5 * arg
-    vals = np.ones((n, n), dtype=np.complex128)
-    vals[cw] = rho[cw] * np.exp(0.5j * arg)
-    rho.flags.writeable = half.flags.writeable = False
-    return _Branch(h.spec, vals, h.margin, comp, rho=rho, phi=half,
-                   basepoint=complex(basepoint))
+    mask, rho, arg = comp[cw], np.sqrt(rho_h[cw]), phi_h[cw]
+    vals = rho * np.exp(0.5j * arg)
+    _require_finite(vals[mask])
+    return _Branch(h.spec, h.margin, _inside(win, cw), mask, vals, rho, 0.5 * arg,
+                   complex(basepoint))
 
 
 def lemma2_check(

@@ -37,6 +37,7 @@ from . import util
 from .dbar import (
     DbarProblem,
     NanEncountered,
+    ResidualError,
     load_solution,
     picard_solve,
     rescale_solution,
@@ -226,6 +227,8 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
         if sol is not None:
             sol = rescaled_solution_record(sol)
         f = rescale_solution(f) if sol is None else sol.f
+    except ResidualError as exc:  # the pull-back succeeded; its residual did not
+        raise ConfigError(f"cannot certify {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot pull back {path} to the unit disc: {exc}") from exc
 

@@ -59,6 +59,10 @@ class NanEncountered(ArithmeticError):
     """The iteration produced a non-finite value on the mask."""
 
 
+class ResidualError(ValueError):
+    """The dbar residual of a field is not finite on its trusted nodes."""
+
+
 @dataclass(frozen=True)
 class DbarProblem:
     """Everything that pins down one solve; immutable and hashable-by-value."""
@@ -233,7 +237,7 @@ def residual_dbar(f: ComplexField) -> tuple[np.ndarray, float]:
     vals = np.where(mask, residual_values(f.values, f.spec.spacing), 0.0)
     sup = float(np.max(vals[mask]))
     if not np.isfinite(sup):
-        raise ValueError("non-finite dbar residual on masked nodes")
+        raise ResidualError("non-finite dbar residual on masked nodes")
     return vals, sup
 
 

@@ -13,7 +13,8 @@ restricted to odd N >= 17 for that reason; solvers anchor a value there).
 
 Fields are immutable after construction.  polar_decompose is the one
 place an argument is unwrapped: it returns the polar form of a field on the
-4-connected component of its mask at a basepoint, as plain arrays, and
+4-connected component of its mask at a basepoint, as plain arrays on the
+mask's window (its bounding box) with the window's slices, and
 certify.sqrt_branch builds every square-root branch on it.  Serialization
 is a flat binary layout (header: radius f64, N u32, margin f64, then
 row-major re/im f64 pairs).
@@ -255,7 +256,8 @@ def _lap5(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dzbar(values: np.ndarray, h: float) -> np.ndarray:
-    return 0.5 * (_dx(values, h) + 1j * _dy(values, h))
+    with np.errstate(all="ignore"):
+        return 0.5 * (_dx(values, h) + 1j * _dy(values, h))
 
 
 def sup_norm(field) -> float:
@@ -422,35 +424,27 @@ def _unwrap(values: np.ndarray, mask: np.ndarray, node: tuple[int, int]) -> np.n
     return phi
 
 
-def polar_decompose(g: ComplexField, basepoint: complex) -> tuple[np.ndarray, ...]:
+def polar_decompose(g: ComplexField, basepoint: complex) -> tuple:
     """The polar form of g on the 4-connected component of its mask at basepoint.
 
-    Returns (mask, rho, phi) as N x N arrays: the component's mask, rho = |g|
-    on it and 1 off it, and a continuous argument of g on it, fixed by the
-    principal argument at the basepoint node, and 0 off it.  The argument is
-    unwrapped by _unwrap on the mask's window (its bounding box), since the
-    walks stop at the mask and every checked edge joins two masked nodes.
-    ValueError if the basepoint is not a masked node, VanishingFieldError if
-    g vanishes on the component, PhaseUnwrapError if the component encloses
-    a zero of g, so that no continuous argument exists on it.
+    Returns (win, mask, rho, phi): win is the mask's window (its bounding
+    box, as row and column slices), and the arrays cover it: the component's
+    mask, rho = |g| on it and 1 off it, and a continuous argument of g on it,
+    fixed by the principal argument at the basepoint node, and 0 off it.  The
+    argument is unwrapped by _unwrap on the window, since the walks stop at
+    the mask and every checked edge joins two masked nodes.  ValueError if
+    the basepoint is not a masked node, VanishingFieldError if g vanishes on
+    the component, PhaseUnwrapError if the component encloses a zero of g,
+    so that no continuous argument exists on it.
     """
-    spec = g.spec
-    n = spec.resolution
-    node = basepoint_node(spec, basepoint, g.mask)
+    node = basepoint_node(g.spec, basepoint, g.mask)
     if node is None:
         raise ValueError("basepoint is not a masked grid node")
     win = mask_window(g.mask, 0)
     values = g.values[win]
     phi = _unwrap(values, g.mask[win], (node[0] - win[0].start, node[1] - win[1].start))
     on = ~np.isnan(phi)
-
-    comp = np.zeros((n, n), dtype=bool)
-    comp[win] = on
-    phi_full = np.zeros((n, n))
-    phi_full[win] = np.where(on, phi, 0.0)
-    rho_full = np.ones((n, n))
-    rho_full[win] = np.where(on, np.abs(values), 1.0)
-    return comp, rho_full, phi_full
+    return win, on, np.where(on, np.abs(values), 1.0), np.where(on, phi, 0.0)
 
 
 def _is_disc_masked(field) -> bool:

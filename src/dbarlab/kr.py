@@ -123,14 +123,13 @@ def scan_radii(radii=None) -> list:
 
 @dataclass(frozen=True)
 class SolveSummary:
-    """What a scan record reads of one solve: its radius, sup, residual, gate verdict and heatmap.
+    """What a scan record reads of one solve: its sup, residual, gate verdict and heatmap.
 
-    grid_radius is the radius of the grid the solve ran on; certified is
-    DbarSolution.certified; heatmap is util.heatmap_pixels of |f|, one byte
-    per node where the complex field takes sixteen.  The field is dropped.
+    certified is DbarSolution.certified; heatmap is util.heatmap_pixels of
+    |f|, one byte per node where the complex field takes sixteen.  The field
+    is dropped.
     """
 
-    grid_radius: float
     sup_f: float
     residual_sup: float
     certified: bool
@@ -138,8 +137,7 @@ class SolveSummary:
 
     @classmethod
     def of(cls, sol: DbarSolution) -> "SolveSummary":
-        return cls(sol.problem.grid.radius, sol.sup_f, sol.residual_sup, sol.certified,
-                   heatmap_pixels(np.abs(sol.f.values)))
+        return cls(sol.sup_f, sol.residual_sup, sol.certified, heatmap_pixels(np.abs(sol.f.values)))
 
 
 @dataclass(frozen=True)
@@ -155,18 +153,9 @@ class FeasibilityRecord:
     """
 
     radius: float
-    b: complex
     solution: SolveSummary | None
     chain: CertificateReport | None
     chain_note: str | None = None
-
-    def __post_init__(self):
-        if self.solution is not None:
-            got = self.solution.grid_radius
-            if abs(got - float(self.radius)) > 1e-12 * max(1.0, abs(got)):
-                raise ValueError("record radius disagrees with the solution's grid")
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "b", complex(self.b))
 
     @property
     def failure_mode(self) -> str:
@@ -270,10 +259,11 @@ def graph_feasibility(
     the solve's SolveSummary; the field is dropped.
     """
     b = check_anchor(b)
+    radius = check_scan_radius(r)
     try:
-        sol = picard_solve(DbarProblem(make_grid(check_scan_radius(r), resolution), b=b))
+        sol = picard_solve(DbarProblem(make_grid(radius, resolution), b=b))
     except NanEncountered:
-        return FeasibilityRecord(r, b, None, None, "iteration left the floating-point range")
+        return FeasibilityRecord(radius, None, None, "iteration left the floating-point range")
 
     chain = chain_note = None
     if sol.certified:
@@ -283,7 +273,7 @@ def graph_feasibility(
             chain_note = f"chain unavailable after rescale: {exc}"
     else:
         chain_note = "no certificate: solve missed the residual gate"
-    return FeasibilityRecord(r, b, SolveSummary.of(sol), chain, chain_note)
+    return FeasibilityRecord(radius, SolveSummary.of(sol), chain, chain_note)
 
 
 def radius_scan(

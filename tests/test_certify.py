@@ -83,7 +83,7 @@ class TestEqChain:
         spec = make_grid(1.0, 257)
         X, _ = spec.mesh()
         branch = sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5))
-        assert np.array_equal(branch.values[branch.mask], (X + 1.0)[branch.mask])
+        assert np.array_equal(branch.values[branch.mask], (X + 1.0)[branch.win][branch.mask])
         rep = eq_chain_check(branch)
         assert rep.hypothesis_ok
         for name, v in rep.details["violations"].items():
@@ -156,21 +156,21 @@ class TestSqrtBranch:
     def test_branch_squares_back(self):
         sol = solved_65()
         br = sqrt_branch(sol.f)
-        d = np.max(np.abs((br.values ** 2 - sol.f.values)[br.mask]))
+        d = np.max(np.abs((br.values ** 2 - sol.f.values[br.win])[br.mask]))
         assert d <= 1e-13
 
     def test_branch_of_real_profile(self):
         spec = make_grid(1.0, 129)
         br = sqrt_branch(profile_exact(-1.0, spec))
         X, _ = spec.mesh()
-        d = np.max(np.abs((br.values - (X + 1.0))[br.mask]))
+        d = np.max(np.abs((br.values - (X + 1.0)[br.win])[br.mask]))
         assert d <= 1e-13
 
     def test_mask_stays_above_delta0(self, monkeypatch):
         monkeypatch.setattr(certify, "DELTA0_DEFAULT", 0.05)
         sol = solved_65()
         br = sqrt_branch(sol.f)
-        assert np.all(np.abs(sol.f.values[br.mask]) > 0.05)
+        assert np.all(np.abs(sol.f.values[br.win][br.mask]) > 0.05)
 
     def test_basepoint_must_be_in_region(self):
         spec = make_grid(1.0, 65)

@@ -230,6 +230,23 @@ class TestCertifyCommand:
         assert err.startswith("error: cannot pull back") and "Traceback" not in err
         assert not out.exists()
 
+    def test_solution_whose_residual_overflows_refused(self, tmp_path, capsys, recwarn):
+        # +,+,-,- stripes of magnitude 1e308: the pull-back at radius 1 is
+        # the identity, and the residual's centred differences overflow
+        spec = make_grid(1.0, 17)
+        stripes = np.tile(np.where(np.arange(17) % 4 < 2, 1e308, -1e308), (17, 1))
+        f = ComplexField(spec, stripes.astype(complex), spec.default_margin())
+        (tmp_path / "rec").mkdir()
+        DbarSolution(DbarProblem(spec, 0.01), f, 0.0, 1e308, False, 1).save(tmp_path / "rec")
+        cfg = write_config(tmp_path, {"input": str(tmp_path / "rec" / "solution.json")})
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot certify") and "non-finite dbar residual" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_wrong_suffix(self, tmp_path):
         (tmp_path / "data.bin").write_bytes(b"\x00")
         cfg = write_config(tmp_path, {"input": str(tmp_path / "data.bin")})

@@ -14,11 +14,13 @@ from dbarlab.grid import (
     erode4,
     load_complex_field,
     make_grid,
+    mask_window,
     polar_decompose,
     save_field,
     sup_norm,
 )
 from dbarlab.grid import _dx, _dy, _dzbar, _lap5, _shrunk
+from test_branch import polar_on_grid
 
 
 def test_make_grid_spacing():
@@ -262,15 +264,20 @@ def test_sup_norm_examples():
 def test_polar_constant_and_vertical_phase():
     g = make_grid(1.0, 33)
     c = ComplexField.constant(g, -2.0 + 0j)
-    mask, rho, phi = polar_decompose(c, 0j)
+    mask, rho, phi = polar_on_grid(c, 0j)
     assert np.array_equal(mask, c.mask)
     assert np.allclose(rho[mask], 2.0)
     assert np.allclose(phi[mask], np.pi)
     # the fill off the component
     assert np.all(rho[~mask] == 1.0) and np.all(phi[~mask] == 0.0)
+    # the arrays cover the mask's bounding box, whose corners are off the disc
+    win, mask_w, rho_w, phi_w = polar_decompose(c, 0j)
+    assert win == mask_window(c.mask, 0) and mask_w.shape == rho_w.shape == phi_w.shape
+    assert np.array_equal(mask_w, c.mask[win]) and not mask_w[0, 0]
+    assert np.all(rho_w[~mask_w] == 1.0) and np.all(phi_w[~mask_w] == 0.0)
 
     e = ComplexField.from_function(g, lambda z: np.exp(1j * z.imag))
-    mask, rho, phi = polar_decompose(e, 0j)
+    mask, rho, phi = polar_on_grid(e, 0j)
     _, Y = g.mesh()
     assert np.abs(phi - Y)[mask].max() < 1e-9
     assert np.abs(rho - 1.0)[mask].max() < 1e-12
@@ -291,7 +298,7 @@ def test_polar_zero_on_another_component_is_ignored():
     X, _ = g.mesh()
     f = ComplexField.from_function(g, lambda z: z)
     half = f.restrict(X > 0.2)
-    mask, rho, _ = polar_decompose(f.restrict(np.abs(X) > 0.2), 0.5 + 0j)
+    mask, rho, _ = polar_on_grid(f.restrict(np.abs(X) > 0.2), 0.5 + 0j)
     assert np.array_equal(mask, half.mask)
     assert np.array_equal(rho[mask], np.abs(f.values[mask]))
     with pytest.raises(VanishingFieldError):
@@ -326,7 +333,7 @@ def test_polar_reconstruct_roundtrip(ar, ai, br, bi):
     a = ar + 1j * ai
     b = br + 1j * bi
     f = ComplexField.from_function(g, lambda z: np.exp(a * z + b * np.conj(z)))
-    _, rho, phi = polar_decompose(f, 0j)
+    _, rho, phi = polar_on_grid(f, 0j)
     r = rho * np.exp(1j * phi)
     err = np.abs(r - f.values)[f.mask].max()
     assert err <= 1e-12

@@ -5,8 +5,9 @@ bounding box of the nodes they read (plus a one-node stencil halo), and the
 unwrap takes each forward principal increment once.  The functions below are
 the full-grid versions they replaced, kept here only as the oracle: every
 report must serialize to the same bytes, and every phase, modulus, mask and
-branch array must hold the same bits.  The identity chain is compared on
-the branch each side builds, and on the oracle's branch.
+branch array, scattered from its window into N x N, must hold the same
+bits.  The identity chain is compared on the branch each side builds, and
+on the oracle's branch, a branch whose window is the whole grid.
 """
 
 import json
@@ -47,12 +48,11 @@ from dbarlab.grid import (
     erode4,
     make_grid,
     mask_window,
-    polar_decompose,
 )
 from dbarlab.grid import _dx, _dy, _dzbar, _lap5, _principal, _shrunk
 from dbarlab import util
 from test_branch import _principal as plain_principal
-from test_branch import c_shape, winding_free
+from test_branch import branch_on_grid, c_shape, polar_on_grid, winding_free
 
 SIZES = (17, 33, 65)
 
@@ -131,8 +131,9 @@ def full_sqrt_branch(h, basepoint=0j):
     comp, rho, phi = full_polar(h.restrict(region), basepoint)
     rho, half = np.sqrt(rho), 0.5 * phi
     vals = rho * np.exp(1j * half)
-    return _Branch(spec, vals, h.margin, comp, rho=rho, phi=half,
-                   basepoint=complex(basepoint))
+    n = spec.resolution
+    return _Branch(spec, h.margin, (slice(0, n), slice(0, n)), comp, vals, rho, half,
+                   complex(basepoint))
 
 
 def full_witness(spec, mask, values, pick):
@@ -320,8 +321,9 @@ def outcome(fn, *args, **kwargs):
     if isinstance(out, CertificateReport):
         return ("report", json.dumps(out.to_json_dict(), sort_keys=True))
     if isinstance(out, _Branch):
+        out = branch_on_grid(out)
         head, arrays = ("branch", out.margin, out.basepoint), (out.mask, out.values, out.rho, out.phi)
-    else:  # polar_decompose's (mask, rho, phi)
+    else:  # polar_on_grid's (mask, rho, phi)
         head, arrays = ("polar",), out
     return head + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
@@ -348,7 +350,7 @@ def at_standoff_zero(fn):
 def assert_all_match(field, basepoint, tag=""):
     """Every windowed certificate on field agrees with its full-grid form, bit for bit."""
     pairs = [
-        (polar_decompose, full_polar, (field, basepoint), {}),
+        (polar_on_grid, full_polar, (field, basepoint), {}),
         (lemma1_check, full_lemma1, (field,), {}),
         (at_standoff_zero(lemma1_check), partial(full_lemma1, standoff_cells=0), (field,), {}),
         (sqrt_branch, full_sqrt_branch, (field, basepoint), {}),
@@ -417,7 +419,17 @@ def test_mask_touching_the_grid_edge_matches_full_grid(n):
     assert mask_window(full.mask, 1) == (slice(0, n), slice(0, n))
     rim = ComplexField(spec, f.values, 0.0)  # disc of margin 0 reaches rows 0 and n-1
     assert mask_window(rim.mask, 0) == (slice(0, n), slice(0, n))
-    for field in (full, rim):
+    # |h| vanishes on x = +-0.4, so {|h| > delta0} is three strips, and x > -0.3
+    # drops the left one: the polar window starts at the middle strip's first
+    # column, and the right strip's box starts inside it and is clipped at the
+    # grid's last column
+    X, _ = spec.mesh()
+    strips = ComplexField(spec, f.values / np.abs(f.values) * (X * X - 0.16) ** 2, 0.0)
+    strips = strips.restrict(X > -0.3)
+    polar_cols = mask_window(strips.mask & (np.abs(strips.values) > DELTA0_DEFAULT), 0)[1]
+    box_cols = sqrt_branch(strips, 1.0 + 0j).win[1]
+    assert 0 < polar_cols.start < box_cols.start and box_cols.stop == n
+    for field in (full, rim, strips):
         for bp in (0j, 1.0 + 0j, -1.0 + 0j, 0.5 - 0.5j):
             if basepoint_node(spec, bp, field.mask) is not None:
                 assert_all_match(field, bp, f"edge bp {bp}")
