@@ -44,8 +44,8 @@ from .dbar import (
     rescaled_solution_record,
     residual_dbar,
 )
-from .grid import load_complex_field, make_grid
-from .kr import DEFAULT_B_SWEEP, check_anchors, scan_radii, usc_report
+from .grid import load_complex_field
+from .kr import DEFAULT_B_SWEEP, usc_report
 from .ode import FAMILY_KINKS, exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 from .selftest import SELFTEST_DEFAULTS, check_criteria, format_table, run_selftest
 
@@ -267,15 +267,11 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
 
 def cmd_kr_scan(cfg: dict, out_dir, threads: int) -> tuple:
     try:
-        b_list = check_anchors(util.from_complex_pair(p) for p in cfg["b_list"])
-        radii = scan_radii(cfg["radii"])
-        for r in radii:  # refuse a grid no solve can run on before writing
-            make_grid(r, cfg["resolution"])
-    except (ValueError, TypeError) as exc:
+        b_list = [util.from_complex_pair(p) for p in cfg["b_list"]]
+        report = usc_report(b_list, out_dir, radii=cfg["radii"], resolution=cfg["resolution"],
+                            threads=threads)
+    except (ValueError, TypeError) as exc:  # usc_report refuses a scan before it writes
         raise ConfigError(f"invalid scan config: {exc}") from exc
-    os.makedirs(out_dir, exist_ok=True)
-    report = usc_report(b_list, out_dir, radii=radii, resolution=cfg["resolution"],
-                        threads=threads)
     summary = report["summary"]
     record_summary = {
         "origin_upper_bound": summary["origin_upper_bound"],

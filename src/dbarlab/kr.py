@@ -8,9 +8,13 @@ exactly zero), never assumed.
 
 Away from the origin, at basepoints (0, b) with b != 0, this module scans
 graph discs z -> (z, f(z)) over radii in (0, 2]; a wider disc cannot lie
-in the radius-2 first factor and is refused.  A radius is feasible when the
-solve is DbarSolution.certified (converged, residual within 5h) and its sup
-stays inside the radius-1/10 factor; a record derives that from its solve.
+in the radius-2 first factor and is refused.  check_scan is the one rule
+on a scan's anchors, radii and resolution: graph_feasibility, radius_scan
+and usc_report each refuse their input through it, and usc_report does so
+before it makes its output directory, so a refused scan writes nothing.
+A radius is feasible when the solve is DbarSolution.certified (converged,
+residual within 5h) and its sup stays inside the radius-1/10 factor; a
+record derives that from its solve.
 The largest feasible radius a gives an empirical lower-bound estimate 1/a
 for the pseudo-norm; a failed solve is evidence, not proof, so every report
 carries an empirical=true flag.  Each certified solve also runs the theorem
@@ -75,50 +79,36 @@ def default_radii() -> np.ndarray:
     return np.geomspace(lo, hi, DEFAULT_RADIUS_COUNT)
 
 
-def check_anchor(b: complex) -> complex:
-    """The anchor as a complex number; ValueError unless 0 < |b| < 1/10, which NaN fails."""
-    b = complex(b)
-    if b == 0:
-        raise ValueError("anchor must be nonzero; the zero graph is trivial")
-    if not abs(b) < Z2_RADIUS - MEMBERSHIP_SLACK:
-        raise ValueError("anchor must lie strictly inside the radius-1/10 disc")
-    return b
+def check_scan(b_list, radii, resolution) -> tuple:
+    """The anchors as complex numbers and the radii a scan visits, sorted.
 
-
-def check_anchors(b_list) -> list:
-    """The anchors as complex numbers; ValueError for an empty list or one check_anchor refuses."""
-    b_list = [check_anchor(b) for b in b_list]
-    if not b_list:
+    radii None means default_radii().  ValueError for no anchor or no radius,
+    a repeated anchor or radius (its disc would be solved and written twice),
+    an anchor outside 0 < |b| < 1/10 (which NaN fails), a radius
+    grid.check_radius refuses or one above 2, and a radius whose grid
+    make_grid refuses at this resolution.  A graph over a disc wider than 2
+    cannot lie in the radius-2 first factor; at r <= 2 every masked node has
+    |z| <= r - 2h, inside it.
+    """
+    anchors = [complex(b) for b in b_list]
+    if not anchors:
         raise ValueError("scan needs at least one anchor")
-    return b_list
-
-
-def check_scan_radius(r) -> float:
-    """The radius as a float; ValueError unless grid.check_radius accepts it and r <= 2.
-
-    A graph over a wider disc cannot lie in the radius-2 first factor; at
-    r <= 2 every masked node has |z| <= r - 2h, inside it.
-    """
-    r = check_radius(r)
-    if r > Z1_RADIUS:
-        raise ValueError("scan radius must be at most 2, the radius of the first factor")
-    return r
-
-
-def scan_radii(radii=None) -> list:
-    """The sorted radii a scan visits, default_radii() when radii is None.
-
-    ValueError for an empty list, a repeated radius (its disc would be
-    solved and written twice) or a radius check_scan_radius refuses.
-    """
-    if radii is None:
-        radii = default_radii()
-    radii = sorted(check_scan_radius(r) for r in radii)
+    if 0 in anchors:
+        raise ValueError("anchor must be nonzero; the zero graph is trivial")
+    if not all(abs(b) < Z2_RADIUS - MEMBERSHIP_SLACK for b in anchors):
+        raise ValueError("anchor must lie strictly inside the radius-1/10 disc")
+    if len(set(anchors)) < len(anchors):
+        raise ValueError("scan repeats an anchor")
+    radii = sorted(map(check_radius, default_radii() if radii is None else radii))
     if not radii:
         raise ValueError("radius scan needs at least one radius")
+    if radii[-1] > Z1_RADIUS:
+        raise ValueError("scan radius must be at most 2, the radius of the first factor")
     if len(set(radii)) < len(radii):
         raise ValueError("radius scan repeats a radius")
-    return radii
+    for r in radii:  # a grid no solve can run on
+        make_grid(r, resolution)
+    return anchors, radii
 
 
 @dataclass(frozen=True)
@@ -258,8 +248,7 @@ def graph_feasibility(
     unit-disc rescale of the solution and rides along.  The record keeps
     the solve's SolveSummary; the field is dropped.
     """
-    b = check_anchor(b)
-    radius = check_scan_radius(r)
+    (b,), (radius,) = check_scan([b], [r], resolution)
     try:
         sol = picard_solve(DbarProblem(make_grid(radius, resolution), b=b))
     except NanEncountered:
@@ -287,8 +276,7 @@ def radius_scan(
     a_observed is the largest feasible radius (zero when none is); the
     reported lower bound 1/a_observed is empirical by construction.
     """
-    b = check_anchor(b)
-    radii = scan_radii(radii)
+    (b,), radii = check_scan([b], radii, resolution)
     records = parallel_map(
         lambda r: graph_feasibility(r, b, resolution), radii, threads=threads
     )
@@ -316,8 +304,9 @@ def usc_report(
     origin's exact 1/2.  Values that would be infinite are encoded as null
     plus the no_feasible_disc flag.  Returns the summary and the names of
     the files written, relative to out_dir: the json, the csv, the heatmaps.
+    A scan check_scan refuses raises ValueError before out_dir is made.
     """
-    b_list = check_anchors(b_list)
+    b_list, radii = check_scan(b_list, radii, resolution)
     os.makedirs(out_dir, exist_ok=True)
     origin = upper_bound_origin()
 

@@ -351,6 +351,9 @@ class TestInvalidConfigRefused:
         ("kr-scan", {"radii": [1e-200]}),
         ("kr-scan", {"b_list": [[0.01, 0.0]], "radii": [0.5, 0.5], "resolution": 17}),
         ("kr-scan", {"b_list": []}),
+        ("kr-scan", {"b_list": [[0.01, 0.0], [0.01, 0.0]], "radii": [0.5], "resolution": 17}),
+        ("kr-scan", {"resolution": 64}),
+        ("kr-scan", {"radii": 0.5}),
         ("solve-dbar", {"resolution": 17, "b": [True, 0]}),
         ("solve-dbar", {"resolution": 17, "b": ["0.01", 0]}),
         ("kr-scan", {"b_list": [["0.01", 0]], "radii": [0.5], "resolution": 17}),
@@ -374,7 +377,8 @@ class TestInvalidConfigRefused:
             "certify-radius-underflow", "certify-pullback-overflow", "scan-resolution-float", "scan-radius-negative", "scan-anchor-zero",
             "scan-anchor-outside", "scan-anchor-nan", "scan-radius-overflow",
             "scan-radius-above-two", "scan-radius-underflow", "scan-radius-repeated",
-            "scan-b-list-empty", "anchor-bool", "anchor-text", "scan-anchor-text",
+            "scan-b-list-empty", "scan-anchor-repeated", "scan-resolution-even", "scan-radii-scalar",
+            "anchor-bool", "anchor-text", "scan-anchor-text",
             "scan-radius-bool", "scan-radius-text", "certify-basepoint-bool",
             "certify-basepoint-text", "certify-record-radius-text",
             "certify-record-anchor-bool", "selftest-removed-key", "selftest-criterion-unknown",

@@ -15,10 +15,10 @@ from dbarlab.kr import (
     FAILURE_NONE,
     FAILURE_SUP,
     KrEstimate,
+    check_scan,
     default_radii,
     graph_feasibility,
     radius_scan,
-    scan_radii,
     upper_bound_origin,
     usc_report,
 )
@@ -132,12 +132,12 @@ class TestRadiusScan:
         with pytest.raises(ValueError):
             radius_scan(0.01, radii=[])
         with pytest.raises(ValueError, match="2 \\* radius\\*\\*2 finite"):
-            scan_radii([0.5, 1e200])  # refused before any radius is solved
+            check_scan([0.01], [0.5, 1e200], 65)  # refused before any radius is solved
         with pytest.raises(ValueError, match="at most 2"):
-            scan_radii([0.5, 2.0 + 1e-15])
+            check_scan([0.01], [0.5, 2.0 + 1e-15], 65)
         with pytest.raises(ValueError, match="repeats a radius"):
-            scan_radii([0.5, 0.25, 0.5])  # the disc would be solved and written twice
-        assert scan_radii([2.0, 0.5]) == [0.5, 2.0]
+            check_scan([0.01], [0.5, 0.25, 0.5], 65)  # the disc would be solved and written twice
+        assert check_scan([0.01], [2.0, 0.5], 65)[1] == [0.5, 2.0]
 
 
 class TestScanConsistency:
@@ -197,10 +197,20 @@ class TestUscReport:
             assert head == b"P5"
 
     def test_empty_list_refused(self, tmp_path):
-        # no anchor, no verdict: refused before anything is written
-        with pytest.raises(ValueError, match="at least one anchor"):
-            usc_report([], tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        # no anchor, or a scan no grid or report can take, no verdict:
+        # refused before anything is written
+        out = tmp_path / "out"
+        for b_list, kwargs, match in [
+            ([], {}, "at least one anchor"),
+            ([0.01], {"radii": [2.5]}, "at most 2"),
+            ([0.01], {"radii": [0.5, 0.5]}, "repeats a radius"),
+            ([0.01], {"radii": [1e-200]}, "underflows"),
+            ([0.01], {"radii": [0.5], "resolution": 64}, "odd"),
+            ([0.01, 0.01 + 0j], {"radii": [0.5]}, "repeats an anchor"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                usc_report(b_list, out, **kwargs)
+            assert not out.exists(), (b_list, kwargs)
 
     def test_zero_anchor_rejected(self, tmp_path):
         with pytest.raises(ValueError):
