@@ -21,7 +21,8 @@ boolean.  Inequalities are judged against tolerances proportional to h^2
 times the local derivative scale of the quantity involved; the equation
 hypothesis itself is gated by the dbar residual, against the 5h gate that
 DbarSolution.certified applies to a whole solve.  Checks stand off the mask
-edge by STANDOFF_CELLS cells: transform-produced solutions carry an
+edge by STANDOFF_CELLS cells (grid.inset_mask, which also gives the
+one-cell stencil interior): transform-produced solutions carry an
 O(1) differentiation artifact in the outermost stencil rows, because the
 integration density is chopped at the mask boundary and the transform's
 tangential derivative is log-singular across that circle.  The interior is
@@ -45,7 +46,7 @@ form the branch was built from on a sub-window of its box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .grid import (
     RealField,
     basepoint_node,
     erode4,
+    inset_mask,
     mask_window,
     polar_decompose,
 )
@@ -83,17 +85,7 @@ class CertificateReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return util.jsonify(
-            {
-                "kind": self.kind,
-                "hypothesis_ok": self.hypothesis_ok,
-                "min_slack": self.min_slack,
-                "witness": list(self.witness) if self.witness is not None else None,
-                "checked_nodes": self.checked_nodes,
-                "tolerance_used": self.tolerance_used,
-                "details": self.details,
-            }
-        )
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -145,10 +137,6 @@ def _require_finite(*checked: np.ndarray) -> None:
         raise ValueError("non-finite values on masked nodes")
 
 
-def _standoff_mask(field, cells: int) -> np.ndarray:
-    return field.spec.disc_mask(field.margin + cells * field.spec.spacing)
-
-
 def _power_34(absf: np.ndarray) -> np.ndarray:
     return absf ** 0.75
 
@@ -172,10 +160,9 @@ def lemma1_check(h: ComplexField) -> CertificateReport:
     """
     spec = h.spec
     hh = spec.spacing
-    _, stencil = _shrunk(h)
     absh = np.abs(h.values)
-    eligible = stencil & h.mask & (absh > DELTA0_DEFAULT)
-    eligible &= _standoff_mask(h, STANDOFF_CELLS)
+    eligible = _shrunk(h) & h.mask & (absh > DELTA0_DEFAULT)
+    eligible &= inset_mask(h, STANDOFF_CELLS)
     if not eligible.any():
         raise MaskError("no eligible nodes: |h| <= delta0 on the whole interior")
 
@@ -195,9 +182,9 @@ def lemma1_check(h: ComplexField) -> CertificateReport:
     min_slack = float(np.min(slack[eligible]))
     witness = _witness(spec, win, eligible, slack, np.nanargmin)
 
-    with np.errstate(divide="ignore"):
-        tol_point = KAPPA_DEFAULT * hh * hh * np.maximum(1.0, absh ** -1.25)
-    inequality_ok = bool(np.all(slack[eligible] >= -tol_point[eligible]))
+    # on eligible nodes |h| > delta0, so the power neither overflows nor divides by zero
+    tol_point = KAPPA_DEFAULT * hh * hh * np.maximum(1.0, absh[eligible] ** -1.25)
+    inequality_ok = bool(np.all(slack[eligible] >= -tol_point))
 
     return CertificateReport(
         kind="lemma1",
@@ -245,7 +232,7 @@ def eq_chain_check(branch: _Branch) -> CertificateReport:
 
     # the window is the component's bounding box, so erode4 of the window
     # is the grid's; the stencils run on the inner nodes' box and halo
-    inner = erode4(branch.mask) & _standoff_mask(branch, STANDOFF_CELLS)[branch.win]
+    inner = erode4(branch.mask) & inset_mask(branch, STANDOFF_CELLS)[branch.win]
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
     sub = mask_window(inner, 1)
@@ -344,10 +331,10 @@ def lemma2_check(
     if neg < -tol:
         raise ValueError(f"u is negative beyond tolerance: min u = {neg:.3e}")
 
-    _, interior = _shrunk(u)
-    interior = interior & u.mask
+    shrunk = _shrunk(u)
+    interior = shrunk & u.mask
     if standoff_cells:
-        interior &= _standoff_mask(u, standoff_cells)
+        interior &= inset_mask(u, standoff_cells)
     if not interior.any():
         raise MaskError("mask too thin for the laplacian")
     win = mask_window(interior, 1)
@@ -363,7 +350,7 @@ def lemma2_check(
 
     triggered = u.at_origin() > 0.0
     # v = u - |z|^2/4 is read only on the outermost masked ring
-    ring = np.nonzero(u.mask & ~spec.disc_mask(u.margin + h))
+    ring = np.nonzero(u.mask & ~shrunk)
     if ring[0].size:
         xs = spec.coords()
         sq = xs * xs

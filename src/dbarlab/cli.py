@@ -45,7 +45,7 @@ from .dbar import (
     residual_dbar,
 )
 from .grid import load_complex_field
-from .kr import DEFAULT_B_SWEEP, usc_report
+from .kr import DEFAULT_B_SWEEP, DEFAULT_RESOLUTION, usc_report
 from .ode import FAMILY_KINKS, exact_forward, family_trajectory, lower_bound_check, rk4_integrate
 from .selftest import SELFTEST_DEFAULTS, check_criteria, format_table, run_selftest
 
@@ -67,7 +67,7 @@ CERTIFY_DEFAULTS = {
 KR_DEFAULTS = {
     "b_list": [util.as_complex_pair(b) for b in DEFAULT_B_SWEEP],
     "radii": None,
-    "resolution": 65,
+    "resolution": DEFAULT_RESOLUTION,
 }
 
 ODE_DEFAULTS = {
@@ -118,7 +118,9 @@ def _resources(clocks: tuple) -> dict:
 
 
 def _check_out_dir(out_dir) -> None:
-    """Refuse an --out that is a file or a dangling link, or lies under one."""
+    """Refuse an empty --out, or one that is a file or a dangling link, or lies under one."""
+    if not out_dir:
+        raise ConfigError("--out must name a directory")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -345,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="JSON overrides for this command's defaults")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory (env DBARLAB_OUT wins over this)")
+        p.add_argument("--out", metavar="DIR", default=".",
+                       help="output directory (default: the current directory)")
         p.add_argument("--print-config", action="store_true",
                        help="print the merged config as JSON and exit")
         p.add_argument("--threads", type=int, default=1, metavar="N",
@@ -366,7 +368,7 @@ def main(argv=None) -> int:
         if args.print_config:
             sys.stdout.write(util.json_dumps(merged))
             return EXIT_OK
-        out_dir = os.environ.get("DBARLAB_OUT") or args.out or "."
+        out_dir = args.out
         _check_out_dir(out_dir)
         started = _utcnow()
         run = _RUNNERS[args.command][0]

@@ -233,7 +233,7 @@ def residual_values(values: np.ndarray, h: float) -> np.ndarray:
 
 def residual_dbar(f: ComplexField) -> tuple[np.ndarray, float]:
     """|df/dzbar - |f|^(1/2)| as an N x N array, 0 off f's _shrunk mask, and its finite sup there."""
-    mask = _shrunk(f)[1]
+    mask = _shrunk(f)
     vals = np.where(mask, residual_values(f.values, f.spec.spacing), 0.0)
     sup = float(np.max(vals[mask]))
     if not np.isfinite(sup):

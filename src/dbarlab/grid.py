@@ -4,9 +4,10 @@ The whole laboratory works on square N x N lattices covering the closed disc
 of radius r, with an interior mask selecting the trusted nodes.  Default
 masks are concentric discs |z| <= r - margin.  The stencil operators (_dx,
 _dy, _dzbar and _lap5) are the one layer of difference operators: they take
-and return plain arrays, and _shrunk gives the disc one spacing inside a
-field's margin, whose every node has a full centered stencil inside the
-field's mask; callers read the result there.  Coordinates are built as
+and return plain arrays.  inset_mask is the one rule for a mask derived from
+a field's margin: the disc a whole number of spacings inside it.  _shrunk is
+its one-spacing case, whose every node has a full centered stencil inside
+the field's mask; callers read the stencils there.  Coordinates are built as
 (index - center) * spacing, which keeps the node set exactly symmetric under
 the four-fold lattice symmetry and puts z = 0 on a node (resolution is
 restricted to odd N >= 17 for that reason; solvers anchor a value there).
@@ -221,13 +222,17 @@ class RealField:
         return float(self.values[c, c])
 
 
-def _shrunk(field) -> tuple[float, np.ndarray]:
-    """Margin and disc mask one spacing inside the field's nominal margin."""
-    m2 = field.margin + field.spec.spacing
-    mk = field.spec.disc_mask(m2)
+def inset_mask(field, cells: int) -> np.ndarray:
+    """The disc mask `cells` grid spacings inside the field's nominal margin."""
+    return field.spec.disc_mask(field.margin + cells * field.spec.spacing)
+
+
+def _shrunk(field) -> np.ndarray:
+    """inset_mask one spacing in; MaskError if it is empty."""
+    mk = inset_mask(field, 1)
     if not mk.any():
         raise MaskError("mask too thin for a centered stencil")
-    return m2, mk
+    return mk
 
 
 def _dx(values: np.ndarray, h: float) -> np.ndarray:
@@ -447,17 +452,13 @@ def polar_decompose(g: ComplexField, basepoint: complex) -> tuple:
     return win, on, np.where(on, np.abs(values), 1.0), np.where(on, phi, 0.0)
 
 
-def _is_disc_masked(field) -> bool:
-    return np.array_equal(field.mask, field.spec.disc_mask(field.margin))
-
-
 def save_field(field, path) -> str:
     """Write the flat binary layout: radius f64, N u32, margin f64, row-major re/im pairs.
 
     Only disc-masked fields serialize; the loader reconstructs the mask from
     the header, so an ad-hoc restricted mask would round-trip wrongly.
     """
-    if not _is_disc_masked(field):
+    if not np.array_equal(field.mask, inset_mask(field, 0)):
         raise ValueError("only disc-masked fields serialize; restricted masks are ephemeral")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(field.spec.radius, field.spec.resolution, field.margin))

@@ -76,23 +76,14 @@ def merge_config(defaults: dict, overrides) -> dict:
     return cfg
 
 
-def jsonify(obj):
-    """Dicts (with string keys), lists, tuples and numpy floats as JSON types; the rest as is."""
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def json_dumps(obj) -> str:
     """Canonical JSON text: sorted keys, fixed indentation, trailing newline.
 
-    NaN/inf are rejected; callers encode unbounded quantities as null plus a flag.
+    Tuples are written as arrays and numpy float64 values as Python floats
+    (float.__repr__).  NaN/inf are rejected; callers encode unbounded
+    quantities as null plus a flag.
     """
-    return json.dumps(jsonify(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> str:
@@ -102,7 +93,7 @@ def write_json(path, obj) -> str:
 
 
 def config_digest(config: dict) -> str:
-    canon = json.dumps(jsonify(config), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 

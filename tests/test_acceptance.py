@@ -33,7 +33,7 @@ def _spacing(n: int) -> float:
 def _selftest(out, threads: str, env: dict) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "dbarlab", "selftest", "--out", str(out), "--threads", threads],
-        capture_output=True, text=True, env={**env, "DBARLAB_OUT": ""},
+        capture_output=True, text=True, env=env,
     )
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dbarlab.grid import (
     MaskError,
     PhaseUnwrapError,
     RealField,
+    inset_mask,
     make_grid,
 )
 
@@ -69,6 +71,20 @@ class TestLemma1:
         assert rep.hypothesis_ok
         assert rep.details["inequality_ok"]
         assert rep.min_slack > 0
+
+    def test_tiny_values_next_to_eligible_nodes_raise_no_warning(self):
+        # |h| = 1e-300 inside the eligible nodes' window: its |h|^(-5/4)
+        # overflows a float, so the tolerance must be taken on eligible nodes only
+        spec = make_grid(1.0, 33)
+        vals = np.full((33, 33), 0.05, dtype=complex)
+        tiny = np.zeros((33, 33), dtype=bool)
+        tiny[16, 14:19] = True
+        vals[tiny] = 1e-300
+        h = ComplexField(spec, vals, spec.default_margin())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lemma1_check(h)
+        assert rep.checked_nodes == int((inset_mask(h, certify.STANDOFF_CELLS) & ~tiny).sum())
 
     def test_no_eligible_nodes(self):
         spec = make_grid(1.0, 65)

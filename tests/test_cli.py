@@ -19,12 +19,6 @@ from dbarlab.grid import ComplexField, make_grid, save_field
 from dbarlab.util import config_digest
 
 
-@pytest.fixture(autouse=True)
-def _no_env_out(monkeypatch):
-    # a leaked output override would redirect every run below
-    monkeypatch.delenv("DBARLAB_OUT", raising=False)
-
-
 def write_config(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload), encoding="utf-8")
@@ -493,12 +487,19 @@ class TestOdeCommand:
 
 
 class TestOutputDirRouting:
-    def test_env_var_wins_over_flag(self, tmp_path, monkeypatch):
+    def test_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # --out is the one way to name the output directory
         envdir = tmp_path / "from_env"
         monkeypatch.setenv("DBARLAB_OUT", str(envdir))
         assert cli.main(["ode", "--out", str(tmp_path / "from_flag")]) == 0
-        assert (envdir / "summary.json").exists()
-        assert not (tmp_path / "from_flag").exists()
+        assert (tmp_path / "from_flag" / "summary.json").exists()
+        assert not envdir.exists()
+
+    def test_empty_out_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["ode", "--out", ""]) == 2
+        assert "--out must name a directory" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_negative_threads_refused(self):
         assert cli.main(["ode", "--threads", "-1"]) == 2
@@ -576,7 +577,7 @@ def test_module_entry_point(tmp_path, subprocess_env):
         [sys.executable, "-m", "dbarlab", "ode", "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**subprocess_env, "DBARLAB_OUT": ""},
+        env=subprocess_env,
     )
     assert proc.returncode == 0
     assert (out / "run_record.json").exists()

@@ -101,7 +101,7 @@ class TestProfile:
         f = profile_exact(0.3, unit(33))
         res, sup = residual_dbar(f)
         assert type(res) is np.ndarray and res.shape == (33, 33)
-        inside = _shrunk(f)[1]
+        inside = _shrunk(f)
         assert not res[~inside].any()
         assert res[inside].max() == sup > 0
 

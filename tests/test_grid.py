@@ -12,6 +12,7 @@ from dbarlab.grid import (
     RealField,
     VanishingFieldError,
     erode4,
+    inset_mask,
     load_complex_field,
     make_grid,
     mask_window,
@@ -156,7 +157,7 @@ def test_fields_immutable():
 
 def _wirtinger(f):
     """d/dzbar of f and the stencil mask it is read on."""
-    return _dzbar(f.values, f.spec.spacing), _shrunk(f)[1]
+    return _dzbar(f.values, f.spec.spacing), _shrunk(f)
 
 
 def test_wirtinger_on_conjugate_and_identity():
@@ -232,19 +233,33 @@ def test_stencil_needs_thick_mask():
 def test_stencil_mask_grows_the_margin_by_one_spacing():
     g = make_grid(1.0, 33)
     f = ComplexField.constant(g, 1.0)
-    margin, mask = _shrunk(f)
-    assert margin == f.margin + g.spacing
-    assert np.array_equal(mask, g.disc_mask(margin))
+    mask = _shrunk(f)
+    assert np.array_equal(mask, g.disc_mask(f.margin + g.spacing))
     # every node of the stencil mask has its four axis neighbours in f's
     # mask, and the mask loses f's rim
     assert np.array_equal(mask & erode4(f.mask), mask)
     assert (f.mask & ~mask).any()
 
 
+@pytest.mark.parametrize("n", [17, 33, 101])
+def test_inset_masks_step_in_by_whole_spacings(n):
+    g = make_grid(1.0, n)
+    f = ComplexField.constant(g, 1.0)
+    masks = [inset_mask(f, k) for k in range(4)]
+    for k, mask in enumerate(masks):
+        assert np.array_equal(mask, g.disc_mask(f.margin + k * g.spacing))
+    assert np.array_equal(masks[0], f.mask)
+    # each inset lies inside the one before it and loses some of its nodes
+    for outer, inner in zip(masks, masks[1:]):
+        assert np.array_equal(inner & outer, inner)
+        assert (outer & ~inner).any()
+    assert np.array_equal(_shrunk(f), masks[1])
+
+
 def test_central_derivatives_linear_exact():
     g = make_grid(2.0, 65)
     u = RealField.from_function(g, lambda x, y: 3.0 * x - 2.0 * y)
-    mask = _shrunk(u)[1]
+    mask = _shrunk(u)
     assert np.abs(_dx(u.values, g.spacing)[mask] - 3.0).max() == 0.0
     assert np.abs(_dy(u.values, g.spacing)[mask] + 2.0).max() == 0.0
 

@@ -255,8 +255,7 @@ class TestHeatmaps:
         write_pgm(tmp_path / "direct.pgm", abs_f)
         assert got == (tmp_path / "direct.pgm").read_bytes() == _p5(abs_f)
 
-    def test_solve_dbar_heatmaps_unchanged(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DBARLAB_OUT", raising=False)
+    def test_solve_dbar_heatmaps_unchanged(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"resolution": 33, "b": [0.05, 0.0]}), encoding="ascii")
         out = tmp_path / "solve"

@@ -17,11 +17,6 @@ from dbarlab import cli, kr, selftest, util
 from dbarlab.util import config_digest, json_dumps
 
 
-@pytest.fixture(autouse=True)
-def _no_env_out(monkeypatch):
-    monkeypatch.delenv("DBARLAB_OUT", raising=False)
-
-
 def _stub_battery(monkeypatch):
     """Replace every criterion by an instant pass so the config path runs alone."""
     for idx, (name, _) in selftest.CRITERIA.items():

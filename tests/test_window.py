@@ -28,7 +28,6 @@ from dbarlab.certify import (
     WITNESS_RTOL,
     CertificateReport,
     _Branch,
-    _standoff_mask,
     abs_power_34,
     eq_chain_check,
     lemma1_check,
@@ -46,6 +45,7 @@ from dbarlab.grid import (
     VanishingFieldError,
     basepoint_node,
     erode4,
+    inset_mask,
     make_grid,
     mask_window,
 )
@@ -156,10 +156,10 @@ def full_laplacian(u):
 
 
 def full_residual(f):
-    margin, mask = _shrunk(f)
+    mask = _shrunk(f)
     d = _dzbar(f.values, f.spec.spacing)
     vals = np.where(mask, np.abs(d - np.sqrt(np.abs(f.values))), 0.0)
-    return RealField(f.spec, vals, margin, mask)
+    return RealField(f.spec, vals, f.margin + f.spec.spacing, mask)
 
 
 def full_lemma1(h, delta0=DELTA0_DEFAULT, standoff_cells=STANDOFF_CELLS):
@@ -171,7 +171,7 @@ def full_lemma1(h, delta0=DELTA0_DEFAULT, standoff_cells=STANDOFF_CELLS):
     lap = full_laplacian(abs_power_34(h))
     res_field = full_residual(h)
     eligible = lap.mask & h.mask & res_field.mask & (absh > delta0)
-    eligible &= _standoff_mask(h, standoff_cells)
+    eligible &= inset_mask(h, standoff_cells)
     if not eligible.any():
         raise MaskError("no eligible nodes: |h| <= delta0 on the whole interior")
     res_sup = float(np.max(res_field.values[eligible]))
@@ -203,7 +203,7 @@ def full_eq_chain(g, kappa=KAPPA_DEFAULT, standoff_cells=STANDOFF_CELLS):
     h = spec.spacing
     rho = g.rho
     phi = g.phi
-    inner = erode4(g.mask) & _standoff_mask(g, standoff_cells)
+    inner = erode4(g.mask) & inset_mask(g, standoff_cells)
     if not inner.any():
         raise MaskError("branch mask too thin for stencil checks")
     gz = 0.5 * (_dx(g.values, h) + 1j * _dy(g.values, h))
@@ -246,7 +246,7 @@ def full_lemma2(u, delta0=DELTA0_DEFAULT, standoff_cells=0):
     lap = full_laplacian(u)
     interior = lap.mask & u.mask
     if standoff_cells:
-        interior &= _standoff_mask(u, standoff_cells)
+        interior &= inset_mask(u, standoff_cells)
     if not interior.any():
         raise MaskError("mask too thin for the laplacian")
     sub_slack = float(np.min(lap.values[interior]))
