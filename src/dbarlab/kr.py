@@ -15,23 +15,26 @@ before it makes its output directory, so a refused scan writes nothing.
 A radius is feasible when the solve is DbarSolution.certified (converged,
 residual within 5h) and its sup stays inside the radius-1/10 factor; a
 record derives that from its solve.
-The largest feasible radius a gives an empirical lower-bound estimate 1/a
-for the pseudo-norm; a failed solve is evidence, not proof, so every report
-carries an empirical=true flag.  Each certified solve also runs the theorem
-chain on its exact relabel to the unit disc, which keeps its gate verdict;
-the chain stays on the solve's record, but no report writes it, so the
-rigorous content reaches no output yet.  The punchline the reports
-juxtapose: 1/2 at the origin against estimates above 1/2 arbitrarily close
-to it.
+With a the largest feasible radius, 1/a is Picard's estimate of the
+pseudo-norm, not a bound: that Picard's disc fails at a larger radius says
+nothing of other discs.  A feasible certified disc bounds the pseudo-norm
+from above once the scan pins the disc's tangent to (1, 0); the rigorous
+lower side is the source paper's Theorem 2.  A scan is grid-level evidence,
+not proof, so every report carries an empirical=true flag.  Each certified
+solve also runs the Theorem 2 chain on its exact relabel to the unit disc,
+which keeps its gate verdict; the chain stays on the record, but no report
+writes it, so the rigorous content reaches no output yet.  The punchline
+the reports juxtapose: 1/2 at the origin against estimates above 1/2
+arbitrarily close to it.
 
 Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
 unless the caller passes another) with the solver's default parameters.
 Scan points are independent jobs; records are assembled in radius order
 so reports are byte-identical for every thread count.  A record keeps what
 the reports read of its solve, the scalars and the |f| heatmap as 8-bit
-pixels (a SolveSummary), not the complex field, so a scan holds N^2 bytes
-per radius where the field takes 16 N^2; usc_report frees each anchor's
-records once its rows, CSV lines and heatmaps are written.
+pixels, not the complex field, so a scan holds N^2 bytes per radius where
+the field takes 16 N^2; usc_report frees each anchor's records once its
+rows, CSV lines and heatmaps are written.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ import numpy as np
 
 from .acs import MEMBERSHIP_SLACK, Z1_RADIUS, Z2_RADIUS, DiscMap, jholo_residual
 from .certify import CertificateReport, theorem2_chain
-from .dbar import (
-    DbarProblem,
-    DbarSolution,
-    NanEncountered,
-    picard_solve,
-    rescaled_solution_record,
-)
+from .dbar import DbarProblem, picard_solve, rescaled_solution_record
 from .grid import ComplexField, check_radius, make_grid
 from .util import (
     SCHEMA_VERSION,
@@ -112,47 +109,32 @@ def check_scan(b_list, radii, resolution) -> tuple:
 
 
 @dataclass(frozen=True)
-class SolveSummary:
-    """What a scan record reads of one solve: its sup, residual, gate verdict and heatmap.
+class FeasibilityRecord:
+    """Outcome of one graph-disc attempt at one radius: what the reports read of its solve.
 
-    certified is DbarSolution.certified; heatmap is util.heatmap_pixels of
-    |f|, one byte per node where the complex field takes sixteen.  The field
-    is dropped.
+    sup_f, residual_sup and certified (DbarSolution.certified) are the
+    solve's; heatmap is util.heatmap_pixels of |f|, one byte per node where
+    the complex field takes sixteen.  The field is dropped.  failure_mode
+    follows from the solve: non_convergence for every solve that is not
+    certified (a diverging iteration, or a converged fixed point whose
+    residual misses the gate), the sup mode when a certified solution's sup
+    leaves the radius-1/10 factor, which is what the sup lower bound demands,
+    and none, feasible, otherwise.
     """
 
+    radius: float
     sup_f: float
     residual_sup: float
     certified: bool
     heatmap: np.ndarray
-
-    @classmethod
-    def of(cls, sol: DbarSolution) -> "SolveSummary":
-        return cls(sol.sup_f, sol.residual_sup, sol.certified, heatmap_pixels(np.abs(sol.f.values)))
-
-
-@dataclass(frozen=True)
-class FeasibilityRecord:
-    """Outcome of one graph-disc attempt at one radius.
-
-    solution is the SolveSummary of the solve, None when the iteration left
-    the floating-point range.  failure_mode follows from it: non_convergence
-    for every solve that is not DbarSolution.certified (a diverging iteration,
-    or a converged fixed point whose residual misses the gate), the sup mode
-    when a certified solution's sup leaves the radius-1/10 factor, which is
-    what the sup lower bound demands, and none, feasible, otherwise.
-    """
-
-    radius: float
-    solution: SolveSummary | None
     chain: CertificateReport | None
-    chain_note: str | None = None
+    chain_note: str | None
 
     @property
     def failure_mode(self) -> str:
-        sol = self.solution
-        if sol is None or not sol.certified:
+        if not self.certified:
             return FAILURE_NONCONV
-        if sol.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
+        if self.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
             return FAILURE_SUP
         return FAILURE_NONE
 
@@ -183,10 +165,10 @@ class KrEstimate:
         return self.a_observed == 0.0
 
     def lower_bound(self) -> float:
-        """Empirical: no larger graph disc worked, so at least 1/a_observed.
+        """Picard's estimate 1/a_observed of the pseudo-norm, not a bound on it.
 
-        inf when no disc is feasible: a gap against a finite bound then holds
-        a fortiori.
+        That no larger Picard disc worked says nothing of other discs.  inf
+        when no disc is feasible.
         """
         return math.inf if self.no_feasible_disc else 1.0 / self.a_observed
 
@@ -199,7 +181,11 @@ class KrEstimate:
         return all(not rec.feasible for rec in self.records if rec.radius > r0)
 
     def verdict(self) -> dict:
-        """The reported scan verdict; an infinite lower bound is null plus no_feasible_disc."""
+        """The reported scan verdict.
+
+        The key lower_bound holds Picard's estimate 1/a_observed, null plus
+        no_feasible_disc when it is infinite.
+        """
         return {
             "a_observed": self.a_observed,
             "lower_bound": None if self.no_feasible_disc else self.lower_bound(),
@@ -246,14 +232,10 @@ def graph_feasibility(
     record's failure mode follows from it.  Infeasible records are data,
     not errors.  For a certified solve, the theorem chain runs on the
     unit-disc rescale of the solution and rides along.  The record keeps
-    the solve's SolveSummary; the field is dropped.
+    the solve's scalars and |f| pixels; the field is dropped.
     """
     (b,), (radius,) = check_scan([b], [r], resolution)
-    try:
-        sol = picard_solve(DbarProblem(make_grid(radius, resolution), b=b))
-    except NanEncountered:
-        return FeasibilityRecord(radius, None, None, "iteration left the floating-point range")
-
+    sol = picard_solve(DbarProblem(make_grid(radius, resolution), b=b))
     chain = chain_note = None
     if sol.certified:
         try:
@@ -262,7 +244,15 @@ def graph_feasibility(
             chain_note = f"chain unavailable after rescale: {exc}"
     else:
         chain_note = "no certificate: solve missed the residual gate"
-    return FeasibilityRecord(radius, SolveSummary.of(sol), chain, chain_note)
+    return FeasibilityRecord(
+        radius,
+        sol.sup_f,
+        sol.residual_sup,
+        sol.certified,
+        heatmap_pixels(np.abs(sol.f.values)),
+        chain,
+        chain_note,
+    )
 
 
 def radius_scan(
@@ -274,7 +264,8 @@ def radius_scan(
     """Feasibility records over a radius grid plus the bound estimate.
 
     a_observed is the largest feasible radius (zero when none is); the
-    reported lower bound 1/a_observed is empirical by construction.
+    reported 1/a_observed (key lower_bound) is Picard's estimate of the
+    pseudo-norm, grid-level evidence and not a bound.
     """
     (b,), radii = check_scan([b], radii, resolution)
     records = parallel_map(
@@ -298,12 +289,12 @@ def usc_report(
     """Juxtapose the exact origin bound with scan estimates near the origin.
 
     Writes usc_report.json (summary), usc_table.csv (one row per scanned
-    radius), and one heatmap of |f| per solve that produced a field (the
-    pixels its record keeps).  The headline flag all_gaps_positive records
-    whether every tested basepoint's empirical lower bound exceeded the
-    origin's exact 1/2.  Values that would be infinite are encoded as null
-    plus the no_feasible_disc flag.  Returns the summary and the names of
-    the files written, relative to out_dir: the json, the csv, the heatmaps.
+    radius), and one heatmap of |f| per scanned radius (the pixels its
+    record keeps).  The headline flag all_gaps_positive records whether
+    every tested basepoint's estimate 1/a_observed exceeded the origin's
+    exact 1/2.  Values that would be infinite are encoded as null plus the
+    no_feasible_disc flag.  Returns the summary and the names of the files
+    written, relative to out_dir: the json, the csv, the heatmaps.
     A scan check_scan refuses raises ValueError before out_dir is made.
     """
     b_list, radii = check_scan(b_list, radii, resolution)
@@ -323,16 +314,13 @@ def usc_report(
             }
         )
         for ri, rec in enumerate(est.records):
-            sol = rec.solution
-            sup_s = "" if sol is None else repr(sol.sup_f)
-            res_s = "" if sol is None else repr(sol.residual_sup)
             csv_lines.append(
-                f"{_csv_complex(b)},{rec.radius!r},{str(rec.feasible).lower()},{sup_s},{res_s}"
+                f"{_csv_complex(b)},{rec.radius!r},{str(rec.feasible).lower()},"
+                f"{rec.sup_f!r},{rec.residual_sup!r}"
             )
-            if sol is not None:
-                name = f"scan_b{bi:02d}_r{ri:02d}_absf.pgm"
-                write_pgm(os.path.join(out_dir, name), sol.heatmap)
-                heatmaps.append(name)
+            name = f"scan_b{bi:02d}_r{ri:02d}_absf.pgm"
+            write_pgm(os.path.join(out_dir, name), rec.heatmap)
+            heatmaps.append(name)
         del est  # this anchor is written; free its records before the next scan
 
     summary = {

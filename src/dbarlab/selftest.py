@@ -306,7 +306,7 @@ def criterion_09(threads: int) -> tuple:
 
 
 def criterion_10(threads: int, out_dir) -> tuple:
-    """Strict gap between origin bound and nearby empirical lower bounds.
+    """Strict gap between the origin bound and Picard's estimate 1/a_observed nearby.
 
     Returns (passed, details, written): written names the report files the
     scan wrote into out_dir, relative to it.

@@ -194,6 +194,22 @@ class TestPicard:
                 assert sol.sup_f >= 0.1 - 0.02
 
 
+class TestSmallAnchorLimit:
+    def test_sup_approaches_four_ninths(self):
+        # as b -> 0 the unit-disc solve tends to F0 = (4/9)|z| zbar, whose sup
+        # is 4/9; the grid of radius 1/(1 - 4/(N-1)) has spacing h with
+        # radius - 2h = 1, so its mask is the unit disc.  The whole solver
+        # (transform, Picard, anchor) must land below 4/9 within 0.3h, and
+        # closer at the finer grid
+        errors = []
+        for n in (33, 65):
+            spec = make_grid(1.0 / (1.0 - 4.0 / (n - 1)), n)
+            err = 4.0 / 9.0 - picard_solve(DbarProblem(spec, b=1e-9)).sup_f
+            assert 0.0 < err <= 0.3 * spec.spacing, (n, err)
+            errors.append(err)
+        assert errors[1] < errors[0]
+
+
 class TestFixedPointPin:
     # (radius, N, b) -> (iterations, sup_f, residual_sup) of the fixed point;
     # rewriting the step or the transform may move the last digits of the

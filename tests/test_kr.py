@@ -1,6 +1,9 @@
+import cmath
 import dataclasses
 import gc
 import json
+import math
+import sys
 import tracemalloc
 from collections import namedtuple
 
@@ -63,15 +66,14 @@ class TestGraphFeasibility:
         rec = graph_feasibility(1.0, 0.05)
         assert not rec.feasible
         assert rec.failure_mode == FAILURE_SUP
-        assert rec.solution is not None
-        assert rec.solution.sup_f > 0.1
+        assert rec.sup_f > 0.1
         assert rec.chain is not None
         assert rec.chain.details["verdict"] == "consistent"
 
     def test_gate_failure_is_non_convergence(self):
         rec = graph_feasibility(0.25, 0.05)
         assert rec.failure_mode == FAILURE_NONCONV
-        assert rec.solution is not None
+        assert not rec.certified
         assert rec.chain is None
         assert "gate" in rec.chain_note
 
@@ -79,16 +81,15 @@ class TestGraphFeasibility:
         rec = graph_feasibility(0.25, 0.001)
         assert rec.feasible
         assert rec.failure_mode == FAILURE_NONE
-        sol = rec.solution
-        assert sol.sup_f < 0.1
-        assert sol.certified
-        assert sol.residual_sup <= 5 * make_grid(0.25, 65).spacing
+        assert rec.sup_f < 0.1
+        assert rec.certified
+        assert rec.residual_sup <= 5 * make_grid(0.25, 65).spacing
         assert rec.chain is not None
 
     def test_resolution_controls_grid(self):
         rec = graph_feasibility(0.25, 0.001, resolution=33)
-        assert rec.solution.heatmap.shape == (33, 33)
-        assert rec.solution.heatmap.dtype == np.uint8
+        assert rec.heatmap.shape == (33, 33)
+        assert rec.heatmap.dtype == np.uint8
 
     def test_record_flag_consistency_enforced(self):
         # the failure mode is derived from the record's solve, so a record
@@ -97,11 +98,26 @@ class TestGraphFeasibility:
         assert rec.failure_mode == FAILURE_NONE
         for edits, mode in (({"certified": False}, FAILURE_NONCONV),
                             ({"sup_f": 0.1}, FAILURE_SUP)):
-            sol = dataclasses.replace(rec.solution, **edits)
-            assert dataclasses.replace(rec, solution=sol).failure_mode == mode
-        none = dataclasses.replace(rec, solution=None)
-        assert none.failure_mode == FAILURE_NONCONV
-        assert not none.feasible
+            edited = dataclasses.replace(rec, **edits)
+            assert edited.failure_mode == mode
+            assert not edited.feasible
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_every_admitted_corner_is_finite(self, n):
+        # the corners check_scan admits: the smallest radius make_grid takes
+        # at this resolution (h^2 just above the smallest normal float), an
+        # anchor at the edge of the radius-1/10 disc on and off the real
+        # axis, and the smallest anchor; no solve there leaves the
+        # floating-point range, so every record has its scalars and pixels
+        r_min = math.sqrt(sys.float_info.min) * (n - 1) / 2 * (1 + 1e-15)
+        with pytest.raises(ValueError, match="underflows"):
+            make_grid(r_min * (1 - 2e-15), n)
+        edge = 0.1 - 2e-12
+        for r in (r_min, 1e-3, 2.0):
+            for b in (edge, edge * cmath.exp(2.3j), 1e-300):
+                rec = graph_feasibility(r, b, resolution=n)
+                assert math.isfinite(rec.sup_f) and math.isfinite(rec.residual_sup), (r, b)
+                assert rec.heatmap.shape == (n, n) and rec.heatmap.dtype == np.uint8
 
 
 class TestRadiusScan:
@@ -236,7 +252,6 @@ class TestScanMemory:
             tracemalloc.stop()
         records = len(est.records)
         assert records == 8
-        assert all(rec.solution is not None for rec in est.records)
         # numpy's array data, traced in its own domain: the pixels, with no
         # slack beyond 64 bytes a record
         assert sum(t.size for t in arrays.traces) <= records * (n * n + 64)
