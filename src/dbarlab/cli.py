@@ -228,6 +228,7 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
     try:
         if sol is not None:
             sol = rescaled_solution_record(sol)
+            sol.residual_sup  # measured here, before anything is written
         f = rescale_solution(f) if sol is None else sol.f
     except ResidualError as exc:  # the pull-back succeeded; its residual did not
         raise ConfigError(f"cannot certify {path}: {exc}") from exc

@@ -10,18 +10,21 @@ through the transform's scratch, which is idle between applies.  The
 transform is built before f exists, so the kernel build's temporaries do not
 stack on the iteration's arrays.  A step drops d once the update is read, so
 one step array is alive at a time, and the transform is released before the
-closing residual is measured.  The regularization eps decreases
-geometrically over the continuation schedule and the final sweep runs at
-eps = 0, where the right side is the non-Lipschitz |f|^(1/2) itself.
-Non-convergence (MAX_ITER exhausted, or the update supremum stalling) is
-reported data, never an exception; only NaN is a hard error.
+solution copies f.  The regularization eps decreases geometrically over the
+continuation schedule and the final sweep runs at eps = 0, where the right
+side is the non-Lipschitz |f|^(1/2) itself.  Non-convergence (MAX_ITER
+exhausted, or the update supremum stalling) is reported data, never an
+exception; only NaN is a hard error.
 
-A problem is a grid and an anchor b.  The solver's settings are the module
-constants EPSILON (the first eps), EPSILON_DECAY, CONTINUATION_STEPS (stages,
-the eps = 0 sweep included), THETA (the damping), TOL (the update that ends a
-stage), MAX_ITER (steps per stage), STALL_WINDOW and STALL_RATIO; picard_solve
-reads them when it runs.  The mask is the grid's disc less its default margin
-(grid.DEFAULT_MARGIN_CELLS).
+A problem is a grid and an anchor b.  A solution is its field plus how the
+iteration ended; its problem, dbar residual and sup derive from the field,
+the residual and sup on first read, so a solve, its relabel to the unit disc
+and a record read back from disk share one rule for each.  The solver's
+settings are the module constants EPSILON (the first eps), EPSILON_DECAY,
+CONTINUATION_STEPS (stages, the eps = 0 sweep included), THETA (the
+damping), TOL (the update that ends a stage), MAX_ITER (steps per stage),
+STALL_WINDOW and STALL_RATIO; picard_solve reads them when it runs.  The
+mask is the grid's disc less its default margin (grid.DEFAULT_MARGIN_CELLS).
 
 b = 0 is special-cased: the zero field is an exact fixed point at eps = 0 but
 is repulsive under the regularized sweep (sqrt(eps) kicks the iterate off
@@ -32,6 +35,7 @@ iterate stays exactly zero.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -102,21 +106,28 @@ class DbarSolution:
     """Solver output; converged=False is a valid, reportable outcome.
 
     final_update is the sup-norm change of the last Picard step, if any.
+    The rest derives from f: the problem is f's grid and f(0), which every
+    iterate keeps equal to the anchor, and residual_sup (residual_dbar's
+    sup, ResidualError if it is not finite) and sup_f are measured on f
+    when first read and kept.
     """
 
-    problem: DbarProblem
     f: ComplexField
-    residual_sup: float
-    sup_f: float
     converged: bool
     iterations: int
     final_update: float | None = None
 
-    def __post_init__(self):
-        if self.converged:
-            err = abs(self.f.at_origin() - self.problem.b)
-            if err > 1e-12:
-                raise ValueError(f"converged solution violates the anchor: |f(0)-b| = {err:.3e}")
+    @property
+    def problem(self) -> DbarProblem:
+        return DbarProblem(self.f.spec, self.f.at_origin())
+
+    @functools.cached_property
+    def residual_sup(self) -> float:
+        return residual_dbar(self.f)[1]
+
+    @functools.cached_property
+    def sup_f(self) -> float:
+        return sup_norm(self.f)
 
     @property
     def residual_gate(self) -> float:
@@ -165,10 +176,12 @@ def load_solution(json_path) -> DbarSolution:
 
     Any malformed record raises ValueError (JSON syntax errors included),
     KeyError for a missing key, or OSError for an unreadable file.  The
-    field must be a bare file name, read from the record's own directory.
-    Scalars are taken only with their JSON type: converged a boolean,
-    iterations an integer, residual_sup and sup_f numbers, final_update a
-    number or null.
+    field must be a bare file name, read from the record's own directory,
+    and its grid and f(0) must equal the recorded problem's grid and anchor
+    exactly.  Scalars are taken only with their JSON type: converged a
+    boolean, iterations an integer, residual_sup and sup_f numbers,
+    final_update a number or null.  The recorded residual_sup and sup_f are
+    checked but not kept: the solution measures both on its field.
     """
     with open(json_path, "r", encoding="ascii") as fh:
         record = json.load(fh)
@@ -188,19 +201,15 @@ def load_solution(json_path) -> DbarSolution:
             if type(value) not in kinds:  # bool is not an int here
                 raise TypeError(f"{key} is a JSON {type(value).__name__}")
         final_update = record["final_update"]
-        scalars = dict(
-            residual_sup=float(record["residual_sup"]),
-            sup_f=float(record["sup_f"]),
-            converged=record["converged"],
-            iterations=record["iterations"],
-            final_update=None if final_update is None else float(final_update),
-        )
+        final_update = None if final_update is None else float(final_update)
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed solution record: {exc}") from exc
     f = load_complex_field(field_path)
     if f.spec != problem.grid:
         raise ValueError("field file does not match the recorded problem grid")
-    return DbarSolution(problem=problem, f=f, **scalars)
+    if f.at_origin() != problem.b:
+        raise ValueError(f"field f(0) = {f.at_origin()!r} does not match the recorded anchor b")
+    return DbarSolution(f, record["converged"], record["iterations"], final_update)
 
 
 def _rhs_values(values: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
@@ -298,19 +307,9 @@ def picard_solve(problem: DbarProblem) -> DbarSolution:
                 if _stalled(stage_history):
                     break
 
-    # the residual's temporaries need not share the peak with the iteration's arrays
+    # the field's copy of f need not share the peak with the transform
     del transform, rhs
-    field_out = ComplexField(spec, f, margin, mask)
-    _, res_sup = residual_dbar(field_out)
-    return DbarSolution(
-        problem=problem,
-        f=field_out,
-        residual_sup=res_sup,
-        sup_f=sup_norm(field_out),
-        converged=stage_converged,
-        iterations=iterations,
-        final_update=update,
-    )
+    return DbarSolution(ComplexField(spec, f, margin, mask), stage_converged, iterations, update)
 
 
 def rescale_solution(f: ComplexField) -> ComplexField:
@@ -329,13 +328,4 @@ def rescale_solution(f: ComplexField) -> ComplexField:
 
 def rescaled_solution_record(sol: DbarSolution) -> DbarSolution:
     """Relabel a solve onto the unit disc; its residual and its gate both scale by 1/r."""
-    F = rescale_solution(sol.f)
-    _, res = residual_dbar(F)
-    return DbarSolution(
-        problem=DbarProblem(F.spec, F.at_origin()),
-        f=F,
-        residual_sup=res,
-        sup_f=sup_norm(F),
-        converged=sol.converged,
-        iterations=sol.iterations,
-    )
+    return DbarSolution(rescale_solution(sol.f), sol.converged, sol.iterations)

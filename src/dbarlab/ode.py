@@ -121,8 +121,11 @@ def family_trajectory(c: float) -> OdeTrajectory:
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    holds: bool
     slack: float
+
+    @property
+    def holds(self) -> bool:
+        return self.slack > 0
 
 
 def lower_bound_check(g0: float) -> LowerBoundResult:
@@ -134,5 +137,4 @@ def lower_bound_check(g0: float) -> LowerBoundResult:
     g0 = float(g0)
     if g0 <= 0:
         raise ValueError("the bound concerns strictly positive initial values")
-    slack = exact_forward(g0, 1.0) - 0.25
-    return LowerBoundResult(slack > 0, slack)
+    return LowerBoundResult(exact_forward(g0, 1.0) - 0.25)

@@ -226,12 +226,18 @@ class TestCertifyCommand:
 
     def test_solution_whose_residual_overflows_refused(self, tmp_path, capsys, recwarn):
         # +,+,-,- stripes of magnitude 1e308: the pull-back at radius 1 is
-        # the identity, and the residual's centred differences overflow
+        # the identity, and the residual's centred differences overflow.  A
+        # solution cannot save a record it has no residual for, so the record
+        # is written by hand, its anchor the field's f(0) = 1e308
         spec = make_grid(1.0, 17)
         stripes = np.tile(np.where(np.arange(17) % 4 < 2, 1e308, -1e308), (17, 1))
-        f = ComplexField(spec, stripes.astype(complex), spec.default_margin())
         (tmp_path / "rec").mkdir()
-        DbarSolution(DbarProblem(spec, 0.01), f, 0.0, 1e308, False, 1).save(tmp_path / "rec")
+        save_field(ComplexField(spec, stripes.astype(complex), spec.default_margin()),
+                   tmp_path / "rec" / "solution.f64")
+        record = {"schema_version": 1, "problem": DbarProblem(spec, 1e308).to_json_dict(),
+                  "converged": False, "residual_sup": 0.0, "sup_f": 1e308, "iterations": 1,
+                  "final_update": None, "field": "solution.f64"}
+        (tmp_path / "rec" / "solution.json").write_text(json.dumps(record))
         cfg = write_config(tmp_path, {"input": str(tmp_path / "rec" / "solution.json")})
         out = tmp_path / "cert"
         assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 2
@@ -301,8 +307,8 @@ def _tampered_record(directory, **problem):
     """Save an N=17 solution record into directory with problem keys overwritten."""
     spec = make_grid(1.0, 17)
     directory.mkdir()
-    # not converged, so the anchor is not checked against the field
-    sol = DbarSolution(DbarProblem(spec, 0.01), ComplexField.constant(spec, 0.01), 0.0, 0.01, False, 1)
+    # the recorded anchor is the field's f(0), so only the overwritten keys are at fault
+    sol = DbarSolution(ComplexField.constant(spec, 0.01), False, 1)
     path = sol.save(directory)["json"]
     with open(path) as fh:
         record = json.load(fh)

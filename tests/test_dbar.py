@@ -1,6 +1,5 @@
 import cmath
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,11 +248,15 @@ class TestCertifiedGate:
         ],
         ids=["at_gate", "next_float_above", "not_converged"],
     )
-    def test_boundary(self, sol, residual, converged, certified):
-        gate = sol.residual_gate
-        case = replace(sol, residual_sup=residual(gate), converged=converged)
-        assert case.residual_gate == gate
-        assert case.certified is certified
+    def test_boundary(self, residual, converged, certified):
+        # a constant field c has residual exactly sqrt(|c|) on the stencil
+        # interior, and sqrt(x * x) == x in floating point
+        for n in (17, 33, 65):
+            gate = 5.0 * unit(n).spacing
+            case = DbarSolution(ComplexField.constant(unit(n), residual(gate) ** 2), converged, 1)
+            assert case.residual_sup == residual(gate), n
+            assert case.residual_gate == gate, n
+            assert case.certified is certified, n
 
 
 class TestStallRule:
@@ -433,7 +436,7 @@ _DELETE = object()
 def saved_record(tmp_path_factory):
     d = tmp_path_factory.mktemp("record")
     f = profile_exact(-0.5, unit(17))
-    sol = DbarSolution(DbarProblem(unit(17), b=0.25), f, 0.01, 0.5, True, 3)
+    sol = DbarSolution(f, True, 3)
     paths = sol.save(d)
     with open(paths["json"]) as fh:
         return d, json.load(fh)
@@ -462,6 +465,18 @@ class TestLoadSolutionFuzz:
         path = d / "tampered.json"
         path.write_text(json.dumps(record))
         with pytest.raises(ValueError, match="must be a number|must hold two numbers"):
+            load_solution(path)
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_anchor_checked_against_field(self, saved_record, converged):
+        # the field's f(0) is 0.25; an anchor one float away is refused either way
+        d, record = saved_record
+        record = json.loads(json.dumps(record))
+        record["converged"] = converged
+        record["problem"]["b"] = [float(np.nextafter(0.25, 1.0)), 0.0]
+        path = d / "anchor.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="anchor"):
             load_solution(path)
 
     @settings(max_examples=150, deadline=None)
