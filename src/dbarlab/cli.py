@@ -42,7 +42,6 @@ from .dbar import (
     picard_solve,
     rescale_solution,
     rescaled_solution_record,
-    residual_dbar,
 )
 from .grid import load_complex_field
 from .kr import DEFAULT_B_SWEEP, DEFAULT_RESOLUTION, usc_report
@@ -169,9 +168,8 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> tuple:
         raise ConfigError(f"solve failed: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     paths = sol.save(out_dir)
-    res, _ = residual_dbar(sol.f)
     util.write_pgm(os.path.join(out_dir, "abs_f.pgm"), np.abs(sol.f.values))
-    util.write_pgm(os.path.join(out_dir, "residual.pgm"), res)
+    util.write_pgm(os.path.join(out_dir, "residual.pgm"), sol.residual)
     summary = {
         "b": cfg["b"],
         "radius": problem.grid.radius,
@@ -290,7 +288,7 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> tuple:
         traj = rk4_integrate(g0)
         fams = [family_trajectory(c) for c in FAMILY_KINKS]
         exact = exact_forward(g0, 1.0)
-        bound = lower_bound_check(g0) if g0 > 0 else None
+        slack = lower_bound_check(g0) if g0 > 0 else None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid ode config: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
@@ -307,9 +305,9 @@ def cmd_ode(cfg: dict, out_dir, threads: int) -> tuple:
         "abs_error": abs(traj.value_at_end() - exact),
         "family_kinks": list(FAMILY_KINKS),
     }
-    if bound is not None:
-        summary["lower_bound_holds"] = bound.holds
-        summary["lower_bound_slack"] = bound.slack
+    if slack is not None:
+        summary["lower_bound_holds"] = slack > 0
+        summary["lower_bound_slack"] = slack
     return outputs, summary, None
 
 

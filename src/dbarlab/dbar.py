@@ -17,9 +17,10 @@ exhausted, or the update supremum stalling) is reported data, never an
 exception; only NaN is a hard error.
 
 A problem is a grid and an anchor b.  A solution is its field plus how the
-iteration ended; its problem, dbar residual and sup derive from the field,
-the residual and sup on first read, so a solve, its relabel to the unit disc
-and a record read back from disk share one rule for each.  The solver's
+iteration ended; its problem, dbar residual array and sup derive from the
+field, the residual and sup on first read, so a solve, its relabel to the
+unit disc and a record read back from disk share one rule for each, and a
+solve measures its residual once for every reader.  The solver's
 settings are the module constants EPSILON (the first eps), EPSILON_DECAY,
 CONTINUATION_STEPS (stages, the eps = 0 sweep included), THETA (the
 damping), TOL (the update that ends a stage), MAX_ITER (steps per stage),
@@ -107,9 +108,9 @@ class DbarSolution:
 
     final_update is the sup-norm change of the last Picard step, if any.
     The rest derives from f: the problem is f's grid and f(0), which every
-    iterate keeps equal to the anchor, and residual_sup (residual_dbar's
-    sup, ResidualError if it is not finite) and sup_f are measured on f
-    when first read and kept.
+    iterate keeps equal to the anchor; residual (residual_dbar's array,
+    ResidualError if it is not finite) and sup_f are measured on f when
+    first read and kept, and residual_sup is the residual's max.
     """
 
     f: ComplexField
@@ -122,8 +123,13 @@ class DbarSolution:
         return DbarProblem(self.f.spec, self.f.at_origin())
 
     @functools.cached_property
+    def residual(self) -> np.ndarray:
+        return residual_dbar(self.f)
+
+    @property
     def residual_sup(self) -> float:
-        return residual_dbar(self.f)[1]
+        # the array is 0 off its nonempty mask and >= 0 on it, so its max is the mask's
+        return float(np.max(self.residual))
 
     @functools.cached_property
     def sup_f(self) -> float:
@@ -240,14 +246,12 @@ def residual_values(values: np.ndarray, h: float) -> np.ndarray:
     return np.abs(_dzbar(values, h) - np.sqrt(np.abs(values)))
 
 
-def residual_dbar(f: ComplexField) -> tuple[np.ndarray, float]:
-    """|df/dzbar - |f|^(1/2)| as an N x N array, 0 off f's _shrunk mask, and its finite sup there."""
-    mask = _shrunk(f)
-    vals = np.where(mask, residual_values(f.values, f.spec.spacing), 0.0)
-    sup = float(np.max(vals[mask]))
-    if not np.isfinite(sup):
+def residual_dbar(f: ComplexField) -> np.ndarray:
+    """|df/dzbar - |f|^(1/2)| as an N x N array, 0 off f's _shrunk mask; ResidualError unless finite."""
+    vals = np.where(_shrunk(f), residual_values(f.values, f.spec.spacing), 0.0)
+    if not np.isfinite(np.max(vals)):
         raise ResidualError("non-finite dbar residual on masked nodes")
-    return vals, sup
+    return vals
 
 
 def _stalled(history: list) -> bool:

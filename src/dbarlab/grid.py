@@ -206,9 +206,7 @@ class RealField:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def from_function(cls, spec: GridSpec, fn: Callable, margin: float | None = None) -> "RealField":
-        if margin is None:
-            margin = spec.default_margin()
+    def from_function(cls, spec: GridSpec, fn: Callable, margin: float) -> "RealField":
         X, Y = spec.mesh()
         return cls(spec, np.asarray(fn(X, Y), dtype=np.float64), margin)
 

@@ -3,8 +3,8 @@
 The pseudo-norm of a tangent vector is the infimum of 1/r over radii r of
 structure-holomorphic discs through the point with derivative matching the
 vector.  At the origin the explicit disc z -> (z, 0) on the radius-2 disc
-certifies an upper bound of 1/2, and that certificate is checked (residual
-exactly zero), never assumed.
+certifies the upper bound ORIGIN_BOUND = 1/2, and that certificate is
+checked (origin_witness_residual must vanish), never assumed.
 
 Away from the origin, at basepoints (0, b) with b != 0, this module scans
 graph discs z -> (z, f(z)) over radii in (0, 2]; a wider disc cannot lie
@@ -27,8 +27,9 @@ writes it, so the rigorous content reaches no output yet.  The punchline
 the reports juxtapose: 1/2 at the origin against estimates above 1/2
 arbitrarily close to it.
 
-Every solve runs on a grid of the given resolution (DEFAULT_RESOLUTION
-unless the caller passes another) with the solver's default parameters.
+Every solve runs on a grid of the resolution the caller passes
+(usc_report's default is DEFAULT_RESOLUTION) with the solver's default
+parameters.
 Scan points are independent jobs; records are assembled in radius order
 so reports are byte-identical for every thread count.  A record keeps what
 the reports read of its solve, the scalars and the |f| heatmap as 8-bit
@@ -65,6 +66,9 @@ FAILURE_NONCONV = "non_convergence"
 DEFAULT_RESOLUTION = 65
 DEFAULT_RADIUS_RANGE = (0.25, 2.0)
 DEFAULT_RADIUS_COUNT = 16
+# the pseudo-norm bound at ((0, 0), (1, 0)) from the disc z -> (z, 0) filling
+# the first factor; origin_witness_residual checks that disc
+ORIGIN_BOUND = 1.0 / Z1_RADIUS
 # anchor sweep used by reports: three magnitudes on the real axis; an
 # anchor i*b would repeat b exactly, since the quarter turn maps the grid,
 # the disc and the solve onto themselves
@@ -184,31 +188,25 @@ class KrEstimate:
         """The reported scan verdict.
 
         The key lower_bound holds Picard's estimate 1/a_observed, null plus
-        no_feasible_disc when it is infinite.
+        no_feasible_disc when it is infinite; gap_positive says whether the
+        estimate exceeds ORIGIN_BOUND.
         """
         return {
             "a_observed": self.a_observed,
+            "gap_positive": self.lower_bound() > ORIGIN_BOUND,
             "lower_bound": None if self.no_feasible_disc else self.lower_bound(),
             "no_feasible_disc": self.no_feasible_disc,
             "scan_consistent": self.scan_consistent(),
         }
 
 
-@dataclass(frozen=True)
-class OriginBound:
-    """The exact origin estimate and the holomorphy residual of its checked witness."""
-
-    bound: float
-    witness_residual_sup: float
-
-
-def upper_bound_origin() -> OriginBound:
-    """Certified upper bound 1/2 at ((0,0), (1,0)) from the disc z -> (z, 0).
+def origin_witness_residual() -> float:
+    """The holomorphy residual of the disc z -> (z, 0) that certifies ORIGIN_BOUND.
 
     The witness lives on the radius-2 grid at DEFAULT_RESOLUTION.  It is
-    checked, not asserted: its holomorphy residual is measured and must
-    vanish (it does exactly on dyadic spacings, where centered differences
-    of linear data are exact).
+    checked, not asserted: a residual above 1e-13 raises ArithmeticError
+    (it vanishes exactly on dyadic spacings, where centered differences of
+    linear data are exact).
     """
     spec = make_grid(2.0, DEFAULT_RESOLUTION)
     witness = DiscMap(
@@ -218,14 +216,10 @@ def upper_bound_origin() -> OriginBound:
     _, _, sup = jholo_residual(witness)
     if sup > 1e-13:
         raise ArithmeticError(f"origin witness residual {sup:.3e} is not zero")
-    return OriginBound(0.5, sup)
+    return sup
 
 
-def graph_feasibility(
-    r: float,
-    b: complex,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> FeasibilityRecord:
+def graph_feasibility(r: float, b: complex, resolution: int) -> FeasibilityRecord:
     """Attempt a graph disc of radius r in (0, 2] anchored at f(0) = b.
 
     The solve runs on a resolution x resolution grid of the disc; the
@@ -255,13 +249,8 @@ def graph_feasibility(
     )
 
 
-def radius_scan(
-    b: complex,
-    radii=None,
-    resolution: int = DEFAULT_RESOLUTION,
-    threads: int = 1,
-) -> KrEstimate:
-    """Feasibility records over a radius grid plus the bound estimate.
+def radius_scan(b: complex, radii, resolution: int, threads: int) -> KrEstimate:
+    """Feasibility records over a radius grid plus the bound estimate; radii None means default_radii().
 
     a_observed is the largest feasible radius (zero when none is); the
     reported 1/a_observed (key lower_bound) is Picard's estimate of the
@@ -299,20 +288,14 @@ def usc_report(
     """
     b_list, radii = check_scan(b_list, radii, resolution)
     os.makedirs(out_dir, exist_ok=True)
-    origin = upper_bound_origin()
+    witness_residual = origin_witness_residual()
 
     rows = []
     csv_lines = ["b,r,feasible,sup_f,residual"]
     heatmaps = []
     for bi, b in enumerate(b_list):
         est = radius_scan(b, radii=radii, resolution=resolution, threads=threads)
-        rows.append(
-            {
-                "b": as_complex_pair(b),
-                "gap_positive": est.lower_bound() > origin.bound,
-                **est.verdict(),
-            }
-        )
+        rows.append({"b": as_complex_pair(b), **est.verdict()})
         for ri, rec in enumerate(est.records):
             csv_lines.append(
                 f"{_csv_complex(b)},{rec.radius!r},{str(rec.feasible).lower()},"
@@ -326,8 +309,8 @@ def usc_report(
     summary = {
         "schema_version": SCHEMA_VERSION,
         "vector": [as_complex_pair(c) for c in KrEstimate.vector],
-        "origin_upper_bound": origin.bound,
-        "origin_witness_residual": origin.witness_residual_sup,
+        "origin_upper_bound": ORIGIN_BOUND,
+        "origin_witness_residual": witness_residual,
         "empirical": True,  # a scan is grid-level evidence, never a proof
         "rows": rows,
         "all_gaps_positive": all(row["gap_positive"] for row in rows),

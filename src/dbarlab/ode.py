@@ -5,7 +5,8 @@ positive initial value forces quadratic growth (g(1) exceeds 1/4 whenever
 g(0) > 0), while from a zero value the equation branches into a whole
 family of solutions that stay identically zero on an interval of any
 length before lifting off.  The closed forms make the module an oracle
-for the PDE-side expectations rather than a consumer of them.
+for the PDE-side expectations rather than a consumer of them;
+lower_bound_check gives the first fact as a number, the slack g(1) - 1/4.
 
 rk4_integrate applies the textbook fourth-order scheme to the literal
 right-hand side, no smoothing at g = 0.  Started exactly at zero every
@@ -119,22 +120,13 @@ def family_trajectory(c: float) -> OdeTrajectory:
     return OdeTrajectory(xs, nonuniq_family(c, xs))
 
 
-@dataclass(frozen=True)
-class LowerBoundResult:
-    slack: float
+def lower_bound_check(g0: float) -> float:
+    """The slack g(1) - 1/4 of the forward solution from g0 > 0; the bound holds when it is positive.
 
-    @property
-    def holds(self) -> bool:
-        return self.slack > 0
-
-
-def lower_bound_check(g0: float) -> LowerBoundResult:
-    """Check g(1) > 1/4 for the forward solution from g0 > 0.
-
-    The closed form gives slack g(1) - 1/4 = sqrt(g0) + g0, strictly
-    positive for every positive initial value.
+    The closed form gives the slack sqrt(g0) + g0, strictly positive for
+    every positive initial value.
     """
     g0 = float(g0)
     if g0 <= 0:
         raise ValueError("the bound concerns strictly positive initial values")
-    return LowerBoundResult(exact_forward(g0, 1.0) - 0.25)
+    return exact_forward(g0, 1.0) - 0.25

@@ -122,8 +122,8 @@ def write_pgm(path, values: np.ndarray) -> str:
     return str(path)
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map fn over items, optionally on a thread pool, preserving input order.
+def parallel_map(fn, items, threads: int) -> list:
+    """Map fn over items on `threads` threads (0: one per CPU), preserving input order.
 
     Jobs must be pure; the output list is assembled in input order so the result
     (and anything serialized from it) is identical for every thread count.

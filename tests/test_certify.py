@@ -240,13 +240,13 @@ class TestLemma2:
 
     def test_negative_field_rejected(self):
         spec = make_grid(1.0, 65)
-        u = RealField.from_function(spec, lambda X, Y: -(X * X + Y * Y))
+        u = RealField.from_function(spec, lambda X, Y: -(X * X + Y * Y), spec.default_margin())
         with pytest.raises(ValueError):
             lemma2_check(u)
 
     def test_superharmonic_fails_hypotheses(self):
         spec = make_grid(1.0, 65)
-        u = RealField.from_function(spec, lambda X, Y: 1.0 - X * X)
+        u = RealField.from_function(spec, lambda X, Y: 1.0 - X * X, spec.default_margin())
         rep = lemma2_check(u)
         assert not rep.hypothesis_ok
         assert rep.details["subharmonic_slack"] == pytest.approx(-2.0, abs=1e-10)

@@ -258,7 +258,7 @@ def test_inset_masks_step_in_by_whole_spacings(n):
 
 def test_central_derivatives_linear_exact():
     g = make_grid(2.0, 65)
-    u = RealField.from_function(g, lambda x, y: 3.0 * x - 2.0 * y)
+    u = RealField.from_function(g, lambda x, y: 3.0 * x - 2.0 * y, g.default_margin())
     mask = _shrunk(u)
     assert np.abs(_dx(u.values, g.spacing)[mask] - 3.0).max() == 0.0
     assert np.abs(_dy(u.values, g.spacing)[mask] + 2.0).max() == 0.0
@@ -372,7 +372,7 @@ def test_binary_roundtrip(tmp_path):
 
 def test_binary_roundtrip_real(tmp_path):
     g = make_grid(1.0, 17)
-    u = RealField.from_function(g, lambda x, y: x - y)
+    u = RealField.from_function(g, lambda x, y: x - y, g.default_margin())
     path = tmp_path / "u.f64"
     save_field(u, path)
     back = load_complex_field(path)

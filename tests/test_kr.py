@@ -10,19 +10,21 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from dbarlab import cli
+from dbarlab import cli, dbar
+from dbarlab.acs import Z1_RADIUS
 from dbarlab.dbar import DbarProblem, load_solution, picard_solve, residual_dbar
 from dbarlab.grid import make_grid
 from dbarlab.kr import (
     FAILURE_NONCONV,
     FAILURE_NONE,
     FAILURE_SUP,
+    ORIGIN_BOUND,
     KrEstimate,
     check_scan,
     default_radii,
     graph_feasibility,
+    origin_witness_residual,
     radius_scan,
-    upper_bound_origin,
     usc_report,
 )
 from dbarlab.util import json_dumps, write_pgm
@@ -41,29 +43,28 @@ def _p5(values):
 
 class TestOriginBound:
     def test_certified_half(self):
-        ob = upper_bound_origin()
-        assert ob.bound == 0.5
-        assert ob.witness_residual_sup == 0.0
+        assert ORIGIN_BOUND == 1.0 / Z1_RADIUS == 0.5
+        assert origin_witness_residual() == 0.0
 
 
 class TestGraphFeasibility:
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            graph_feasibility(1.0, 0.0)
+            graph_feasibility(1.0, 0.0, 65)
         with pytest.raises(ValueError):
-            graph_feasibility(1.0, 0.2)
+            graph_feasibility(1.0, 0.2, 65)
         with pytest.raises(ValueError):
-            graph_feasibility(-1.0, 0.05)
+            graph_feasibility(-1.0, 0.05, 65)
         with pytest.raises(ValueError, match="radius-1/10"):
-            graph_feasibility(1.0, complex(float("nan"), 0.0))
+            graph_feasibility(1.0, complex(float("nan"), 0.0), 65)
         # a graph over D_r with r > 2 cannot lie in D_2 x D_(1/10)
         with pytest.raises(ValueError, match="at most 2"):
-            graph_feasibility(2.5, 0.05)
+            graph_feasibility(2.5, 0.05, 65)
 
     def test_unit_disc_anchor_is_infeasible(self):
         # a certified solve exists but its sup exceeds the target factor;
         # that is the sup lower bound doing its job
-        rec = graph_feasibility(1.0, 0.05)
+        rec = graph_feasibility(1.0, 0.05, 65)
         assert not rec.feasible
         assert rec.failure_mode == FAILURE_SUP
         assert rec.sup_f > 0.1
@@ -71,14 +72,14 @@ class TestGraphFeasibility:
         assert rec.chain.details["verdict"] == "consistent"
 
     def test_gate_failure_is_non_convergence(self):
-        rec = graph_feasibility(0.25, 0.05)
+        rec = graph_feasibility(0.25, 0.05, 65)
         assert rec.failure_mode == FAILURE_NONCONV
         assert not rec.certified
         assert rec.chain is None
         assert "gate" in rec.chain_note
 
     def test_small_radius_small_anchor_feasible(self):
-        rec = graph_feasibility(0.25, 0.001)
+        rec = graph_feasibility(0.25, 0.001, 65)
         assert rec.feasible
         assert rec.failure_mode == FAILURE_NONE
         assert rec.sup_f < 0.1
@@ -94,7 +95,7 @@ class TestGraphFeasibility:
     def test_record_flag_consistency_enforced(self):
         # the failure mode is derived from the record's solve, so a record
         # cannot claim a mode its solve contradicts
-        rec = graph_feasibility(0.25, 0.001)
+        rec = graph_feasibility(0.25, 0.001, 65)
         assert rec.failure_mode == FAILURE_NONE
         for edits, mode in (({"certified": False}, FAILURE_NONCONV),
                             ({"sup_f": 0.1}, FAILURE_SUP)):
@@ -122,10 +123,11 @@ class TestGraphFeasibility:
 
 class TestRadiusScan:
     def test_moderate_anchor(self):
-        est = radius_scan(0.01)
+        est = radius_scan(0.01, None, 65, threads=1)
         radii = default_radii()
         assert est.a_observed == pytest.approx(float(radii[2]))
         assert est.lower_bound() == pytest.approx(1.0 / float(radii[2]))
+        assert est.verdict()["gap_positive"] is True
         assert est.verdict()["lower_bound"] == est.lower_bound()
         assert est.scan_consistent()
         assert [rec.radius for rec in est.records] == sorted(
@@ -134,19 +136,20 @@ class TestRadiusScan:
         assert est.lower_bound() > 0.5
 
     def test_no_feasible_disc_encodes_as_null(self):
-        est = radius_scan(0.05, radii=[0.25, 0.5, 1.0])
+        est = radius_scan(0.05, [0.25, 0.5, 1.0], 65, threads=1)
         assert est.a_observed == 0.0
         assert est.lower_bound() == np.inf
         verdict = est.verdict()
         assert verdict["lower_bound"] is None
         assert verdict["no_feasible_disc"] is True
+        assert verdict["gap_positive"] is True  # inf > 1/2
         json_dumps(verdict)  # must not trip the NaN/inf guard
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            radius_scan(0.0)
+            radius_scan(0.0, None, 65, threads=1)
         with pytest.raises(ValueError):
-            radius_scan(0.01, radii=[])
+            radius_scan(0.01, [], 65, threads=1)
         with pytest.raises(ValueError, match="2 \\* radius\\*\\*2 finite"):
             check_scan([0.01], [0.5, 1e200], 65)  # refused before any radius is solved
         with pytest.raises(ValueError, match="at most 2"):
@@ -160,7 +163,7 @@ class TestScanConsistency:
     FakeRec = namedtuple("FakeRec", "radius feasible failure_mode")
 
     def test_real_scan_is_consistent(self):
-        est = radius_scan(0.001, radii=[0.25, 0.5])
+        est = radius_scan(0.001, [0.25, 0.5], 65, threads=1)
         assert est.records[0].feasible
         assert est.records[1].failure_mode == FAILURE_SUP
         assert est.scan_consistent()
@@ -185,6 +188,14 @@ class TestScanConsistency:
         assert KrEstimate(0.01, recs).a_observed == 0.5
         assert KrEstimate(0.01, recs[2:]).a_observed == 0.0
         assert KrEstimate(0.01, ()).no_feasible_disc
+
+    def test_gap_positive_compares_the_estimate_with_the_origin_bound(self):
+        # feasible at 0.5 (estimate 2), at 2 (estimate 1/2, no gap), and nowhere (inf)
+        for recs, gap in (([self.FakeRec(0.5, True, FAILURE_NONE)], True),
+                          ([self.FakeRec(2.0, True, FAILURE_NONE)], False),
+                          ([self.FakeRec(0.5, False, FAILURE_NONCONV)], True)):
+            est = KrEstimate(0.01, recs)
+            assert est.verdict()["gap_positive"] is (est.lower_bound() > ORIGIN_BOUND) is gap
 
 
 class TestUscReport:
@@ -277,4 +288,26 @@ class TestHeatmaps:
         assert cli.main(["solve-dbar", "--config", str(cfg), "--out", str(out)]) == 0
         f = load_solution(out / "solution.json").f
         assert (out / "abs_f.pgm").read_bytes() == _p5(np.abs(f.values))
-        assert (out / "residual.pgm").read_bytes() == _p5(residual_dbar(f)[0])
+        assert (out / "residual.pgm").read_bytes() == _p5(residual_dbar(f))
+
+    def test_solve_dbar_measures_its_residual_once(self, tmp_path, monkeypatch):
+        # every dbarlab binding of residual_dbar counts, as the benchmark tracer wraps them all
+        calls = []
+        original = dbar.residual_dbar
+
+        def counted(f):
+            calls.append(f.spec.resolution)
+            return original(f)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dbarlab":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 33, "b": [0.05, 0.0]}), encoding="ascii")
+        out = tmp_path / "solve"
+        assert cli.main(["solve-dbar", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == [33]
+        write_pgm(tmp_path / "direct.pgm", load_solution(out / "solution.json").residual)
+        assert (out / "residual.pgm").read_bytes() == (tmp_path / "direct.pgm").read_bytes()

@@ -96,16 +96,16 @@ class TestFamily:
 class TestLowerBound:
     def test_slack_formula(self):
         for g0 in (1e-8, 0.01, 0.25, 1.0):
-            res = lower_bound_check(g0)
-            assert res.holds
-            assert res.slack == pytest.approx(np.sqrt(g0) + g0, rel=1e-12)
+            slack = lower_bound_check(g0)
+            assert slack > 0
+            assert slack == pytest.approx(np.sqrt(g0) + g0, rel=1e-12)
 
     def test_known_slacks(self):
-        assert lower_bound_check(0.01).slack == pytest.approx(0.11, abs=1e-12)
-        assert lower_bound_check(1.0).slack == pytest.approx(2.0, abs=1e-12)
+        assert lower_bound_check(0.01) == pytest.approx(0.11, abs=1e-12)
+        assert lower_bound_check(1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_tiny_start_still_positive(self):
-        assert lower_bound_check(1e-14).slack > 0
+        assert lower_bound_check(1e-14) > 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
