@@ -7,16 +7,16 @@ vanishes, and dropping the cell is second-order consistent.
 
 Two independent evaluation paths are kept alive deliberately.  The direct
 path, cauchy_transform_direct, is the literal O(N^4) double sum.  The fast
-path, CauchyTransform and cauchy_transform, observes that the sum is a
-discrete convolution with the kernel sampled on signed node offsets and
-evaluates it by zero-padded FFT.  The output window is the whole N x N grid
-but the data sit on the mask, so the kernel needs only the offsets from a
-masked row or column to the far edge of the window; with R the largest such
-offset, a circular length m >= 2R+1 per axis keeps wrap-around out of the
-window.  R = N-1 when the mask touches the edge of the grid, and R = N-3 for
-the solver's discs with a two-cell margin.  The input is real in the solver,
-so the fast path runs real FFTs and transforms only the N rows and columns
-that carry data (a pruned FFT, see http://www.fftw.org/pruned.html).  The
+path, CauchyTransform, observes that the sum is a discrete convolution with
+the kernel sampled on signed node offsets and evaluates it by zero-padded
+FFT.  The output window is the whole N x N grid but the data sit on the
+mask, so the kernel needs only the offsets from a masked row or column to
+the far edge of the window; with R the largest such offset, a circular
+length m >= 2R+1 per axis keeps wrap-around out of the window.  R = N-1 when
+the mask touches the edge of the grid, and R = N-3 for the solver's discs
+with a two-cell margin.  The solver's right side is real, so the fast path
+runs real FFTs and transforms only the N rows and columns that carry data
+(a pruned FFT, see http://www.fftw.org/pruned.html).  The
 kernel enters as two spectra, K+ and K-, of Re k + i Im k and
 Re k - i Im k, with h^2/pi and the 1/m^2 of both inverse passes folded in.
 Only one half of one of them is cached, built from the real kernel arrays
@@ -134,11 +134,11 @@ class CauchyTransform:
     the apply copies its input onto the mask before its first FFT writes
     into the buffer.  Every apply overwrites scratch.
 
-    An apply to real values allocates the m x N packed column spectrum,
-    zeroes an m x N real view of its memory, copies the values onto the
-    mask in it, does one rfft down the N data columns into the first N
-    columns of the product buffer's top m/2+1 rows, zeroes the rest of
-    those rows and runs one fft along them in place, which gives the
+    An apply takes real values.  It allocates the m x N packed column
+    spectrum, zeroes an m x N real view of its memory, copies the values
+    onto the mask in it, does one rfft down the N data columns into the
+    first N columns of the product buffer's top m/2+1 rows, zeroes the rest
+    of those rows and runs one fft along them in place, which gives the
     spectrum U.  With A and B the y half spectra of conv(Re k) and
     conv(Im k), the inverse along x of U times K+ is A + iB on rows 0..m/2,
     and that of U times K- is A - iB on rows 1..m-m/2-1, whose conjugates,
@@ -151,8 +151,7 @@ class CauchyTransform:
     takes the top rows as one copy and the last block as one conjugate, and
     one complex ifft down the columns inverts it.  The result is its first
     N rows, returned without a copy: a view that keeps the m x N spectrum
-    alive while the caller holds it, and that no later apply touches.
-    Complex values go through the same path as T(Re u) + i T(Im u).  The
+    alive while the caller holds it, and that no later apply touches.  The
     buffers make an instance unsafe to share across threads.
     """
 
@@ -186,7 +185,8 @@ class CauchyTransform:
         # rows of m >= N complex values, room for N x N reals
         self.scratch = self._products.view(np.float64).reshape(-1)[: n * n].reshape(n, n)
 
-    def _convolve_real(self, values: np.ndarray) -> np.ndarray:
+    def apply_values(self, values: np.ndarray) -> np.ndarray:
+        """The transform of real values on the mask; complex ones raise numpy's TypeError."""
         n, m = self.spec.resolution, self._m
         top = m // 2 + 1
         prod, kernel = self._products, self._kernel
@@ -229,21 +229,6 @@ class CauchyTransform:
         np.conjugate(rows[::-1, :n], out=packed[top : top + len(rows)])
         np.fft.ifft(packed, axis=0, norm="forward", out=packed)
         return packed[:n]
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(values):
-            return self._convolve_real(values.real) + 1j * self._convolve_real(values.imag)
-        return self._convolve_real(values)
-
-
-def cauchy_transform(g: ComplexField) -> ComplexField:
-    """The transform of g by the FFT path, on g's grid, margin and mask.
-
-    Its values are defined at every node (the kernel sum is finite
-    everywhere), and their centered d/dzbar (grid._dzbar) is g to first
-    order on the mask interior.
-    """
-    return ComplexField(g.spec, CauchyTransform(g.spec, g.mask).apply_values(g.values), g.margin, g.mask)
 
 
 def cauchy_transform_direct(g) -> ComplexField:

@@ -46,7 +46,7 @@ form the branch was built from on a sub-window of its box.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class CertificateReport:
     witness: tuple | None
     checked_nodes: int
     tolerance_used: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -273,7 +273,8 @@ def usc_report(
     out_dir,
     radii=None,
     resolution: int = DEFAULT_RESOLUTION,
-    threads: int = 1,
+    *,
+    threads: int,
 ) -> dict:
     """Juxtapose the exact origin bound with scan estimates near the origin.
 

@@ -11,7 +11,6 @@ from dbarlab.cauchy import (
     AGREEMENT_RTOL,
     CauchyTransform,
     _next_fast_len,
-    cauchy_transform,
     cauchy_transform_direct,
 )
 from dbarlab.dbar import DbarProblem, picard_solve
@@ -21,12 +20,16 @@ from dbarlab.grid import ComplexField, RealField, _dzbar, _shrunk, make_grid, su
 def _random_field(spec, seed, mask=None):
     rng = np.random.default_rng(seed)
     n = spec.resolution
-    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return ComplexField(spec, vals, spec.default_margin(), mask)
+    return RealField(spec, rng.standard_normal((n, n)), spec.default_margin(), mask)
+
+
+def _fast(field):
+    # the FFT path on a fresh instance for the field's grid and mask
+    return CauchyTransform(field.spec, field.mask).apply_values(field.values)
 
 
 def _assert_paths_agree(field):
-    fast = cauchy_transform(field).values
+    fast = _fast(field)
     direct = cauchy_transform_direct(field).values
     scale = np.abs(direct).max()
     assert np.abs(fast - direct).max() <= AGREEMENT_RTOL * scale
@@ -34,30 +37,29 @@ def _assert_paths_agree(field):
 
 def test_zero_maps_to_zero():
     g = make_grid(1.0, 33)
-    z = ComplexField.constant(g, 0.0)
-    out = cauchy_transform(z)
-    assert np.abs(out.values).max() == 0.0
+    out = _fast(RealField.constant(g, 0.0))
+    assert np.abs(out).max() == 0.0
 
 
 def test_linearity():
     g = make_grid(1.0, 33)
     f1 = _random_field(g, 1)
     f2 = _random_field(g, 2)
-    a = 0.7 - 0.3j
-    lhs = cauchy_transform(ComplexField(g, a * f1.values + f2.values, f1.margin, f1.mask))
-    rhs = a * cauchy_transform(f1).values + cauchy_transform(f2).values
+    a = -0.7
+    lhs = _fast(RealField(g, a * f1.values + f2.values, f1.margin, f1.mask))
+    rhs = a * _fast(f1) + _fast(f2)
     scale = np.abs(rhs).max()
-    assert np.abs(lhs.values - rhs).max() <= 1e-13 * scale
+    assert np.abs(lhs - rhs).max() <= 1e-13 * scale
 
 
 def test_indicator_transforms_to_conjugate():
     # classical identity: the transform of the disc indicator is zbar inside the disc
     g = make_grid(1.0, 129)
-    chi = ComplexField.constant(g, 1.0)
-    f = cauchy_transform(chi)
+    chi = RealField.constant(g, 1.0)
+    f = _fast(chi)
     zz = g.nodes()
     interior = np.abs(zz) <= 0.8
-    err = np.abs(f.values - np.conj(zz))[chi.mask & interior].max()
+    err = np.abs(f - np.conj(zz))[chi.mask & interior].max()
     assert err <= 0.05
 
 
@@ -65,12 +67,11 @@ def test_right_inverse_first_order():
     errs = []
     for n in (65, 129):
         g = make_grid(1.0, n)
-        chi = ComplexField.constant(g, 1.0)
-        f = cauchy_transform(chi)
-        d = _dzbar(f.values, g.spacing)
+        chi = RealField.constant(g, 1.0)
+        d = _dzbar(_fast(chi), g.spacing)
         zz = g.nodes()
         inner = np.abs(zz) <= 0.7
-        errs.append(np.abs(d - 1.0)[_shrunk(f) & inner].max())
+        errs.append(np.abs(d - 1.0)[_shrunk(chi) & inner].max())
     assert errs[1] < errs[0]
     assert errs[0] < 0.2
 
@@ -83,18 +84,13 @@ def test_transform_reproduces_the_b_to_0_limit():
         g = make_grid(1.0, n)
         z = g.nodes()
         f0 = ComplexField(g, 4.0 / 9.0 * np.abs(z) * np.conj(z), g.default_margin())
-        t = cauchy_transform(ComplexField(g, np.sqrt(np.abs(f0.values)), f0.margin, f0.mask))
-        errs.append(np.abs(t.values - f0.values)[f0.mask].max())
+        t = _fast(RealField(g, np.sqrt(np.abs(f0.values)), f0.margin, f0.mask))
+        errs.append(np.abs(t - f0.values)[f0.mask].max())
         spacings.append(g.spacing)
     # 0.28h, 0.31h and 0.33h
     assert all(e <= 0.4 * h for e, h in zip(errs, spacings)), errs
     # observed order 0.91 from N = 65 to 129
     assert np.log2(errs[1] / errs[2]) >= 0.8, errs
-
-
-@pytest.mark.parametrize("n", [65, 129])
-def test_paths_agree(n):
-    _assert_paths_agree(_random_field(make_grid(1.0, n), 42))
 
 
 def _real_field(spec, seed, margin=None):
@@ -119,33 +115,36 @@ def test_paths_agree_real_input(n, m):
     _assert_real_paths_agree(n, m, 0.0)
 
 
-# complex input on the same discs: test_paths_agree at N = 65 and 129
+# the solver's own discs; N = 129 is the FFT-against-direct check at that size
 @pytest.mark.parametrize("n, m", [(17, 30), (37, 70), (33, 63), (65, 125), (129, 256)])
 def test_paths_agree_real_input_solver_margin(n, m):
     _assert_real_paths_agree(n, m, 2.0)
 
 
-def test_real_and_complex_input_identical():
-    g = make_grid(1.0, 65)
+def test_complex_input_raises_type_error():
+    # the transform takes the solver's real right side; the masked copy
+    # refuses complex values
+    g = make_grid(1.0, 33)
     u = _real_field(g, 11)
     t = CauchyTransform(g, u.mask)
-    assert np.array_equal(t.apply_values(u.values), t.apply_values(u.values + 0j))
+    with pytest.raises(TypeError):
+        t.apply_values(u.values + 0j)
 
 
 def test_applies_return_independent_arrays():
-    # the transform reuses its buffers across applies, and a complex input
-    # runs through them twice; the results must not share them
+    # the transform reuses its buffers across applies; the results must not
+    # share them
     g = make_grid(1.0, 33)
     field = _real_field(g, 13)
     t = CauchyTransform(g, field.mask)
-    for u in (field.values, field.values * (1.0 + 0.5j)):
-        first = t.apply_values(u)
-        kept = first.copy()
-        second = t.apply_values(2.0 * u)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, kept)
-        assert np.array_equal(second, 2.0 * kept)
-        assert np.array_equal(t.apply_values(u), kept)
+    u = field.values
+    first = t.apply_values(u)
+    kept = first.copy()
+    second = t.apply_values(2.0 * u)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, 2.0 * kept)
+    assert np.array_equal(t.apply_values(u), kept)
 
 
 def test_solver_applies_the_public_transform_once_per_iteration(monkeypatch):
@@ -335,20 +334,17 @@ def test_cached_transform_matches_function():
     g = make_grid(1.0, 65)
     f = _random_field(g, 7)
     t = CauchyTransform(g, f.mask)
-    # an instance that has applied once gives the fresh instance's bits
-    t.apply_values(f.values)
-    b = cauchy_transform(f)
-    assert np.array_equal(t.apply_values(f.values), b.values)
-    assert (b.spec, b.margin) == (f.spec, f.margin)
-    assert np.array_equal(b.mask, f.mask)
+    # an instance that has applied other values gives the fresh instance's bits
+    t.apply_values(_random_field(g, 8).values)
+    assert np.array_equal(t.apply_values(f.values), _fast(f))
 
 
 def test_transform_of_smooth_bump_is_smooth_scale():
     # sanity on magnitudes: |T g| <= 2 r sup|g| on the disc
     g = make_grid(1.0, 65)
-    f = ComplexField.from_function(g, lambda z: np.exp(-4 * np.abs(z) ** 2))
-    out = cauchy_transform(f)
-    assert sup_norm(out) <= 2.0 * sup_norm(f) + 1e-12
+    f = RealField.from_function(g, lambda x, y: np.exp(-4 * (x * x + y * y)), g.default_margin())
+    out = _fast(f)
+    assert np.abs(out[f.mask]).max() <= 2.0 * sup_norm(f) + 1e-12
 
 
 # The padding follows the mask's reach, so a padded length one short of it

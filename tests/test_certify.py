@@ -168,6 +168,34 @@ class TestEqChain:
             sqrt_branch(h)
 
 
+class TestSmallAnchorChain:
+    # the chain's branch lives on the origin's component of {|f| > delta0}.
+    # A small anchor's solve has a zero near z = -1.5 sqrt(b), where b + F0
+    # vanishes with F0 = (4/9)|z| zbar, and that component encloses it
+    def test_anchor_at_delta0_has_no_branch(self):
+        # |f(0)| = |b| is not above delta0 = 1e-3
+        with pytest.raises(MaskError):
+            eq_chain_check(sqrt_branch(solved_65(0.001).f))
+
+    @pytest.mark.parametrize("b", [0.01, 0.05])
+    def test_small_anchor_encloses_the_zero_of_b_plus_f0(self, b):
+        f = solved_65(b).f
+        absf = np.where(f.mask, np.abs(f.values), np.inf)
+        node = f.spec.nodes()[np.unravel_index(np.argmin(absf), absf.shape)]
+        # the min-|f| node sits on the negative real axis, below delta0 and
+        # within 2h of -1.5 sqrt(b) (0.20h and 0.27h at N=65)
+        assert node.imag == 0.0 and node.real < 0.0
+        assert absf.min() <= certify.DELTA0_DEFAULT
+        assert abs(node + 1.5 * np.sqrt(b)) <= 2.0 * f.spec.spacing
+        with pytest.raises(PhaseUnwrapError):
+            eq_chain_check(sqrt_branch(f))
+
+    def test_chain_available_at_quarter(self):
+        # at b = 1/4 the zero of b + F0, at -3/4, is not enclosed
+        rep = eq_chain_check(sqrt_branch(solved_65(0.25).f))
+        assert rep.checked_nodes > 0
+
+
 class TestSqrtBranch:
     def test_branch_squares_back(self):
         sol = solved_65()

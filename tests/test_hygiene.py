@@ -31,11 +31,11 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # COMMAND_DEFAULTS keys + defaulted parameters + the fields of the input
 # types + the defaulted fields of every other dataclass; the required fields
 # of a result type are filled by the package, not set.  A change that adds a
-# knob raises this in its own diff and says why.  33 = 10 config keys + 7
+# knob raises this in its own diff and says why.  31 = 10 config keys + 6
 # defaulted parameters + 14 input fields (GridSpec 2, DbarProblem 2,
-# ComplexField 4, RealField 4, DiscMap 2) + 2 defaulted fields
-# (CertificateReport.details and DbarSolution.final_update)
-SETTABLE_VALUES = 33
+# ComplexField 4, RealField 4, DiscMap 2) + 1 defaulted field
+# (DbarSolution.final_update)
+SETTABLE_VALUES = 31
 INPUT_TYPES = {"GridSpec", "DbarProblem", "ComplexField", "RealField", "DiscMap"}
 
 

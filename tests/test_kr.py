@@ -200,7 +200,7 @@ class TestScanConsistency:
 
 class TestUscReport:
     def test_single_anchor(self, tmp_path):
-        out = usc_report([0.01], tmp_path, radii=[0.25, 0.33, 0.5])
+        out = usc_report([0.01], tmp_path, radii=[0.25, 0.33, 0.5], threads=1)
         summary = out["summary"]
         assert summary["origin_upper_bound"] == 0.5
         assert summary["origin_witness_residual"] == 0.0
@@ -236,12 +236,12 @@ class TestUscReport:
             ([0.01, 0.01 + 0j], {"radii": [0.5]}, "repeats an anchor"),
         ]:
             with pytest.raises(ValueError, match=match):
-                usc_report(b_list, out, **kwargs)
+                usc_report(b_list, out, **kwargs, threads=1)
             assert not out.exists(), (b_list, kwargs)
 
     def test_zero_anchor_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            usc_report([0.01, 0.0], tmp_path)
+            usc_report([0.01, 0.0], tmp_path, threads=1)
 
 
 class TestScanMemory:
@@ -275,7 +275,7 @@ class TestScanMemory:
 class TestHeatmaps:
     def test_scan_heatmap_is_the_solves_pgm(self, tmp_path):
         r, b, n = 0.5, 0.01, 33
-        out = usc_report([b], tmp_path / "scan", radii=[r], resolution=n)
+        out = usc_report([b], tmp_path / "scan", radii=[r], resolution=n, threads=1)
         got = (tmp_path / "scan" / out["files"][2]).read_bytes()
         abs_f = np.abs(picard_solve(DbarProblem(make_grid(r, n), b)).f.values)
         write_pgm(tmp_path / "direct.pgm", abs_f)
