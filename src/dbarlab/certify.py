@@ -12,9 +12,11 @@ Three layers, composed bottom-up:
   theorem2_chain  the composition, confronted with the measured sup|f|.
 
 delta0 is DELTA0_DEFAULT, the standoff STANDOFF_CELLS and the tolerance
-scale KAPPA_DEFAULT: module constants that every check reads when it runs.
-Only lemma2_check takes delta0 and a standoff, because its callers pass two
-values of each.
+scale KAPPA_DEFAULT: module constants that every check reads when it runs,
+so no check takes a threshold.  attempt is the one rule for running a
+certificate where a failure is data: certify writes every entry of
+certificates.json through it, and a scan keeps its sup-bound chain the same
+way.
 
 Every check reports the minimum slack and its witness node rather than a bare
 boolean.  Inequalities are judged against tolerances proportional to h^2
@@ -277,7 +279,7 @@ def eq_chain_check(branch: _Branch) -> CertificateReport:
     )
 
 
-def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> _Branch:
+def sqrt_branch(h: ComplexField, basepoint: complex) -> _Branch:
     """A continuous square root of h on the component of {|h| > delta0} at basepoint.
 
     delta0 is DELTA0_DEFAULT.  polar_decompose of h restricted to
@@ -302,22 +304,18 @@ def sqrt_branch(h: ComplexField, basepoint: complex = 0j) -> _Branch:
                    complex(basepoint))
 
 
-def lemma2_check(
-    u: RealField,
-    delta0: float = DELTA0_DEFAULT,
-    standoff_cells: int = 0,
-) -> CertificateReport:
+def lemma2_check(u: RealField) -> CertificateReport:
     """Maximum-principle certificate: nonnegative subharmonic u with
-    Delta u >= 1 on {u > delta0} and u(0) > 0 must reach sup u > 1/4.
+    Delta u >= 1 on {u > delta0^(3/4)} and u(0) > 0 must reach sup u > 1/4.
 
-    Hypotheses are checked with tolerance KAPPA_DEFAULT * h^2; the conclusion sup is
-    taken over the full mask (the statement is about the supremum on the
-    disc, so boundary nodes count when the margin admits them).  When
+    u is read as |f|^(3/4), so the growth set {u > delta0^(3/4)} is the
+    image of the set {|f| > delta0} that lemma1_check checks; delta0 is
+    DELTA0_DEFAULT.  The hypotheses are checked with tolerance
+    KAPPA_DEFAULT * h^2, STANDOFF_CELLS off the mask edge; the conclusion
+    sup is taken over the full mask (the statement is about the supremum on
+    the disc, so boundary nodes count when the margin admits them).  When
     u(0) = 0 the conclusion is not triggered and min_slack reports the worst
-    hypothesis slack instead.  standoff_cells defaults to 0: this is a pure
-    maximum-principle tool and most inputs are closed forms; callers feeding
-    transform-produced data pass their own standoff.  The details carry the
-    pieces of the proof's
+    hypothesis slack instead.  The details carry the pieces of the proof's
     comparison v = u - (1/4)|z|^2: its value at 0, its maximum over the
     outermost masked ring, and the minimum of its laplacian on the growth
     set; the five-point laplacian is exact on the quadratic, so lap(v) is
@@ -331,10 +329,9 @@ def lemma2_check(
     if neg < -tol:
         raise ValueError(f"u is negative beyond tolerance: min u = {neg:.3e}")
 
+    delta0 = DELTA0_DEFAULT ** 0.75
     shrunk = _shrunk(u)
-    interior = shrunk & u.mask
-    if standoff_cells:
-        interior &= inset_mask(u, standoff_cells)
+    interior = shrunk & u.mask & inset_mask(u, STANDOFF_CELLS)
     if not interior.any():
         raise MaskError("mask too thin for the laplacian")
     win = mask_window(interior, 1)
@@ -390,9 +387,8 @@ def lemma2_check(
 
 
 def max_principle_check(f: ComplexField) -> CertificateReport:
-    """lemma2_check on u = |f|^(3/4), at delta0^(3/4) and STANDOFF_CELLS off the edge."""
-    return lemma2_check(abs_power_34(f), delta0=DELTA0_DEFAULT ** 0.75,
-                        standoff_cells=STANDOFF_CELLS)
+    """lemma2_check on u = |f|^(3/4)."""
+    return lemma2_check(abs_power_34(f))
 
 
 def theorem2_chain(sol: DbarSolution) -> CertificateReport:
@@ -457,3 +453,15 @@ def theorem2_chain(sol: DbarSolution) -> CertificateReport:
             "lemma2_on_u": lemma2.to_json_dict(),
         },
     )
+
+
+def attempt(fn, *args) -> dict:
+    """Run one certificate: its report, or the reason it is unavailable.
+
+    MaskError, PhaseUnwrapError and every other ValueError or ArithmeticError
+    become {"available": false, "reason": ...} instead of aborting the run.
+    """
+    try:
+        return {"available": True, "report": fn(*args).to_json_dict()}
+    except (ValueError, ArithmeticError) as exc:
+        return {"available": False, "reason": f"{type(exc).__name__}: {exc}"}

@@ -184,19 +184,12 @@ def cmd_solve_dbar(cfg: dict, out_dir, threads: int) -> tuple:
     return outputs, summary, None
 
 
-def _guarded(fn, *args, **kwargs) -> dict:
-    """Run one certificate; failures become data instead of aborting the run."""
-    try:
-        return {"available": True, "report": fn(*args, **kwargs).to_json_dict()}
-    except (ValueError, ArithmeticError) as exc:  # MaskError, PhaseUnwrapError included
-        return {"available": False, "reason": f"{type(exc).__name__}: {exc}"}
-
-
 def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
     """Certify a solution.json or a .f64 field on its pull-back to the unit disc.
 
     The lemmas and Theorem 2 speak of the unit disc, so the basepoint is read
-    there (w = z/r).  A solution.json also gets the sup_bound chain.
+    there (w = z/r).  A solution.json also gets the sup_bound chain.  Each
+    entry of certificates.json is certify.attempt's report or reason.
     """
     path = cfg["input"]
     if not path or not isinstance(path, str):
@@ -239,12 +232,12 @@ def cmd_certify(cfg: dict, out_dir, threads: int) -> tuple:
         return cert.eq_chain_check(cert.sqrt_branch(f, basepoint))
 
     certs = {
-        "smoothness": _guarded(cert.lemma1_check, f),
-        "identity_chain": _guarded(branch_chain),
-        "max_principle": _guarded(cert.max_principle_check, f),
+        "smoothness": cert.attempt(cert.lemma1_check, f),
+        "identity_chain": cert.attempt(branch_chain),
+        "max_principle": cert.attempt(cert.max_principle_check, f),
     }
     if sol is not None:
-        certs["sup_bound"] = _guarded(cert.theorem2_chain, sol)
+        certs["sup_bound"] = cert.attempt(cert.theorem2_chain, sol)
 
     util.write_json(os.path.join(out_dir, "certificates.json"),
                     {"schema_version": util.SCHEMA_VERSION, "certificates": certs})

@@ -106,7 +106,8 @@ class DbarProblem:
 class DbarSolution:
     """Solver output; converged=False is a valid, reportable outcome.
 
-    final_update is the sup-norm change of the last Picard step, if any.
+    final_update is the sup-norm change of the last Picard step, None when
+    there is none in f's units (a relabel's).
     The rest derives from f: the problem is f's grid and f(0), which every
     iterate keeps equal to the anchor; residual (residual_dbar's array,
     ResidualError if it is not finite) and sup_f are measured on f when
@@ -116,7 +117,7 @@ class DbarSolution:
     f: ComplexField
     converged: bool
     iterations: int
-    final_update: float | None = None
+    final_update: float | None
 
     @property
     def problem(self) -> DbarProblem:
@@ -331,5 +332,9 @@ def rescale_solution(f: ComplexField) -> ComplexField:
 
 
 def rescaled_solution_record(sol: DbarSolution) -> DbarSolution:
-    """Relabel a solve onto the unit disc; its residual and its gate both scale by 1/r."""
-    return DbarSolution(rescale_solution(sol.f), sol.converged, sol.iterations)
+    """Relabel a solve onto the unit disc; its residual and its gate both scale by 1/r.
+
+    The relabel has no final_update: the solve's last step is not one in
+    unit-disc units.
+    """
+    return DbarSolution(rescale_solution(sol.f), sol.converged, sol.iterations, None)

@@ -22,14 +22,14 @@ from above once the scan pins the disc's tangent to (1, 0); the rigorous
 lower side is the source paper's Theorem 2.  A scan is grid-level evidence,
 not proof, so every report carries an empirical=true flag.  Each certified
 solve also runs the Theorem 2 chain on its exact relabel to the unit disc,
-which keeps its gate verdict; the chain stays on the record, but no report
-writes it, so the rigorous content reaches no output yet.  The punchline
+which keeps its gate verdict; the chain stays on the record as certify's
+sup_bound entry (certify.attempt's report or reason), but no report writes
+it, so the rigorous content reaches no output yet.  The punchline
 the reports juxtapose: 1/2 at the origin against estimates above 1/2
 arbitrarily close to it.
 
-Every solve runs on a grid of the resolution the caller passes
-(usc_report's default is DEFAULT_RESOLUTION) with the solver's default
-parameters.
+Every solve runs on a grid of the resolution the caller passes with the
+solver's default parameters.
 Scan points are independent jobs; records are assembled in radius order
 so reports are byte-identical for every thread count.  A record keeps what
 the reports read of its solve, the scalars and the |f| heatmap as 8-bit
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acs import MEMBERSHIP_SLACK, Z1_RADIUS, Z2_RADIUS, DiscMap, jholo_residual
-from .certify import CertificateReport, theorem2_chain
+from .certify import attempt, theorem2_chain
 from .dbar import DbarProblem, picard_solve, rescaled_solution_record
 from .grid import ComplexField, check_radius, make_grid
 from .util import (
@@ -123,7 +123,8 @@ class FeasibilityRecord:
     certified (a diverging iteration, or a converged fixed point whose
     residual misses the gate), the sup mode when a certified solution's sup
     leaves the radius-1/10 factor, which is what the sup lower bound demands,
-    and none, feasible, otherwise.
+    and none, feasible, otherwise.  chain is the sup_bound entry certify
+    writes for the solve: the Theorem 2 report, or the reason there is none.
     """
 
     radius: float
@@ -131,8 +132,7 @@ class FeasibilityRecord:
     residual_sup: float
     certified: bool
     heatmap: np.ndarray
-    chain: CertificateReport | None
-    chain_note: str | None
+    chain: dict
 
     @property
     def failure_mode(self) -> str:
@@ -224,20 +224,17 @@ def graph_feasibility(r: float, b: complex, resolution: int) -> FeasibilityRecor
 
     The solve runs on a resolution x resolution grid of the disc; the
     record's failure mode follows from it.  Infeasible records are data,
-    not errors.  For a certified solve, the theorem chain runs on the
-    unit-disc rescale of the solution and rides along.  The record keeps
-    the solve's scalars and |f| pixels; the field is dropped.
+    not errors.  For a certified solve, the theorem chain runs through
+    certify.attempt on the unit-disc rescale of the solution, as certify
+    runs it on a saved one, and rides along.  The record keeps the solve's
+    scalars and |f| pixels; the field is dropped.
     """
     (b,), (radius,) = check_scan([b], [r], resolution)
     sol = picard_solve(DbarProblem(make_grid(radius, resolution), b=b))
-    chain = chain_note = None
     if sol.certified:
-        try:
-            chain = theorem2_chain(rescaled_solution_record(sol))
-        except ValueError as exc:
-            chain_note = f"chain unavailable after rescale: {exc}"
+        chain = attempt(theorem2_chain, rescaled_solution_record(sol))
     else:
-        chain_note = "no certificate: solve missed the residual gate"
+        chain = {"available": False, "reason": "no certificate: solve missed the residual gate"}
     return FeasibilityRecord(
         radius,
         sol.sup_f,
@@ -245,7 +242,6 @@ def graph_feasibility(r: float, b: complex, resolution: int) -> FeasibilityRecor
         sol.certified,
         heatmap_pixels(np.abs(sol.f.values)),
         chain,
-        chain_note,
     )
 
 
@@ -268,14 +264,7 @@ def _csv_complex(b: complex) -> str:
     return s[1:-1] if s.startswith("(") else s
 
 
-def usc_report(
-    b_list,
-    out_dir,
-    radii=None,
-    resolution: int = DEFAULT_RESOLUTION,
-    *,
-    threads: int,
-) -> dict:
+def usc_report(b_list, out_dir, radii, resolution: int, *, threads: int) -> dict:
     """Juxtapose the exact origin bound with scan estimates near the origin.
 
     Writes usc_report.json (summary), usc_table.csv (one row per scanned
@@ -285,7 +274,8 @@ def usc_report(
     exact 1/2.  Values that would be infinite are encoded as null plus the
     no_feasible_disc flag.  Returns the summary and the names of the files
     written, relative to out_dir: the json, the csv, the heatmaps.
-    A scan check_scan refuses raises ValueError before out_dir is made.
+    radii None means default_radii().  A scan check_scan refuses raises
+    ValueError before out_dir is made.
     """
     b_list, radii = check_scan(b_list, radii, resolution)
     os.makedirs(out_dir, exist_ok=True)

@@ -158,7 +158,7 @@ def criterion_03(threads: int) -> tuple:
 def criterion_04(threads: int) -> tuple:
     """Identity chain on the explicit branch of the profile."""
     spec = make_grid(1.0, CHAIN_RESOLUTION)
-    branch = sqrt_branch(profile_exact(-1.0, spec))
+    branch = sqrt_branch(profile_exact(-1.0, spec), 0j)
     rep = eq_chain_check(branch)
     tol = 10.0 * spec.spacing
     worst = max(rep.details["violations"].values())
@@ -308,7 +308,7 @@ def criterion_10(threads: int, out_dir) -> tuple:
     Returns (passed, details, written): written names the report files the
     scan wrote into out_dir, relative to it.
     """
-    report = usc_report([SCAN_ANCHOR], out_dir, threads=threads)
+    report = usc_report([SCAN_ANCHOR], out_dir, None, DEFAULT_RESOLUTION, threads=threads)
     summary = report["summary"]
     row = summary["rows"][0]
     gap_ok = row["a_observed"] < 2.0 and row["gap_positive"]
@@ -342,7 +342,8 @@ def criterion_11(threads: int) -> tuple:
 
     def outputs(t: int) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
-            files = usc_report([SCAN_ANCHOR], tmp, radii=[0.25, 0.5, 1.0], threads=t)["files"]
+            files = usc_report([SCAN_ANCHOR], tmp, [0.25, 0.5, 1.0], DEFAULT_RESOLUTION,
+                               threads=t)["files"]
             got = {}
             for name in files:
                 with open(os.path.join(tmp, name), "rb") as fh:

@@ -6,6 +6,7 @@ import pytest
 
 from dbarlab import certify
 from dbarlab.certify import (
+    abs_power_34,
     eq_chain_check,
     lemma1_check,
     lemma2_check,
@@ -98,7 +99,7 @@ class TestEqChain:
         # holds to rounding on the dyadic lattice
         spec = make_grid(1.0, 257)
         X, _ = spec.mesh()
-        branch = sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5))
+        branch = sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5), 0j)
         assert np.array_equal(branch.values[branch.mask], (X + 1.0)[branch.win][branch.mask])
         rep = eq_chain_check(branch)
         assert rep.hypothesis_ok
@@ -110,14 +111,14 @@ class TestEqChain:
         spec = make_grid(1.0, 257)
         h = spec.spacing
         X, _ = spec.mesh()
-        rep = eq_chain_check(sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5)))
+        rep = eq_chain_check(sqrt_branch(profile_exact(-1.0, spec).restrict(X > -0.5), 0j))
         assert all(v <= 10 * h for v in rep.details["violations"].values())
         assert rep.min_slack >= -10 * h
 
     def test_constant_phase_violates_sqrt_equation_by_half(self):
         # the branch of the constant e^(1.4i) is the constant e^(0.7i)
         spec = make_grid(1.0, 65)
-        branch = sqrt_branch(ComplexField.constant(spec, np.exp(1.4j)))
+        branch = sqrt_branch(ComplexField.constant(spec, np.exp(1.4j)), 0j)
         assert np.abs(branch.values - np.exp(0.7j))[branch.mask].max() <= 1e-15
         rep = eq_chain_check(branch)
         assert rep.details["violations"]["sqrt_equation"] == pytest.approx(0.5, abs=1e-14)
@@ -127,7 +128,7 @@ class TestEqChain:
         monkeypatch.setattr(certify, "DELTA0_DEFAULT", 0.05)
         sol = solved_65()
         h = sol.f.spec.spacing
-        rep = eq_chain_check(sqrt_branch(sol.f))
+        rep = eq_chain_check(sqrt_branch(sol.f, 0j))
         assert rep.hypothesis_ok
         assert all(v <= 10 * h for v in rep.details["violations"].values())
         assert rep.min_slack >= -10 * h
@@ -141,7 +142,7 @@ class TestEqChain:
         for n, cells in ((65, 3), (129, 6)):
             sol = picard_solve(DbarProblem(make_grid(1.0, n), b=0.25))
             monkeypatch.setattr(certify, "STANDOFF_CELLS", cells)
-            rep = eq_chain_check(sqrt_branch(sol.f))
+            rep = eq_chain_check(sqrt_branch(sol.f, 0j))
             worst.append(max(rep.details["violations"].values()))
         assert worst[1] < 0.25 * worst[0]
 
@@ -149,7 +150,7 @@ class TestEqChain:
         # holding every identity's array until the end peaks at about 16 real
         # N x N arrays here; reducing each to its maximum at once, about 9
         spec = make_grid(1.0, 129)
-        branch = sqrt_branch(profile_exact(-1.0, spec))
+        branch = sqrt_branch(profile_exact(-1.0, spec), 0j)
         tracemalloc.start()
         try:
             rep = eq_chain_check(branch)
@@ -165,7 +166,7 @@ class TestEqChain:
         spec = make_grid(1.0, 65)
         h = ComplexField.from_function(spec, lambda z: (z - (0.3 + 0.2j)) ** 2)
         with pytest.raises(PhaseUnwrapError):
-            sqrt_branch(h)
+            sqrt_branch(h, 0j)
 
 
 class TestSmallAnchorChain:
@@ -175,7 +176,7 @@ class TestSmallAnchorChain:
     def test_anchor_at_delta0_has_no_branch(self):
         # |f(0)| = |b| is not above delta0 = 1e-3
         with pytest.raises(MaskError):
-            eq_chain_check(sqrt_branch(solved_65(0.001).f))
+            eq_chain_check(sqrt_branch(solved_65(0.001).f, 0j))
 
     @pytest.mark.parametrize("b", [0.01, 0.05])
     def test_small_anchor_encloses_the_zero_of_b_plus_f0(self, b):
@@ -188,24 +189,24 @@ class TestSmallAnchorChain:
         assert absf.min() <= certify.DELTA0_DEFAULT
         assert abs(node + 1.5 * np.sqrt(b)) <= 2.0 * f.spec.spacing
         with pytest.raises(PhaseUnwrapError):
-            eq_chain_check(sqrt_branch(f))
+            eq_chain_check(sqrt_branch(f, 0j))
 
     def test_chain_available_at_quarter(self):
         # at b = 1/4 the zero of b + F0, at -3/4, is not enclosed
-        rep = eq_chain_check(sqrt_branch(solved_65(0.25).f))
+        rep = eq_chain_check(sqrt_branch(solved_65(0.25).f, 0j))
         assert rep.checked_nodes > 0
 
 
 class TestSqrtBranch:
     def test_branch_squares_back(self):
         sol = solved_65()
-        br = sqrt_branch(sol.f)
+        br = sqrt_branch(sol.f, 0j)
         d = np.max(np.abs((br.values ** 2 - sol.f.values[br.win])[br.mask]))
         assert d <= 1e-13
 
     def test_branch_of_real_profile(self):
         spec = make_grid(1.0, 129)
-        br = sqrt_branch(profile_exact(-1.0, spec))
+        br = sqrt_branch(profile_exact(-1.0, spec), 0j)
         X, _ = spec.mesh()
         d = np.max(np.abs((br.values - (X + 1.0)[br.win])[br.mask]))
         assert d <= 1e-13
@@ -213,13 +214,13 @@ class TestSqrtBranch:
     def test_mask_stays_above_delta0(self, monkeypatch):
         monkeypatch.setattr(certify, "DELTA0_DEFAULT", 0.05)
         sol = solved_65()
-        br = sqrt_branch(sol.f)
+        br = sqrt_branch(sol.f, 0j)
         assert np.all(np.abs(sol.f.values[br.win][br.mask]) > 0.05)
 
     def test_basepoint_must_be_in_region(self):
         spec = make_grid(1.0, 65)
         with pytest.raises(MaskError):
-            sqrt_branch(profile_exact(0.5, spec))  # f(0) = 0 there
+            sqrt_branch(profile_exact(0.5, spec), 0j)  # f(0) = 0 there
 
 
 class TestLemma2:
@@ -278,6 +279,24 @@ class TestLemma2:
         rep = lemma2_check(u)
         assert not rep.hypothesis_ok
         assert rep.details["subharmonic_slack"] == pytest.approx(-2.0, abs=1e-10)
+
+    def test_reads_the_constants_as_lemma1_does(self, monkeypatch):
+        # both checks read delta0 and the standoff when they run: on
+        # u = |h|^(3/4) the growth set {u > delta0^(3/4)} is lemma1's
+        # eligible set {|h| > delta0}, and both move with the constants
+        h = profile_exact(-0.5, make_grid(1.0, 65))
+        counts = []
+        for cells, delta0 in [(3, 1e-3), (0, 1e-3), (6, 1e-3), (3, 0.04)]:
+            monkeypatch.setattr(certify, "STANDOFF_CELLS", cells)
+            monkeypatch.setattr(certify, "DELTA0_DEFAULT", delta0)
+            lem1 = lemma1_check(h)
+            lem2 = lemma2_check(abs_power_34(h))
+            assert lem2.details["delta0"] == delta0 ** 0.75
+            assert lem2.details["support_nodes"] == lem1.checked_nodes
+            counts.append((lem1.checked_nodes, lem2.checked_nodes))
+        # the standoff moves both node counts, delta0 only the eligible set
+        assert len({c[1] for c in counts[:3]}) == 3
+        assert len({c[0] for c in counts}) == 4
 
 
 class TestChain:

@@ -118,6 +118,10 @@ class TestCertifyCommand:
         assert summary["sup_f"] > 0.1
         certs = json.loads((out / "certificates.json").read_text())["certificates"]
         assert set(certs) == {"smoothness", "identity_chain", "max_principle", "sup_bound"}
+        # the chain composes the very reports certify writes for the lemmas
+        chain = certs["sup_bound"]["report"]["details"]
+        assert chain["lemma1"] == certs["smoothness"]["report"]
+        assert chain["lemma2_on_u"] == certs["max_principle"]["report"]
 
     def test_profile_field_reports_sharp_slack(self, tmp_path):
         save_field(profile_exact(-1.0, make_grid(1.0, 129)), tmp_path / "prof.f64")
@@ -308,7 +312,7 @@ def _tampered_record(directory, **problem):
     spec = make_grid(1.0, 17)
     directory.mkdir()
     # the recorded anchor is the field's f(0), so only the overwritten keys are at fault
-    sol = DbarSolution(ComplexField.constant(spec, 0.01), False, 1)
+    sol = DbarSolution(ComplexField.constant(spec, 0.01), False, 1, None)
     path = sol.save(directory)["json"]
     with open(path) as fh:
         record = json.load(fh)
@@ -556,9 +560,8 @@ class TestSelftestCommand:
         from dbarlab import kr, selftest
 
         scan = kr.usc_report
-        monkeypatch.setattr(selftest, "usc_report", lambda b_list, out_dir, threads=1:
-                            scan(b_list, out_dir, radii=[0.25, 0.5], resolution=17,
-                                 threads=threads))
+        monkeypatch.setattr(selftest, "usc_report", lambda b_list, out_dir, radii, resolution,
+                            threads: scan(b_list, out_dir, [0.25, 0.5], 17, threads=threads))
         out = tmp_path / "st"
         out.mkdir()
         (out / "scan_old.pgm").write_text("stale", encoding="ascii")

@@ -253,7 +253,8 @@ class TestCertifiedGate:
         # interior, and sqrt(x * x) == x in floating point
         for n in (17, 33, 65):
             gate = 5.0 * unit(n).spacing
-            case = DbarSolution(ComplexField.constant(unit(n), residual(gate) ** 2), converged, 1)
+            case = DbarSolution(ComplexField.constant(unit(n), residual(gate) ** 2), converged, 1,
+                                None)
             assert case.residual_sup == residual(gate), n
             assert case.residual_gate == gate, n
             assert case.certified is certified, n
@@ -436,7 +437,7 @@ _DELETE = object()
 def saved_record(tmp_path_factory):
     d = tmp_path_factory.mktemp("record")
     f = profile_exact(-0.5, unit(17))
-    sol = DbarSolution(f, True, 3)
+    sol = DbarSolution(f, True, 3, None)
     paths = sol.save(d)
     with open(paths["json"]) as fh:
         return d, json.load(fh)

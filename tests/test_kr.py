@@ -18,6 +18,7 @@ from dbarlab.kr import (
     FAILURE_NONCONV,
     FAILURE_NONE,
     FAILURE_SUP,
+    DEFAULT_RESOLUTION,
     ORIGIN_BOUND,
     KrEstimate,
     check_scan,
@@ -68,15 +69,29 @@ class TestGraphFeasibility:
         assert not rec.feasible
         assert rec.failure_mode == FAILURE_SUP
         assert rec.sup_f > 0.1
-        assert rec.chain is not None
-        assert rec.chain.details["verdict"] == "consistent"
+        assert rec.chain["available"] is True
+        assert rec.chain["report"]["details"]["verdict"] == "consistent"
 
     def test_gate_failure_is_non_convergence(self):
         rec = graph_feasibility(0.25, 0.05, 65)
         assert rec.failure_mode == FAILURE_NONCONV
         assert not rec.certified
-        assert rec.chain is None
-        assert "gate" in rec.chain_note
+        assert rec.chain == {"available": False,
+                             "reason": "no certificate: solve missed the residual gate"}
+
+    @pytest.mark.parametrize("r, b", [(1.0, 0.05), (0.5, 0.0125)])
+    def test_chain_is_certifys_sup_bound_entry(self, tmp_path, r, b):
+        # the same problem through solve-dbar and certify of its solution.json
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"radius": r, "resolution": 65, "b": [b, 0.0]}))
+        assert cli.main(["solve-dbar", "--config", str(cfg), "--out", str(tmp_path / "sol")]) == 0
+        cfg = tmp_path / "cert.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "sol" / "solution.json")}))
+        assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "cert")]) == 0
+        certs = json.loads((tmp_path / "cert" / "certificates.json").read_text())["certificates"]
+        chain = graph_feasibility(r, b, 65).chain
+        assert chain["available"] is True
+        assert json.loads(json_dumps(chain)) == certs["sup_bound"]
 
     def test_small_radius_small_anchor_feasible(self):
         rec = graph_feasibility(0.25, 0.001, 65)
@@ -85,7 +100,7 @@ class TestGraphFeasibility:
         assert rec.sup_f < 0.1
         assert rec.certified
         assert rec.residual_sup <= 5 * make_grid(0.25, 65).spacing
-        assert rec.chain is not None
+        assert rec.chain["available"] is True
 
     def test_resolution_controls_grid(self):
         rec = graph_feasibility(0.25, 0.001, resolution=33)
@@ -200,7 +215,7 @@ class TestScanConsistency:
 
 class TestUscReport:
     def test_single_anchor(self, tmp_path):
-        out = usc_report([0.01], tmp_path, radii=[0.25, 0.33, 0.5], threads=1)
+        out = usc_report([0.01], tmp_path, [0.25, 0.33, 0.5], DEFAULT_RESOLUTION, threads=1)
         summary = out["summary"]
         assert summary["origin_upper_bound"] == 0.5
         assert summary["origin_witness_residual"] == 0.0
@@ -235,13 +250,14 @@ class TestUscReport:
             ([0.01], {"radii": [0.5], "resolution": 64}, "odd"),
             ([0.01, 0.01 + 0j], {"radii": [0.5]}, "repeats an anchor"),
         ]:
+            scan = {"radii": None, "resolution": DEFAULT_RESOLUTION, **kwargs}
             with pytest.raises(ValueError, match=match):
-                usc_report(b_list, out, **kwargs, threads=1)
+                usc_report(b_list, out, **scan, threads=1)
             assert not out.exists(), (b_list, kwargs)
 
     def test_zero_anchor_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            usc_report([0.01, 0.0], tmp_path, threads=1)
+            usc_report([0.01, 0.0], tmp_path, None, DEFAULT_RESOLUTION, threads=1)
 
 
 class TestScanMemory:

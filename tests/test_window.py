@@ -236,7 +236,7 @@ def full_eq_chain(g, kappa=KAPPA_DEFAULT, standoff_cells=STANDOFF_CELLS):
     )
 
 
-def full_lemma2(u, delta0=DELTA0_DEFAULT, standoff_cells=0):
+def full_lemma2(u, delta0=DELTA0_DEFAULT ** 0.75, standoff_cells=STANDOFF_CELLS):
     spec = u.spec
     h = spec.spacing
     tol = KAPPA_DEFAULT * h * h
@@ -357,7 +357,8 @@ def assert_all_match(field, basepoint, tag=""):
         (chain, full_chain, (field, basepoint), {}),
         (at_standoff_zero(chain), partial(full_chain, standoff_cells=0), (field, basepoint), {}),
         (lemma2_check, full_lemma2, (abs_power_34(field),), {}),
-        (lemma2_check, full_lemma2, (abs_power_34(field),), {"standoff_cells": STANDOFF_CELLS}),
+        (at_standoff_zero(lemma2_check), partial(full_lemma2, standoff_cells=0),
+         (abs_power_34(field),), {}),
     ]
     try:
         branch = full_sqrt_branch(field, basepoint)
@@ -512,7 +513,9 @@ def test_random_masks_in_a_pinned_box_match_full_grid(seed, density, corner, siz
     assert_all_match(f, node_point(spec, i, j), "random mask")
     u = RealField(spec, np.abs(f.values) ** 0.75, 0.0, mask)
     for cells in (0, 1):
-        assert outcome(lemma2_check, u, standoff_cells=cells) == outcome(full_lemma2, u, standoff_cells=cells)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "STANDOFF_CELLS", cells)
+            assert outcome(lemma2_check, u) == outcome(full_lemma2, u, standoff_cells=cells)
 
 
 # ---------------------------------------------------------------- pieces
