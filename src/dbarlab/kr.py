@@ -40,7 +40,6 @@ rows, CSV lines and heatmaps are written.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -59,13 +58,10 @@ from .util import (
     write_pgm,
 )
 
-FAILURE_NONE = "none"
-FAILURE_SUP = "sup_bound_violated"
-FAILURE_NONCONV = "non_convergence"
-
 DEFAULT_RESOLUTION = 65
 DEFAULT_RADIUS_RANGE = (0.25, 2.0)
 DEFAULT_RADIUS_COUNT = 16
+VECTOR = (1.0, 0.0)  # the tangent vector every scan uses
 # the pseudo-norm bound at ((0, 0), (1, 0)) from the disc z -> (z, 0) filling
 # the first factor; origin_witness_residual checks that disc
 ORIGIN_BOUND = 1.0 / Z1_RADIUS
@@ -118,13 +114,13 @@ class FeasibilityRecord:
 
     sup_f, residual_sup and certified (DbarSolution.certified) are the
     solve's; heatmap is util.heatmap_pixels of |f|, one byte per node where
-    the complex field takes sixteen.  The field is dropped.  failure_mode
-    follows from the solve: non_convergence for every solve that is not
-    certified (a diverging iteration, or a converged fixed point whose
-    residual misses the gate), the sup mode when a certified solution's sup
-    leaves the radius-1/10 factor, which is what the sup lower bound demands,
-    and none, feasible, otherwise.  chain is the sup_bound entry certify
-    writes for the solve: the Theorem 2 report, or the reason there is none.
+    the complex field takes sixteen.  The field is dropped.  inside says
+    whether sup_f stays inside the radius-1/10 factor, and the radius is
+    feasible when the solve is certified and inside.  A certified record
+    that is not inside breaks the sup bound, which is what the sup lower
+    bound demands; an uncertified one says nothing of the sup.  chain is
+    the sup_bound entry certify writes for the solve: the Theorem 2 report,
+    or the reason there is none.
     """
 
     radius: float
@@ -135,69 +131,35 @@ class FeasibilityRecord:
     chain: dict
 
     @property
-    def failure_mode(self) -> str:
-        if not self.certified:
-            return FAILURE_NONCONV
-        if self.sup_f >= Z2_RADIUS - MEMBERSHIP_SLACK:
-            return FAILURE_SUP
-        return FAILURE_NONE
+    def inside(self) -> bool:
+        return self.sup_f < Z2_RADIUS - MEMBERSHIP_SLACK
 
     @property
     def feasible(self) -> bool:
-        return self.failure_mode == FAILURE_NONE
+        return self.certified and self.inside
 
 
-@dataclass(frozen=True)
-class KrEstimate:
-    """Scan summary at the basepoint (0, b) for the fixed vector (1, 0)."""
+def scan_verdict(records) -> dict:
+    """The reported verdict of one anchor's scan, a function of its records.
 
-    b: complex
-    records: tuple
-    vector = (1.0, 0.0)  # the tangent vector every scan uses
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "records", tuple(self.records))
-
-    @property
-    def a_observed(self) -> float:
-        """The largest feasible radius, or zero when no radius is feasible."""
-        return max((rec.radius for rec in self.records if rec.feasible), default=0.0)
-
-    @property
-    def no_feasible_disc(self) -> bool:
-        return self.a_observed == 0.0
-
-    def lower_bound(self) -> float:
-        """Picard's estimate 1/a_observed of the pseudo-norm, not a bound on it.
-
-        That no larger Picard disc worked says nothing of other discs.  inf
-        when no disc is feasible.
-        """
-        return math.inf if self.no_feasible_disc else 1.0 / self.a_observed
-
-    def scan_consistent(self) -> bool:
-        """No feasible radius above one where a certified solution broke the sup bound."""
-        sup_violations = [rec.radius for rec in self.records if rec.failure_mode == FAILURE_SUP]
-        if not sup_violations:
-            return True
-        r0 = min(sup_violations)
-        return all(not rec.feasible for rec in self.records if rec.radius > r0)
-
-    def verdict(self) -> dict:
-        """The reported scan verdict.
-
-        The key lower_bound holds Picard's estimate 1/a_observed, null plus
-        no_feasible_disc when it is infinite; gap_positive says whether the
-        estimate exceeds ORIGIN_BOUND.
-        """
-        return {
-            "a_observed": self.a_observed,
-            "gap_positive": self.lower_bound() > ORIGIN_BOUND,
-            "lower_bound": None if self.no_feasible_disc else self.lower_bound(),
-            "no_feasible_disc": self.no_feasible_disc,
-            "scan_consistent": self.scan_consistent(),
-        }
+    a_observed is the largest feasible radius, zero when none is.  The key
+    lower_bound holds Picard's estimate 1/a_observed of the pseudo-norm, not
+    a bound on it (that no larger Picard disc worked says nothing of other
+    discs), null plus no_feasible_disc when no disc is feasible.
+    gap_positive says whether the estimate, infinite when no disc is
+    feasible, exceeds ORIGIN_BOUND.  scan_consistent says that no radius is
+    feasible above one where a certified solution broke the sup bound.
+    """
+    a = max((rec.radius for rec in records if rec.feasible), default=0.0)
+    broke = min((rec.radius for rec in records if rec.certified and not rec.inside),
+                default=np.inf)
+    return {
+        "a_observed": a,
+        "gap_positive": a == 0.0 or 1.0 / a > ORIGIN_BOUND,
+        "lower_bound": None if a == 0.0 else 1.0 / a,
+        "no_feasible_disc": a == 0.0,
+        "scan_consistent": all(rec.radius <= broke for rec in records if rec.feasible),
+    }
 
 
 def origin_witness_residual() -> float:
@@ -223,7 +185,7 @@ def graph_feasibility(r: float, b: complex, resolution: int) -> FeasibilityRecor
     """Attempt a graph disc of radius r in (0, 2] anchored at f(0) = b.
 
     The solve runs on a resolution x resolution grid of the disc; the
-    record's failure mode follows from it.  Infeasible records are data,
+    record's feasibility follows from it.  Infeasible records are data,
     not errors.  For a certified solve, the theorem chain runs through
     certify.attempt on the unit-disc rescale of the solution, as certify
     runs it on a saved one, and rides along.  The record keeps the solve's
@@ -245,18 +207,14 @@ def graph_feasibility(r: float, b: complex, resolution: int) -> FeasibilityRecor
     )
 
 
-def radius_scan(b: complex, radii, resolution: int, threads: int) -> KrEstimate:
-    """Feasibility records over a radius grid plus the bound estimate; radii None means default_radii().
+def radius_scan(b: complex, radii, resolution: int, threads: int) -> list:
+    """The feasibility records of anchor b over a radius grid, in radius order.
 
-    a_observed is the largest feasible radius (zero when none is); the
-    reported 1/a_observed (key lower_bound) is Picard's estimate of the
-    pseudo-norm, grid-level evidence and not a bound.
+    radii None means default_radii().  scan_verdict reads the anchor's
+    verdict from the records.
     """
     (b,), radii = check_scan([b], radii, resolution)
-    records = parallel_map(
-        lambda r: graph_feasibility(r, b, resolution), radii, threads=threads
-    )
-    return KrEstimate(b, records)
+    return parallel_map(lambda r: graph_feasibility(r, b, resolution), radii, threads=threads)
 
 
 def _csv_complex(b: complex) -> str:
@@ -285,9 +243,9 @@ def usc_report(b_list, out_dir, radii, resolution: int, *, threads: int) -> dict
     csv_lines = ["b,r,feasible,sup_f,residual"]
     heatmaps = []
     for bi, b in enumerate(b_list):
-        est = radius_scan(b, radii=radii, resolution=resolution, threads=threads)
-        rows.append({"b": as_complex_pair(b), **est.verdict()})
-        for ri, rec in enumerate(est.records):
+        records = radius_scan(b, radii=radii, resolution=resolution, threads=threads)
+        rows.append({"b": as_complex_pair(b), **scan_verdict(records)})
+        for ri, rec in enumerate(records):
             csv_lines.append(
                 f"{_csv_complex(b)},{rec.radius!r},{str(rec.feasible).lower()},"
                 f"{rec.sup_f!r},{rec.residual_sup!r}"
@@ -295,11 +253,11 @@ def usc_report(b_list, out_dir, radii, resolution: int, *, threads: int) -> dict
             name = f"scan_b{bi:02d}_r{ri:02d}_absf.pgm"
             write_pgm(os.path.join(out_dir, name), rec.heatmap)
             heatmaps.append(name)
-        del est  # this anchor is written; free its records before the next scan
+        del records  # this anchor is written; free them before the next scan
 
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "vector": [as_complex_pair(c) for c in KrEstimate.vector],
+        "vector": [as_complex_pair(c) for c in VECTOR],
         "origin_upper_bound": ORIGIN_BOUND,
         "origin_witness_residual": witness_residual,
         "empirical": True,  # a scan is grid-level evidence, never a proof

@@ -1,34 +1,34 @@
 import cmath
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import sys
 import tracemalloc
-from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dbarlab import cli, dbar
-from dbarlab.acs import Z1_RADIUS
+from dbarlab import cli, dbar, kr
+from dbarlab.acs import MEMBERSHIP_SLACK, Z1_RADIUS, Z2_RADIUS
 from dbarlab.dbar import DbarProblem, load_solution, picard_solve, residual_dbar
 from dbarlab.grid import make_grid
 from dbarlab.kr import (
-    FAILURE_NONCONV,
-    FAILURE_NONE,
-    FAILURE_SUP,
     DEFAULT_RESOLUTION,
     ORIGIN_BOUND,
-    KrEstimate,
     check_scan,
     default_radii,
     graph_feasibility,
     origin_witness_residual,
     radius_scan,
+    scan_verdict,
     usc_report,
 )
 from dbarlab.util import json_dumps, write_pgm
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _p5(values):
@@ -40,6 +40,18 @@ def _p5(values):
     else:
         pix = np.zeros(v.shape, dtype=np.uint8)
     return f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii") + pix.tobytes()
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """One certified, inside record; the scan-verdict tests edit copies of it."""
+    rec = graph_feasibility(0.25, 0.001, 33)
+    assert rec.feasible
+    return rec
+
+
+def _rec(solved, radius, *, certified=True, sup_f=0.01):
+    return dataclasses.replace(solved, radius=radius, certified=certified, sup_f=sup_f)
 
 
 class TestOriginBound:
@@ -67,15 +79,15 @@ class TestGraphFeasibility:
         # that is the sup lower bound doing its job
         rec = graph_feasibility(1.0, 0.05, 65)
         assert not rec.feasible
-        assert rec.failure_mode == FAILURE_SUP
+        assert rec.certified and not rec.inside
         assert rec.sup_f > 0.1
         assert rec.chain["available"] is True
         assert rec.chain["report"]["details"]["verdict"] == "consistent"
 
-    def test_gate_failure_is_non_convergence(self):
+    def test_gate_failure_is_infeasible(self):
         rec = graph_feasibility(0.25, 0.05, 65)
-        assert rec.failure_mode == FAILURE_NONCONV
         assert not rec.certified
+        assert not rec.feasible
         assert rec.chain == {"available": False,
                              "reason": "no certificate: solve missed the residual gate"}
 
@@ -96,9 +108,8 @@ class TestGraphFeasibility:
     def test_small_radius_small_anchor_feasible(self):
         rec = graph_feasibility(0.25, 0.001, 65)
         assert rec.feasible
-        assert rec.failure_mode == FAILURE_NONE
+        assert rec.certified and rec.inside
         assert rec.sup_f < 0.1
-        assert rec.certified
         assert rec.residual_sup <= 5 * make_grid(0.25, 65).spacing
         assert rec.chain["available"] is True
 
@@ -108,15 +119,23 @@ class TestGraphFeasibility:
         assert rec.heatmap.dtype == np.uint8
 
     def test_record_flag_consistency_enforced(self):
-        # the failure mode is derived from the record's solve, so a record
-        # cannot claim a mode its solve contradicts
+        # inside and feasible are derived from the record's solve, so a
+        # record cannot claim a verdict its solve contradicts
         rec = graph_feasibility(0.25, 0.001, 65)
-        assert rec.failure_mode == FAILURE_NONE
-        for edits, mode in (({"certified": False}, FAILURE_NONCONV),
-                            ({"sup_f": 0.1}, FAILURE_SUP)):
+        assert rec.feasible
+        for edits, inside in (({"certified": False}, True),
+                              ({"sup_f": 0.1}, False)):
             edited = dataclasses.replace(rec, **edits)
-            assert edited.failure_mode == mode
+            assert edited.inside is inside
             assert not edited.feasible
+
+    def test_inside_is_strict_at_the_slack(self, solved):
+        # the sup must stay strictly below the radius-1/10 factor less its slack
+        edge = Z2_RADIUS - MEMBERSHIP_SLACK
+        at_edge = _rec(solved, 0.25, sup_f=edge)
+        assert not at_edge.inside and not at_edge.feasible
+        below = _rec(solved, 0.25, sup_f=float(np.nextafter(edge, 0.0)))
+        assert below.inside and below.feasible
 
     @pytest.mark.parametrize("n", [17, 33])
     def test_every_admitted_corner_is_finite(self, n):
@@ -138,26 +157,25 @@ class TestGraphFeasibility:
 
 class TestRadiusScan:
     def test_moderate_anchor(self):
-        est = radius_scan(0.01, None, 65, threads=1)
+        records = radius_scan(0.01, None, 65, threads=1)
         radii = default_radii()
-        assert est.a_observed == pytest.approx(float(radii[2]))
-        assert est.lower_bound() == pytest.approx(1.0 / float(radii[2]))
-        assert est.verdict()["gap_positive"] is True
-        assert est.verdict()["lower_bound"] == est.lower_bound()
-        assert est.scan_consistent()
-        assert [rec.radius for rec in est.records] == sorted(
-            float(r) for r in radii
-        )
-        assert est.lower_bound() > 0.5
+        assert isinstance(records, list)
+        assert [rec.radius for rec in records] == sorted(float(r) for r in radii)
+        verdict = scan_verdict(records)
+        assert verdict["a_observed"] == pytest.approx(float(radii[2]))
+        assert verdict["lower_bound"] == pytest.approx(1.0 / float(radii[2]))
+        assert verdict["lower_bound"] == 1.0 / verdict["a_observed"] > 0.5
+        assert verdict["gap_positive"] is True
+        assert verdict["no_feasible_disc"] is False
+        assert verdict["scan_consistent"] is True
 
     def test_no_feasible_disc_encodes_as_null(self):
-        est = radius_scan(0.05, [0.25, 0.5, 1.0], 65, threads=1)
-        assert est.a_observed == 0.0
-        assert est.lower_bound() == np.inf
-        verdict = est.verdict()
+        records = radius_scan(0.05, [0.25, 0.5, 1.0], 65, threads=1)
+        verdict = scan_verdict(records)
+        assert verdict["a_observed"] == 0.0
         assert verdict["lower_bound"] is None
         assert verdict["no_feasible_disc"] is True
-        assert verdict["gap_positive"] is True  # inf > 1/2
+        assert verdict["gap_positive"] is True  # an infinite estimate exceeds 1/2
         json_dumps(verdict)  # must not trip the NaN/inf guard
 
     def test_validation(self):
@@ -175,42 +193,50 @@ class TestRadiusScan:
 
 
 class TestScanConsistency:
-    FakeRec = namedtuple("FakeRec", "radius feasible failure_mode")
-
     def test_real_scan_is_consistent(self):
-        est = radius_scan(0.001, [0.25, 0.5], 65, threads=1)
-        assert est.records[0].feasible
-        assert est.records[1].failure_mode == FAILURE_SUP
-        assert est.scan_consistent()
+        records = radius_scan(0.001, [0.25, 0.5], 65, threads=1)
+        assert records[0].feasible
+        assert records[1].certified and not records[1].inside
+        assert scan_verdict(records)["scan_consistent"] is True
 
-    def test_detects_feasible_above_violation(self):
-        recs = [
-            self.FakeRec(0.5, False, FAILURE_SUP),
-            self.FakeRec(1.0, True, FAILURE_NONE),
-        ]
-        assert not KrEstimate(0.01, recs).scan_consistent()
+    def test_detects_feasible_above_violation(self, solved):
+        records = [_rec(solved, 0.5, sup_f=0.2), _rec(solved, 1.0)]
+        assert scan_verdict(records)["scan_consistent"] is False
 
-    def test_vacuous_without_sup_violations(self):
-        recs = [self.FakeRec(0.5, False, FAILURE_NONCONV)]
-        assert KrEstimate(0.01, recs).scan_consistent()
+    def test_vacuous_without_sup_violations(self, solved):
+        assert scan_verdict([_rec(solved, 0.5, certified=False)])["scan_consistent"] is True
 
-    def test_a_observed_is_the_largest_feasible_radius(self):
-        recs = [
-            self.FakeRec(0.25, True, FAILURE_NONE),
-            self.FakeRec(0.5, True, FAILURE_NONE),
-            self.FakeRec(1.0, False, FAILURE_NONCONV),
-        ]
-        assert KrEstimate(0.01, recs).a_observed == 0.5
-        assert KrEstimate(0.01, recs[2:]).a_observed == 0.0
-        assert KrEstimate(0.01, ()).no_feasible_disc
+    def test_uncertified_sup_is_no_violation(self, solved):
+        # an uncertified solve's sup says nothing, so a feasible radius above it stands
+        for sup_f in (0.1, 0.2):
+            records = [_rec(solved, 0.5, certified=False, sup_f=sup_f), _rec(solved, 1.0)]
+            verdict = scan_verdict(records)
+            assert verdict["scan_consistent"] is True
+            assert verdict["a_observed"] == 1.0
 
-    def test_gap_positive_compares_the_estimate_with_the_origin_bound(self):
+    def test_a_observed_is_the_largest_feasible_radius(self, solved):
+        records = [_rec(solved, 0.25), _rec(solved, 0.5), _rec(solved, 1.0, certified=False)]
+        assert scan_verdict(records)["a_observed"] == 0.5
+        assert scan_verdict(records[2:])["a_observed"] == 0.0
+        assert scan_verdict(records[2:])["no_feasible_disc"] is True
+
+    def test_empty_scan(self):
+        assert scan_verdict(()) == {
+            "a_observed": 0.0,
+            "gap_positive": True,
+            "lower_bound": None,
+            "no_feasible_disc": True,
+            "scan_consistent": True,
+        }
+
+    def test_gap_positive_compares_the_estimate_with_the_origin_bound(self, solved):
         # feasible at 0.5 (estimate 2), at 2 (estimate 1/2, no gap), and nowhere (inf)
-        for recs, gap in (([self.FakeRec(0.5, True, FAILURE_NONE)], True),
-                          ([self.FakeRec(2.0, True, FAILURE_NONE)], False),
-                          ([self.FakeRec(0.5, False, FAILURE_NONCONV)], True)):
-            est = KrEstimate(0.01, recs)
-            assert est.verdict()["gap_positive"] is (est.lower_bound() > ORIGIN_BOUND) is gap
+        for records, gap in (([_rec(solved, 0.5)], True),
+                             ([_rec(solved, 2.0)], False),
+                             ([_rec(solved, 0.5, certified=False)], True)):
+            verdict = scan_verdict(records)
+            estimate = math.inf if verdict["no_feasible_disc"] else verdict["lower_bound"]
+            assert verdict["gap_positive"] is (estimate > ORIGIN_BOUND) is gap
 
 
 class TestUscReport:
@@ -222,6 +248,9 @@ class TestUscReport:
         assert summary["empirical"] is True
         assert len(summary["rows"]) == 1
         row = summary["rows"][0]
+        # a row is its anchor and scan_verdict's keys, nothing more
+        assert set(row) == {"b", "a_observed", "gap_positive", "lower_bound",
+                            "no_feasible_disc", "scan_consistent"}
         assert row["gap_positive"] is True
         assert row["scan_consistent"] is True
         assert summary["all_gaps_positive"] is True
@@ -269,7 +298,7 @@ class TestScanMemory:
         gc.collect()
         tracemalloc.start()
         try:
-            est = radius_scan(0.01, radii=radii, resolution=n, threads=threads)
+            records = radius_scan(0.01, radii=radii, resolution=n, threads=threads)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             arrays = tracemalloc.take_snapshot().filter_traces(
@@ -277,15 +306,34 @@ class TestScanMemory:
             )
         finally:
             tracemalloc.stop()
-        records = len(est.records)
-        assert records == 8
+        assert len(records) == 8
         # numpy's array data, traced in its own domain: the pixels, with no
         # slack beyond 64 bytes a record
-        assert sum(t.size for t in arrays.traces) <= records * (n * n + 64)
+        assert sum(t.size for t in arrays.traces) <= len(records) * (n * n + 64)
         # everything held, the records' Python objects included (dataclasses,
         # the chain reports' dicts), whose size varies with the interpreter:
         # under half of what the fields alone would take
-        assert held < records * 16 * n * n // 2
+        assert held < len(records) * 16 * n * n // 2
+
+
+class TestTracerReadsTheScan:
+    def test_layer_metrics_count_the_records(self, tmp_path):
+        # the benchmark tracer wraps radius_scan and graph_feasibility by name
+        # and reads each record's feasible; its counts must match the table
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        tracer = tracer_mod.Tracer()
+        tracer.install()  # cli is imported above, so every dbarlab module is bound
+        try:
+            kr.usc_report([0.001], tmp_path, [0.25, 1.0], 17, threads=2)
+        finally:
+            tracer.uninstall()
+        metrics = tracer_mod.layer_metrics(tracer.take())
+        lines = (tmp_path / "usc_table.csv").read_text().strip().split("\n")[1:]
+        feasible = sum(line.split(",")[2] == "true" for line in lines)
+        assert metrics["kr.records"] == len(lines) == 2
+        assert metrics["kr.feasible"] == feasible == 1
 
 
 class TestHeatmaps:
